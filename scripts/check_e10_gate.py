@@ -26,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from check_analyze_schema import SCHEMA_PATH, validate  # noqa: E402
+from check_schema import ANALYZE_SCHEMA_PATH as SCHEMA_PATH, validate  # noqa: E402
 
 import json  # noqa: E402
 

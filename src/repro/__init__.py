@@ -32,8 +32,8 @@ Package layout
 - :mod:`repro.shard` — sharded corpora: scatter-gather queries over one
   fault-isolated engine + index per corpus file;
 - :mod:`repro.api` — the unified engine API: one request/response
-  dataclass family and the :class:`~repro.api.QueryBackend` protocol both
-  engines satisfy;
+  dataclass family and the :class:`~repro.api.QueryBackend` protocol every
+  engine satisfies;
 - :mod:`repro.server` — a concurrent HTTP serving layer (``repro serve``)
   with admission control, budget quotas, and cursor pagination.
 """
@@ -123,7 +123,7 @@ from repro.shard import (
 )
 from repro.text import Corpus, Document
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "Region",
@@ -214,15 +214,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    if name == "IndexError_":
-        import warnings
-
-        warnings.warn(
-            "repro.IndexError_ is deprecated; use repro.RegionIndexError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RegionIndexError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

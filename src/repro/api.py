@@ -8,8 +8,9 @@ Before this module each frontend spoke its own dialect:
 envelopes from whichever it got.  The query server
 (:mod:`repro.server`) would have been a third dialect.  Instead, this
 module pins **one request/response dataclass family** plus a
-:class:`QueryBackend` protocol that both engines satisfy, so the server,
-the CLI, and library callers all speak one surface:
+:class:`QueryBackend` protocol that every engine satisfies (through
+:class:`~repro.core.engine.EngineBase`), so the server, the CLI, and
+library callers all speak one surface:
 
 >>> from repro import FileQueryEngine, QueryRequest
 >>> from repro.workloads.bibtex import bibtex_schema, generate_bibtex
@@ -282,11 +283,11 @@ class StatsResponse:
 class QueryBackend(Protocol):
     """What a query-serving backend must answer.
 
-    Both :class:`~repro.core.engine.FileQueryEngine` and
-    :class:`~repro.shard.ShardedEngine` satisfy this: given a
-    :class:`QueryRequest` their ``query``/``explain``/``analyze`` return
-    the unified response dataclasses, and ``stats()`` reports the
-    :class:`StatsResponse`.  The server (and any other frontend) depends
+    :class:`~repro.core.engine.FileQueryEngine`,
+    :class:`~repro.shard.ShardedEngine` and :class:`~repro.live.LiveEngine`
+    satisfy this: given a :class:`QueryRequest` their
+    ``query``/``explain``/``analyze`` return the unified response
+    dataclasses, and ``stats()`` reports the :class:`StatsResponse`.  The server (and any other frontend) depends
     only on this protocol — a test double is a four-method class.
     """
 

@@ -37,8 +37,8 @@ Examples::
     python -m repro shard build --workload bibtex --out ./sidx --files a.bib b.bib
     python -m repro shard build --workload bibtex --out ./sidx \
         --file refs.bib --shards 8
-    python -m repro shard query --workload bibtex --index ./sidx 'SELECT ...'
-    python -m repro shard query --workload bibtex --index ./sidx \
+    python -m repro query --workload bibtex --index ./sidx 'SELECT ...'
+    python -m repro query --workload bibtex --index ./sidx \
         --fail-fast --max-parallel 4 'SELECT ...'
 
     # Replication: N complete copies per shard, breaker-aware failover on
@@ -49,8 +49,11 @@ Examples::
     python -m repro scrub --workload bibtex --index ./sidx
     python -m repro scrub --workload bibtex --index ./sidx --repair
 
-``query``, ``stats``, ``analyze``, and ``shard query`` accept ``--json``
-for machine-readable output, assembled from the unified response
+``query``, ``explain``, ``analyze``, ``stats`` and ``serve`` pick the
+backend from what they can observe — ``--live``, a sharded ``--index``,
+anything else — and ``shard query|explain|analyze`` are the same handlers
+under their historical names.  ``query``, ``stats`` and ``analyze`` accept
+``--json`` for machine-readable output, assembled from the unified response
 dataclasses in :mod:`repro.api` — the exact shapes the query server
 emits (``analyze`` is validated in CI against
 ``schemas/analyze.schema.json``, the server envelopes against
@@ -68,8 +71,8 @@ import json
 import sys
 from typing import Callable
 
-from repro.api import AnalyzeResponse, QueryRequest, query_response, render_value
-from repro.cache import CacheConfig
+from repro.api import QueryRequest, query_response, render_value
+from repro.cache import CacheConfig, CacheStats
 from repro.core.engine import FileQueryEngine
 from repro.errors import ReproError
 from repro.index.config import IndexConfig
@@ -136,39 +139,58 @@ def _feedback_from_args(args: argparse.Namespace):
     return FeedbackConfig(directory=directory)
 
 
-def _engine_from_args(args: argparse.Namespace) -> FileQueryEngine:
+def _backend_from_args(args: argparse.Namespace):
+    """The one place a command line becomes a backend, chosen from what can
+    be observed: ``--live`` (or a ``live`` subcommand) opens a
+    :class:`~repro.live.LiveEngine`, a sharded ``--index`` (the only kind a
+    ``shard`` subcommand accepts) a :class:`~repro.shard.ShardedEngine`,
+    anything else a :class:`~repro.core.engine.FileQueryEngine`."""
+    from repro.shard.manifest import is_sharded_index
+
     schema = _schema_for(args.workload)
-    cache_config = (
-        CacheConfig.disabled() if getattr(args, "no_cache", False) else CacheConfig()
-    )
-    policy = _policy_from_args(args)
-    feedback = _feedback_from_args(args)
-    if getattr(args, "index", None):
+    index = getattr(args, "index", None)
+    options = {
+        "cache_config": (
+            CacheConfig.disabled() if getattr(args, "no_cache", False) else CacheConfig()
+        ),
+        "policy": _policy_from_args(args),
+        "feedback": _feedback_from_args(args),
+    }
+    if getattr(args, "live", False):
+        from repro.live import LiveEngine
+
+        if not index:
+            raise SystemExit("live commands need --index DIR (a saved sharded index)")
+        return LiveEngine.open(
+            schema,
+            index,
+            max_shard_bytes=getattr(args, "max_shard_bytes", None),
+            ack_quorum=getattr(args, "ack_quorum", None),
+            **options,
+        )
+    if index and (getattr(args, "sharded", False) or is_sharded_index(index)):
+        from repro.shard import ShardedEngine
+
+        if getattr(args, "max_parallel", None):
+            options["max_parallel"] = args.max_parallel
+        return ShardedEngine.from_saved(
+            schema, index, fail_fast=getattr(args, "fail_fast", False), **options
+        )
+    file = getattr(args, "file", None)
+    if index:
         # --file alongside --index names the current source: it enables the
         # staleness check and gives recovery a fresh text to fall back on.
         return FileQueryEngine.from_saved(
-            schema,
-            args.index,
-            cache_config=cache_config,
-            policy=policy,
-            source_path=args.file or None,
-            feedback=feedback,
+            schema, index, source_path=file or None, **options
         )
-    if not args.file:
+    if not file:
         raise SystemExit("either --file or --index is required")
-    with open(args.file, "r", encoding="utf-8") as handle:
+    with open(file, "r", encoding="utf-8") as handle:
         text = handle.read()
     config = IndexConfig.full()
     if getattr(args, "partial", None):
         config = IndexConfig.partial(set(args.partial.split(",")))
-    return FileQueryEngine(
-        schema,
-        text,
-        config,
-        cache_config=cache_config,
-        policy=policy,
-        feedback=feedback,
-    )
+    return FileQueryEngine(schema, text, config, **options)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -185,7 +207,7 @@ def _print_warnings(result) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    engine = _engine_from_args(args)
+    engine = _backend_from_args(args)
     result = engine.query(args.query, budget=_budget_from_args(args))
     if getattr(args, "json", False):
         response = query_response(result, QueryRequest(query=args.query))
@@ -196,29 +218,31 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(" | ".join(render_value(value) for value in row))
     _print_warnings(result)
     stats = result.stats
-    cache_note = ""
-    if stats.cache_hits or stats.cache_misses:
-        cache_note = (
-            f", cache {stats.cache_hits} hit(s)"
-            f" ({stats.bytes_parse_avoided} bytes not reparsed)"
+    if hasattr(stats, "shards"):
+        footer = (
+            f" from {stats.healthy_shards}/{len(stats.shards)} shard(s), "
+            f"{stats.retries} retry(ies)"
         )
-    print(
-        f"-- {len(result.rows)} row(s), strategy {stats.strategy}, "
-        f"{stats.bytes_parsed} bytes parsed{cache_note}",
-        file=sys.stderr,
-    )
+    else:
+        footer = f", strategy {stats.strategy}, {stats.bytes_parsed} bytes parsed"
+        if stats.cache_hits or stats.cache_misses:
+            footer += (
+                f", cache {stats.cache_hits} hit(s)"
+                f" ({stats.bytes_parse_avoided} bytes not reparsed)"
+            )
+    print(f"-- {len(result.rows)} row(s){footer}", file=sys.stderr)
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    engine = _engine_from_args(args)
+    engine = _backend_from_args(args)
     print(engine.explain(args.query))
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    engine = _engine_from_args(args)
-    response = AnalyzeResponse.from_analysis(engine.analyze(args.query))
+    engine = _backend_from_args(args)
+    response = engine.analyze(QueryRequest(query=args.query))
     if getattr(args, "json", False):
         print(json.dumps(response.to_dict(), indent=2))
     else:
@@ -227,7 +251,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    engine = _engine_from_args(args)
+    engine = _backend_from_args(args)
     replicas = _replicas_from_args(args)
     engine.save(args.out, source_path=args.file or None, replicas=replicas)
     where = f"{args.out} ({replicas} replica(s))" if replicas else args.out
@@ -236,46 +260,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sharded_engine_from_args(args: argparse.Namespace):
-    from repro.shard import ShardedEngine
-
-    schema = _schema_for(args.workload)
-    cache_config = (
-        CacheConfig.disabled() if getattr(args, "no_cache", False) else CacheConfig()
-    )
-    options = {
-        "cache_config": cache_config,
-        "policy": _policy_from_args(args),
-        "fail_fast": getattr(args, "fail_fast", False),
-        "feedback": _feedback_from_args(args),
-    }
-    if getattr(args, "max_parallel", None):
-        options["max_parallel"] = args.max_parallel
-    return ShardedEngine.from_saved(schema, args.index, **options)
-
-
-def _live_engine_from_args(args: argparse.Namespace):
-    from repro.live import LiveEngine
-
-    schema = _schema_for(args.workload)
-    if not getattr(args, "index", None):
-        raise SystemExit("live commands need --index DIR (a saved sharded index)")
-    cache_config = (
-        CacheConfig.disabled() if getattr(args, "no_cache", False) else CacheConfig()
-    )
-    return LiveEngine.open(
-        schema,
-        args.index,
-        max_shard_bytes=getattr(args, "max_shard_bytes", None),
-        ack_quorum=getattr(args, "ack_quorum", None),
-        cache_config=cache_config,
-        policy=_policy_from_args(args),
-        feedback=_feedback_from_args(args),
-    )
-
-
 def _cmd_live_append(args: argparse.Namespace) -> int:
-    engine = _live_engine_from_args(args)
+    engine = _backend_from_args(args)
     try:
         records: list[str] = list(args.record or [])
         if not records:
@@ -325,7 +311,7 @@ def _print_compaction(report: dict) -> int:
 
 
 def _cmd_live_compact(args: argparse.Namespace) -> int:
-    engine = _live_engine_from_args(args)
+    engine = _backend_from_args(args)
     try:
         return _print_compaction(engine.compact())
     finally:
@@ -333,7 +319,7 @@ def _cmd_live_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_live_status(args: argparse.Namespace) -> int:
-    engine = _live_engine_from_args(args)
+    engine = _backend_from_args(args)
     try:
         status = engine.status()
         if getattr(args, "json", False):
@@ -397,52 +383,22 @@ def _cmd_shard_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard_query(args: argparse.Namespace) -> int:
-    engine = _sharded_engine_from_args(args)
-    result = engine.query(args.query, budget=_budget_from_args(args))
-    if getattr(args, "json", False):
-        response = query_response(result, QueryRequest(query=args.query))
-        print(json.dumps(response.to_dict(), indent=2))
-        _print_warnings(result)
-        return 0
-    for row in result.rows:
-        print(" | ".join(render_value(value) for value in row))
-    _print_warnings(result)
-    stats = result.stats
-    print(
-        f"-- {len(result.rows)} row(s) from {stats.healthy_shards}/"
-        f"{len(stats.shards)} shard(s), {stats.retries} retry(ies)",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_shard_explain(args: argparse.Namespace) -> int:
-    engine = _sharded_engine_from_args(args)
-    print(engine.explain(args.query))
-    return 0
-
-
-def _cmd_shard_analyze(args: argparse.Namespace) -> int:
-    engine = _sharded_engine_from_args(args)
-    response = AnalyzeResponse.from_analysis(engine.analyze(args.query))
-    if getattr(args, "json", False):
-        print(json.dumps(response.to_dict(), indent=2))
-    else:
-        print(response.text)
-    return 0
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    engine = _engine_from_args(args)
+    engine = _backend_from_args(args)
     response = engine.stats()
     calibration = response.calibration
     if getattr(args, "json", False):
         print(json.dumps(response.to_dict(), indent=2))
         return 0
-    print(engine.statistics().summary())
-    print(f"cache:                  {engine.cache_config.describe()}")
-    print(engine.cache_stats.summary())
+    if "per_shard" in response.index:
+        print(
+            f"shards:            {response.index['shards']} "
+            f"({response.index['loaded_shards']} loaded; shards load on first query)"
+        )
+    else:
+        print(engine.statistics().summary())
+    print(f"cache:                  {response.cache_config}")
+    print(CacheStats(**response.cache).summary())
     if calibration["enabled"]:
         state = "calibrated" if calibration["calibrated"] else "cold"
         print(
@@ -512,14 +468,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from repro.server import QueryServer, ServerConfig
-    from repro.shard.manifest import is_sharded_index
 
-    if getattr(args, "live", False):
-        backend = _live_engine_from_args(args)
-    elif getattr(args, "index", None) and is_sharded_index(args.index):
-        backend = _sharded_engine_from_args(args)
-    else:
-        backend = _engine_from_args(args)
+    backend = _backend_from_args(args)
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -604,7 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sub: argparse.ArgumentParser, with_query: bool) -> None:
         sub.add_argument("--workload", required=True, help="bibtex | logs | sgml")
         sub.add_argument("--file", help="corpus file to parse and index")
-        sub.add_argument("--index", help="directory of a saved index")
+        sub.add_argument(
+            "--index",
+            help="directory of a saved index (a sharded one is detected and "
+            "answered by scatter-gather)",
+        )
         sub.add_argument(
             "--partial",
             help="comma-separated non-terminals for a partial region index",
@@ -615,12 +569,27 @@ def build_parser() -> argparse.ArgumentParser:
             dest="no_cache",
             help="disable the engine's evaluation/parse caches",
         )
+        sub.add_argument(
+            "--fail-fast",
+            action="store_true",
+            dest="fail_fast",
+            help="sharded --index: raise a typed ShardFailedError on the first "
+            "unhealthy shard instead of returning a partial result",
+        )
+        sub.add_argument(
+            "--max-parallel",
+            type=int,
+            dest="max_parallel",
+            help="sharded --index: cap on concurrently evaluating shards "
+            "(default 8)",
+        )
         mode = sub.add_mutually_exclusive_group()
         mode.add_argument(
             "--strict",
             action="store_true",
             help="fail fast: typed errors on corrupt/stale indexes, "
-            "malformed regions, and blown budgets (no fallbacks)",
+            "malformed regions, and blown budgets (no fallbacks; a damaged "
+            "shard fails instead of degrading to a full scan)",
         )
         mode.add_argument(
             "--degrade",
@@ -631,6 +600,42 @@ def build_parser() -> argparse.ArgumentParser:
         add_feedback(sub)
         if with_query:
             sub.add_argument("query", help="XSQL-subset query text")
+
+    def add_live_options(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--max-shard-bytes",
+            type=int,
+            dest="max_shard_bytes",
+            help="live engine: split the tail shard during compaction once "
+            "its corpus exceeds this many bytes",
+        )
+        sub.add_argument(
+            "--ack-quorum",
+            type=int,
+            dest="ack_quorum",
+            help="live engine over a replicated index: replica journals that "
+            "must fsync before an append is acknowledged (default: all)",
+        )
+
+    def add_budget(sub: argparse.ArgumentParser, scope: str) -> None:
+        sub.add_argument(
+            "--budget-ms",
+            type=float,
+            dest="budget_ms",
+            help=f"{scope} wall-clock budget, in milliseconds",
+        )
+        sub.add_argument(
+            "--budget-regions",
+            type=int,
+            dest="budget_regions",
+            help=f"{scope} cap on regions materialized by the algebra evaluator",
+        )
+        sub.add_argument(
+            "--budget-bytes",
+            type=int,
+            dest="budget_bytes",
+            help=f"{scope} cap on file bytes (re-)parsed",
+        )
 
     generate = commands.add_parser("generate", help="emit a synthetic corpus")
     generate.add_argument("--workload", required=True)
@@ -648,24 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = commands.add_parser("query", help="run a query")
     add_common(query, with_query=True)
     add_json(query)
-    query.add_argument(
-        "--budget-ms",
-        type=float,
-        dest="budget_ms",
-        help="wall-clock budget for the execution, in milliseconds",
-    )
-    query.add_argument(
-        "--budget-regions",
-        type=int,
-        dest="budget_regions",
-        help="cap on regions materialized by the algebra evaluator",
-    )
-    query.add_argument(
-        "--budget-bytes",
-        type=int,
-        dest="budget_bytes",
-        help="cap on file bytes (re-)parsed during execution",
-    )
+    add_budget(query, "per-execution (per shard, on a sharded index)")
     query.set_defaults(handler=_cmd_query)
 
     explain = commands.add_parser("explain", help="show a query's plan")
@@ -708,13 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a saved sharded --index as a live engine: enables "
         "journaled POST /append next to the query endpoints",
     )
-    serve.add_argument(
-        "--max-shard-bytes",
-        type=int,
-        dest="max_shard_bytes",
-        help="with --live: split the tail shard during compaction once it "
-        "exceeds this many bytes",
-    )
+    add_live_options(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8080, help="bind port (0 picks a free one)"
@@ -746,24 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="largest page a client may request",
     )
-    serve.add_argument(
-        "--budget-ms",
-        type=float,
-        dest="budget_ms",
-        help="server-level wall-clock budget; each request's quota "
-        "inherits this deadline",
-    )
-    serve.add_argument(
-        "--budget-regions",
-        type=int,
-        dest="budget_regions",
-        help="server-level region cap, split across workers per request",
-    )
-    serve.add_argument(
-        "--budget-bytes",
-        type=int,
-        dest="budget_bytes",
-        help="server-level (re-)parse byte cap, split across workers",
+    add_budget(
+        serve,
+        "server-level (each request's quota inherits the deadline; the "
+        "caps are split across workers)",
     )
     serve.add_argument(
         "--drain-s",
@@ -772,13 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="graceful-shutdown window: how long SIGTERM waits for "
         "in-flight requests before detaching them",
-    )
-    serve.add_argument(
-        "--ack-quorum",
-        type=int,
-        dest="ack_quorum",
-        help="with --live over a replicated index: replica journals that "
-        "must fsync before an append is acknowledged (default: all)",
     )
     serve.add_argument(
         "--scrub-interval-s",
@@ -873,84 +834,30 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--out", required=True, help="output directory")
     build.set_defaults(handler=_cmd_shard_build)
 
-    def add_shard_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--workload", required=True, help="bibtex | logs | sgml")
-        sub.add_argument(
-            "--index", required=True, help="directory of a saved sharded index"
-        )
-        sub.add_argument(
-            "--fail-fast",
-            action="store_true",
-            dest="fail_fast",
-            help="raise a typed ShardFailedError on the first unhealthy "
-            "shard instead of returning a partial result",
-        )
-        sub.add_argument(
-            "--max-parallel",
-            type=int,
-            dest="max_parallel",
-            help="cap on concurrently evaluating shards (default 8)",
-        )
-        sub.add_argument(
-            "--no-cache",
-            action="store_true",
-            dest="no_cache",
-            help="disable the per-shard evaluation/parse caches",
-        )
-        mode = sub.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--strict",
-            action="store_true",
-            help="typed errors on corrupt/stale shard indexes (a damaged "
-            "shard fails instead of degrading to a full scan)",
-        )
-        mode.add_argument(
-            "--degrade",
-            action="store_true",
-            help="keep answering: degraded shards serve full scans, "
-            "warnings on stderr",
-        )
-        add_feedback(sub)
-        sub.add_argument("query", help="XSQL-subset query text")
-
+    # `shard query|explain|analyze` are the top-level commands under their
+    # historical names — same options, same handlers, same output — except
+    # that they refuse an --index that is not sharded.
     shard_query = shard_commands.add_parser(
         "query", help="scatter-gather a query over all shards"
     )
-    add_shard_common(shard_query)
+    add_common(shard_query, with_query=True)
     add_json(shard_query)
-    shard_query.add_argument(
-        "--budget-ms",
-        type=float,
-        dest="budget_ms",
-        help="per-shard wall-clock budget, in milliseconds",
-    )
-    shard_query.add_argument(
-        "--budget-regions",
-        type=int,
-        dest="budget_regions",
-        help="per-shard cap on regions materialized",
-    )
-    shard_query.add_argument(
-        "--budget-bytes",
-        type=int,
-        dest="budget_bytes",
-        help="per-shard cap on file bytes (re-)parsed",
-    )
-    shard_query.set_defaults(handler=_cmd_shard_query)
+    add_budget(shard_query, "per-shard")
+    shard_query.set_defaults(handler=_cmd_query, sharded=True)
 
     shard_explain = shard_commands.add_parser(
         "explain", help="show the shared per-shard plan and shard roster"
     )
-    add_shard_common(shard_explain)
-    shard_explain.set_defaults(handler=_cmd_shard_explain)
+    add_common(shard_explain, with_query=True)
+    shard_explain.set_defaults(handler=_cmd_explain, sharded=True)
 
     shard_analyze = shard_commands.add_parser(
         "analyze",
         help="EXPLAIN ANALYZE across shards (per-shard stats included)",
     )
-    add_shard_common(shard_analyze)
+    add_common(shard_analyze, with_query=True)
     add_json(shard_analyze)
-    shard_analyze.set_defaults(handler=_cmd_shard_analyze)
+    shard_analyze.set_defaults(handler=_cmd_analyze, sharded=True)
 
     live = commands.add_parser(
         "live",
@@ -964,20 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--index", required=True, help="directory of a saved sharded index"
         )
-        sub.add_argument(
-            "--max-shard-bytes",
-            type=int,
-            dest="max_shard_bytes",
-            help="split the tail shard during compaction once its corpus "
-            "exceeds this many bytes",
-        )
-        sub.add_argument(
-            "--ack-quorum",
-            type=int,
-            dest="ack_quorum",
-            help="over a replicated index: replica journals that must "
-            "fsync before an append is acknowledged (default: all)",
-        )
+        add_live_options(sub)
 
     live_append = live_commands.add_parser(
         "append",
@@ -1000,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fold the delta into the base indexes after appending",
     )
-    live_append.set_defaults(handler=_cmd_live_append)
+    live_append.set_defaults(handler=_cmd_live_append, live=True)
 
     live_compact = live_commands.add_parser(
         "compact",
@@ -1008,14 +902,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(and split an oversized tail shard)",
     )
     add_live_common(live_compact)
-    live_compact.set_defaults(handler=_cmd_live_compact)
+    live_compact.set_defaults(handler=_cmd_live_compact, live=True)
 
     live_status = live_commands.add_parser(
         "status", help="journal checkpoints and pending delta sizes"
     )
     add_live_common(live_status)
     add_json(live_status)
-    live_status.set_defaults(handler=_cmd_live_status)
+    live_status.set_defaults(handler=_cmd_live_status, live=True)
 
     return parser
 

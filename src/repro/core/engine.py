@@ -61,7 +61,7 @@ from repro.index.stats import IndexStatistics
 from repro.obs.analyze import Analysis, build_node_table
 from repro.obs.hooks import HookRegistry
 from repro.obs.stats import QueryStats
-from repro.obs.trace import SpanHook, Trace, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, SpanHook, Trace, Tracer
 from repro.resilience.budget import ResourceBudget
 from repro.resilience.policy import FULL_SCAN, RAISE, REBUILD, DegradationPolicy
 from repro.resilience.warnings import (
@@ -72,7 +72,6 @@ from repro.resilience.warnings import (
     INDEX_REBUILT,
     INDEX_STALE,
     STALE_STAGING_REMOVED,
-    UNVERIFIED_LEGACY_INDEX,
     QueryWarning,
 )
 from repro.schema.structuring import StructuringSchema
@@ -113,13 +112,221 @@ class QueryResult:
         return len(self.rows)
 
 
-class FileQueryEngine:
+class EngineBase:
+    """What an engine answers besides rows, written once.
+
+    The paper has one pipeline; shards, live deltas and replicas are
+    deployment layers around it.  So the three engines differ only in how
+    they run a query (``query``), which loaded single-corpus engines hold
+    the indexes (``_engines``) and how they describe themselves
+    (``_index_summary``, ``_backend``, ``_roster``); ``explain``,
+    ``analyze``, ``stats``, feedback persistence and the
+    :class:`~repro.api.QueryRequest` surface derive from those here.
+    """
+
+    #: The one corpus this engine answers for (``None`` when it spans
+    #: several shards, each calibrated under its own fingerprint).
+    corpus_fingerprint: str | None = None
+    feedback_config: "FeedbackConfig"
+    feedback_history: "FeedbackHistory"
+
+    # -- what a subclass supplies -------------------------------------------------
+
+    def _engines(self, load: bool = False) -> "list[FileQueryEngine]":
+        """The loaded single-corpus engines behind this one, in shard order
+        (``load=True``: load one if none is loaded yet)."""
+        raise NotImplementedError
+
+    def _index_summary(self) -> dict:
+        raise NotImplementedError
+
+    def _backend(self) -> dict:
+        """The ``backend`` descriptor of :meth:`stats`: what kind of engine
+        answered, and its roster/health state."""
+        raise NotImplementedError
+
+    def _roster(self) -> list[str]:
+        """Extra :meth:`explain` lines describing the shard roster."""
+        return []
+
+    # -- the shared surface -------------------------------------------------------
+
+    def _open_feedback(
+        self,
+        feedback: "FeedbackConfig | bool | None",
+        feedback_history: "FeedbackHistory | None",
+    ) -> None:
+        """Resolve the feedback configuration and the history it feeds: the
+        one handed in, the one persisted under the configured directory, or
+        a fresh in-memory one."""
+        from repro.feedback import HISTORY_FILENAME, FeedbackConfig, FeedbackHistory
+
+        self.feedback_config = FeedbackConfig.coerce(feedback)
+        if feedback_history is not None:
+            self.feedback_history = feedback_history
+        elif self.feedback_config.enabled and self.feedback_config.directory:
+            self.feedback_history = FeedbackHistory.load_or_fresh(
+                Path(self.feedback_config.directory) / HISTORY_FILENAME
+            )
+        else:
+            self.feedback_history = FeedbackHistory()
+
+    def _respond(self, request: QueryRequest) -> QueryResponse:
+        """The unified :class:`~repro.api.QueryBackend` surface: run the
+        request's query under its budget, page the rows per its cursor."""
+        return query_response(
+            self.query(request.query, budget=request.budget), request
+        )
+
+    def plan(self, query: Query | str) -> Plan:
+        """Plan a query without executing it (on the first loadable shard:
+        every shard shares the schema and index configuration)."""
+        return self._engines(load=True)[0].planner.plan(query)
+
+    def explain(self, query) -> str | ExplainResponse:
+        """A human-readable account of the plan for a query, including the
+        engine's cache state and, for sharded engines, the shard roster.
+
+        Accepts an executed result (its plan is reused), query text or a
+        parsed :class:`Query`; a :class:`~repro.api.QueryRequest` returns
+        the wire-ready :class:`~repro.api.ExplainResponse` instead of text.
+        """
+        from repro.core.explain import explain_plan
+
+        if isinstance(query, QueryRequest):
+            return ExplainResponse(text=self.explain(query.query))
+        plan = self.plan(query) if isinstance(query, (str, Query)) else query.plan
+        described = explain_plan(plan, cache=self.cache_description())
+        return "\n".join([described, *self._roster()])
+
+    def analyze(
+        self, query, budget: ResourceBudget | None = None
+    ) -> Analysis | AnalyzeResponse:
+        """EXPLAIN ANALYZE: execute the query (or reuse an executed result)
+        and pair the static cost-model estimates with measured actuals —
+        per-stage wall-time/bytes from the trace, per-plan-node timing and
+        region counts from an instrumented evaluation on one healthy loaded
+        index, and for sharded engines the per-shard stats.  A
+        :class:`~repro.api.QueryRequest` executes under its budget and
+        returns the wire-ready :class:`~repro.api.AnalyzeResponse`.
+        """
+        if isinstance(query, QueryRequest):
+            return AnalyzeResponse.from_analysis(
+                self.analyze(query.query, budget=query.budget)
+            )
+        if isinstance(query, (str, Query)):
+            result = self.query(query, budget=budget)
+        else:
+            result = query
+        plan = result.plan
+        if plan is None:
+            # Every healthy shard ran degraded (local full-scan plans);
+            # report the plan the degraded engines actually used.
+            plan = next(iter(result.shard_results.values())).plan
+        nodes = []
+        engine = next((e for e in self._engines() if not e.degraded), None)
+        if plan.optimized_expression is not None and engine is not None:
+            # Re-run the expression with per-node instrumentation, bypassing
+            # the shared result cache so every node's cost is measured.
+            node_log: dict = {}
+            engine.index.run(
+                plan.optimized_expression, node_log=node_log, use_cache=False
+            )
+            # Estimates are taken BEFORE feeding this run's actuals into the
+            # feedback history, so the report shows the deltas the planner
+            # actually faced (and calibration never grades its own homework)
+            # — against the instrumented engine's own fingerprint: per-shard
+            # keying is what makes the corrections honest.
+            nodes = build_node_table(
+                plan.optimized_expression,
+                node_log,
+                estimator=engine.cost_model.estimate_rows,
+            )
+            if engine.feedback_config.enabled and engine.cost_model.observe_tree(
+                plan.optimized_expression, node_log
+            ):
+                engine.save_feedback()
+        return Analysis(
+            plan=plan,
+            stats=result.stats,
+            nodes=nodes,
+            trace=result.trace,
+            cache=self.cache_description(),
+        )
+
+    def save_feedback(self) -> None:
+        """Persist the feedback history when a directory is configured
+        (no-op otherwise — in-memory history lives with the engine)."""
+        if self.feedback_config.enabled and self.feedback_config.directory:
+            from repro.feedback import HISTORY_FILENAME
+
+            self.feedback_history.save(
+                Path(self.feedback_config.directory) / HISTORY_FILENAME
+            )
+
+    def stats(self) -> StatsResponse:
+        """Index statistics, cache configuration + lifetime activity summed
+        over the engines loaded so far, the feedback-calibration state and
+        the ``backend`` descriptor — one wire-ready object shared by the
+        CLI's ``stats --json`` and the server's ``GET /stats``."""
+        engines = self._engines()
+        return StatsResponse(
+            index=self._index_summary(),
+            cache_config=self._cache_config(engines),
+            cache=self._cache_totals(engines).to_dict(),
+            calibration={
+                "enabled": self.feedback_config.enabled,
+                "calibrated": any(e.cost_model.calibrated for e in engines),
+                "fingerprint": self.corpus_fingerprint,
+                "directory": self.feedback_config.directory,
+                **self.feedback_history.snapshot(self.corpus_fingerprint),
+            },
+            backend=self._backend(),
+        )
+
+    def replica_health(self) -> list[dict] | None:
+        """Per-replica health of every replicated shard, as served under
+        ``replicas`` in ``GET /healthz`` (``[]``: no shard is replicated;
+        ``None``: this engine has no shard roster)."""
+        return self._backend().get("replica_health")
+
+    def _cache_config(self, engines: "list[FileQueryEngine]") -> str:
+        if not engines:
+            return "no shard engines loaded yet"
+        described = engines[0].cache_config.describe()
+        if engines == [self]:  # a single-corpus engine describes itself
+            return described
+        return f"{described} x{len(engines)} shard(s)"
+
+    @staticmethod
+    def _cache_totals(engines: "list[FileQueryEngine]") -> CacheStats:
+        totals = CacheStats()
+        for engine in engines:
+            for counter, value in vars(engine.cache_stats).items():
+                setattr(totals, counter, getattr(totals, counter) + value)
+        return totals
+
+    def cache_description(self) -> str:
+        """One line: cache configuration plus lifetime hit/miss totals over
+        the engines loaded so far."""
+        engines = self._engines()
+        stats = self._cache_totals(engines)
+        return (
+            f"{self._cache_config(engines)}; "
+            f"expr {stats.expression_hits}h/{stats.expression_misses}m, "
+            f"parse {stats.parse_hits}h/{stats.parse_misses}m, "
+            f"plan {stats.plan_hits}h/{stats.plan_misses}m, "
+            f"{stats.bytes_parse_avoided} bytes not reparsed"
+        )
+
+
+class FileQueryEngine(EngineBase):
     """Query files through their database view, via text indexes."""
 
     def __init__(
         self,
         schema: StructuringSchema,
-        corpus: Corpus | str,
+        corpus: Corpus | str | IndexEngine,
         config: IndexConfig | None = None,
         optimize_expressions: bool = True,
         cache_config: CacheConfig | None = None,
@@ -129,10 +336,12 @@ class FileQueryEngine:
         feedback: "FeedbackConfig | bool | None" = None,
         feedback_history: "FeedbackHistory | None" = None,
     ) -> None:
+        """Parse and index ``corpus`` under ``config``.  :meth:`from_saved`
+        passes an already loaded (or, degraded, an empty)
+        :class:`~repro.index.engine.IndexEngine` in its place: it is adopted
+        as is — nothing is parsed and ``config`` is the index's own."""
         self.schema = schema
         self.corpus: Corpus | None = corpus if isinstance(corpus, Corpus) else None
-        self.text = corpus.text if isinstance(corpus, Corpus) else corpus
-        self.config = config if config is not None else IndexConfig.full()
         self.cache_config = cache_config if cache_config is not None else CacheConfig()
         self.cache_stats = CacheStats()
         self.tracing = tracing
@@ -141,49 +350,35 @@ class FileQueryEngine:
         self._span_hooks = HookRegistry()
         self._load_warnings: list[QueryWarning] = []
         self._load_degradation: dict | None = None
-        build_counters = OperationCounters()
-        tree = schema.parse(self.text, counters=build_counters)
-        self.index_build_bytes = build_counters.bytes_scanned
-        self.index: IndexEngine = build_engine(
-            self.text,
-            tree,
-            self.config,
-            root=schema.grammar.start,
-            known_names=schema.grammar.nonterminals,
-        )
-        self._wire_feedback(feedback, feedback_history)
-        self._wire_caches_and_pipeline(optimize_expressions)
+        self.index_build_bytes = 0
+        if isinstance(corpus, IndexEngine):
+            self.index = corpus
+        else:
+            text = corpus.text if isinstance(corpus, Corpus) else corpus
+            build_counters = OperationCounters()
+            tree = schema.parse(text, counters=build_counters)
+            self.index_build_bytes = build_counters.bytes_scanned
+            self.index = build_engine(
+                text,
+                tree,
+                config if config is not None else IndexConfig.full(),
+                root=schema.grammar.start,
+                known_names=schema.grammar.nonterminals,
+            )
+        self.text = self.index.text
+        self.config = self.index.config
 
-    def _wire_feedback(
-        self,
-        feedback: "FeedbackConfig | bool | None",
-        feedback_history: "FeedbackHistory | None",
-    ) -> None:
-        """Build the feedback-calibration state (must run after the index is
-        built — the cost model seeds cardinalities from its instance — and
-        before :meth:`_wire_caches_and_pipeline`, which hands the model to
-        the planner and executor).
-
-        Feedback is opt-in (``feedback=None`` leaves it disabled).  The cost
-        model itself is *always* constructed — a cold model is a pure
-        function of the index and powers the rows-vs-rows estimates in
-        :meth:`analyze` — but only an *enabled* engine feeds history, plans
-        under calibrated costs, or replans mid-query.
-        """
-        from repro.feedback import CalibratedCostModel, FeedbackConfig, FeedbackHistory
-        from repro.feedback.history import HISTORY_FILENAME
+        # Feedback calibration is opt-in (``feedback=None`` leaves it
+        # disabled).  The cost model itself is *always* constructed — a cold
+        # model is a pure function of the index (it seeds cardinalities from
+        # the instance) and powers the rows-vs-rows estimates in
+        # :meth:`analyze` — but only an *enabled* engine feeds history,
+        # plans under calibrated costs, or replans mid-query.
+        from repro.feedback import CalibratedCostModel
         from repro.index.persist import corpus_fingerprint
 
-        self.feedback_config = FeedbackConfig.coerce(feedback)
+        self._open_feedback(feedback, feedback_history)
         self.corpus_fingerprint = corpus_fingerprint(self.text)
-        if feedback_history is not None:
-            self.feedback_history = feedback_history
-        elif self.feedback_config.enabled and self.feedback_config.directory:
-            self.feedback_history = FeedbackHistory.load_or_fresh(
-                Path(self.feedback_config.directory) / HISTORY_FILENAME
-            )
-        else:
-            self.feedback_history = FeedbackHistory()
         self.cost_model = CalibratedCostModel(
             self.index.instance,
             self.corpus_fingerprint,
@@ -191,19 +386,15 @@ class FileQueryEngine:
             config=self.feedback_config,
             corpus_bytes=len(self.text),
         )
+        active_model = self.cost_model if self.feedback_config.enabled else None
 
-    def _wire_caches_and_pipeline(self, optimize_expressions: bool) -> None:
-        """Attach the per-engine caches and build translator/planner/executor.
-
-        The corpus is immutable once indexed, so every cache layer (region
-        expressions, candidate parses, plans) is sound for the engine's
-        lifetime; ``CacheConfig.disabled()`` turns them all off.
-        """
+        # The corpus is immutable once indexed, so every cache layer (region
+        # expressions, candidate parses, plans) is sound for the engine's
+        # lifetime; ``CacheConfig.disabled()`` turns them all off.
         self.index.configure_cache(self.cache_config, stats=self.cache_stats)
         self.translator = Translator(
             self.schema, self.config, has_word_index=self.index.word_index is not None
         )
-        active_model = self.cost_model if self.feedback_config.enabled else None
         self.planner = Planner(
             self.translator,
             optimize_expressions=optimize_expressions,
@@ -280,6 +471,9 @@ class FileQueryEngine:
         query through the cached full-scan pipeline, or rebuild the index
         from the best surviving text.  ``source_text``/``source_path``
         provide the *current* source for staleness checks and recovery.
+        A replicated root (``repro index --replicas N``) is routed to its
+        first healthy copy exactly like a replicated shard (see
+        :meth:`~repro.shard.replica.ReplicaSet.load_under`).
 
         Always raises :class:`~repro.errors.RegionIndexError` when the saved
         index was built with a different structuring schema (region names
@@ -288,65 +482,50 @@ class FileQueryEngine:
         existed load without the check.
         """
         from repro.index.persist import (
-            is_replicated_index,
             load_index,
-            load_manifest,
             load_schema_fingerprint,
             schema_fingerprint,
             stale_reason,
             sweep_stale_staging,
         )
+        from repro.shard.replica import ReplicaSet
 
         policy = policy if policy is not None else DegradationPolicy()
+        options = dict(
+            optimize_expressions=optimize_expressions,
+            cache_config=cache_config,
+            tracing=tracing,
+            budget=budget,
+            feedback=feedback,
+            feedback_history=feedback_history,
+        )
 
-        if is_replicated_index(directory):
-            # A replicated root (``repro index --replicas N``): route to the
-            # first healthy copy, breaker-aware, exactly like a replicated
-            # shard.  Strict per-replica loads first — a damaged copy must
-            # fail over to its sibling, not degrade to a full scan; the
-            # caller's real policy is the last resort.
-            from dataclasses import replace as _replace
-
-            from repro.shard.replica import ReplicaSet
-
-            replica_set = ReplicaSet.open(directory)
-            if replica_set is not None:
-                strict = _replace(
-                    policy, on_corrupt=RAISE, on_stale=RAISE, on_missing=RAISE
-                )
-                common = dict(
-                    optimize_expressions=optimize_expressions,
-                    cache_config=cache_config,
-                    tracing=tracing,
-                    budget=budget,
+        replica_set = ReplicaSet.open(directory)
+        if replica_set is not None:
+            load = replica_set.load_under(
+                policy,
+                lambda path, replica_policy: cls.from_saved(
+                    schema,
+                    path,
+                    policy=replica_policy,
                     source_text=source_text,
                     source_path=source_path,
-                    feedback=feedback,
-                    feedback_history=feedback_history,
-                )
-                load = replica_set.load(
-                    lambda path: cls.from_saved(
-                        schema, path, policy=strict, **common
-                    ),
-                    fallback=lambda path: cls.from_saved(
-                        schema, path, policy=policy, **common
-                    ),
-                )
-                engine: "FileQueryEngine" = load.value
-                engine.policy = policy
-                if load.warnings:
-                    engine._load_warnings.extend(load.warnings)
-                return engine
-
-        load_warnings: list[QueryWarning] = []
-        for orphan in sweep_stale_staging(directory):
-            load_warnings.append(
-                QueryWarning(
-                    STALE_STAGING_REMOVED,
-                    f"removed orphaned staging directory {orphan}",
-                    detail={"path": orphan, "index": str(directory)},
-                )
+                    **options,
+                ),
             )
+            engine: "FileQueryEngine" = load.value
+            engine.policy = policy
+            engine._load_warnings.extend(load.warnings)
+            return engine
+
+        load_warnings = [
+            QueryWarning(
+                STALE_STAGING_REMOVED,
+                f"removed orphaned staging directory {orphan}",
+                detail={"path": orphan, "index": str(directory)},
+            )
+            for orphan in sweep_stale_staging(directory)
+        ]
 
         def recover(error: RegionIndexError, action: str, code: str) -> "FileQueryEngine":
             if action == RAISE:
@@ -358,49 +537,24 @@ class FileQueryEngine:
             if text is None:
                 raise error
             if action == REBUILD:
-                engine = cls(
-                    schema,
-                    text,
-                    optimize_expressions=optimize_expressions,
-                    cache_config=cache_config,
-                    tracing=tracing,
-                    policy=policy,
-                    budget=budget,
-                    feedback=feedback,
-                    feedback_history=feedback_history,
+                engine = cls(schema, text, policy=policy, **options)
+                outcome = QueryWarning(
+                    INDEX_REBUILT,
+                    f"index rebuilt from source text after {code}",
+                    detail={"path": str(directory)},
                 )
-                engine._load_warnings.extend(load_warnings)
-                engine._load_warnings.append(QueryWarning(code, str(error)))
-                engine._load_warnings.append(
-                    QueryWarning(
-                        INDEX_REBUILT,
-                        f"index rebuilt from source text after {code}",
-                        detail={"path": str(directory)},
-                    )
-                )
-                return engine
-            engine = cls._degraded_engine(
-                schema,
-                text,
-                optimize_expressions=optimize_expressions,
-                cache_config=cache_config,
-                tracing=tracing,
-                policy=policy,
-                budget=budget,
-                feedback=feedback,
-                feedback_history=feedback_history,
-            )
-            engine._load_warnings.extend(load_warnings)
-            engine._load_warnings.append(QueryWarning(code, str(error)))
-            engine._load_warnings.append(
-                QueryWarning(
+            else:
+                engine = cls(schema, cls._unindexed(text), policy=policy, **options)
+                engine._load_degradation = {"reason": str(error), "code": code}
+                outcome = QueryWarning(
                     DEGRADED_FULL_SCAN,
                     "index unusable: serving queries via the cached "
                     "full-scan pipeline",
                     detail={"path": str(directory), "cause": code},
                 )
-            )
-            engine._load_degradation = {"reason": str(error), "code": code}
+            engine._load_warnings += [
+                *load_warnings, QueryWarning(code, str(error)), outcome
+            ]
             return engine
 
         try:
@@ -422,38 +576,14 @@ class FileQueryEngine:
             if reason is not None:
                 raise IndexStaleError(str(directory), reason)
             index = load_index(directory)
-            if load_manifest(directory) is None:
-                load_warnings.append(
-                    QueryWarning(
-                        UNVERIFIED_LEGACY_INDEX,
-                        f"index at {directory} predates manifests (v1): "
-                        "loaded without checksum verification",
-                        detail={"path": str(directory)},
-                    )
-                )
         except IndexNotFoundError as error:
             return recover(error, policy.on_missing, INDEX_MISSING)
         except IndexStaleError as error:
             return recover(error, policy.on_stale, INDEX_STALE)
         except IndexCorruptError as error:
             return recover(error, policy.on_corrupt, INDEX_CORRUPT)
-        engine = cls.__new__(cls)
-        engine.schema = schema
-        engine.corpus = None
-        engine.text = index.text
-        engine.config = index.config
-        engine.cache_config = cache_config if cache_config is not None else CacheConfig()
-        engine.cache_stats = CacheStats()
-        engine.tracing = tracing
-        engine.policy = policy
-        engine.budget = budget
-        engine._span_hooks = HookRegistry()
-        engine._load_warnings = list(load_warnings)
-        engine._load_degradation = None
-        engine.index_build_bytes = 0
-        engine.index = index
-        engine._wire_feedback(feedback, feedback_history)
-        engine._wire_caches_and_pipeline(optimize_expressions)
+        engine = cls(schema, index, policy=policy, **options)
+        engine._load_warnings += load_warnings
         return engine
 
     @staticmethod
@@ -483,48 +613,20 @@ class FileQueryEngine:
         except OSError:
             return None
 
-    @classmethod
-    def _degraded_engine(
-        cls,
-        schema: StructuringSchema,
-        text: str,
-        optimize_expressions: bool,
-        cache_config: CacheConfig | None,
-        tracing: bool,
-        policy: DegradationPolicy,
-        budget: ResourceBudget | None,
-        feedback: "FeedbackConfig | bool | None" = None,
-        feedback_history: "FeedbackHistory | None" = None,
-    ) -> "FileQueryEngine":
-        """An engine with *no* index support: the translator finds no
+    @staticmethod
+    def _unindexed(text: str) -> IndexEngine:
+        """An index with *no* index support: the translator finds no
         indexed names, so the planner routes every query to the full-scan
         strategy — whose parse tree is cached after the first query (the
         "cached full-scan pipeline").  Answers are identical to an indexed
         engine's; only costs differ."""
-        engine = cls.__new__(cls)
-        engine.schema = schema
-        engine.corpus = None
-        engine.text = text
-        engine.config = IndexConfig.partial((), word_index=False)
-        engine.cache_config = cache_config if cache_config is not None else CacheConfig()
-        engine.cache_stats = CacheStats()
-        engine.tracing = tracing
-        engine.policy = policy
-        engine.budget = budget
-        engine._span_hooks = HookRegistry()
-        engine._load_warnings = []
-        engine._load_degradation = None
-        engine.index_build_bytes = 0
-        engine.index = IndexEngine(
+        return IndexEngine(
             text=text,
             instance=Instance({}),
             word_index=None,
             suffix_array=None,
-            config=engine.config,
+            config=IndexConfig.partial((), word_index=False),
         )
-        engine._wire_feedback(feedback, feedback_history)
-        engine._wire_caches_and_pipeline(optimize_expressions)
-        return engine
 
     @property
     def degraded(self) -> bool:
@@ -546,18 +648,18 @@ class FileQueryEngine:
         """
         return self._span_hooks.register(hook)
 
-    def _tracer(self) -> Tracer | None:
-        return Tracer("query", hooks=self._span_hooks) if self.tracing else None
+    def _tracer(self) -> Tracer | NullTracer:
+        return Tracer("query", hooks=self._span_hooks) if self.tracing else NULL_TRACER
 
     def _package_result(
-        self, plan: Plan, execution: Execution, tracer: Tracer | None
+        self, plan: Plan, execution: Execution, tracer: Tracer | NullTracer
     ) -> QueryResult:
         if self._load_warnings:
             # Load-time degradation decisions surface on every query result.
             execution.stats.warnings = (
                 list(self._load_warnings) + execution.stats.warnings
             )
-        trace = tracer.finish() if tracer is not None else None
+        trace = tracer.finish()
         if trace is not None:
             trace.root.annotate(
                 strategy=execution.stats.strategy, rows=execution.stats.rows
@@ -573,10 +675,6 @@ class FileQueryEngine:
         )
 
     # -- querying -----------------------------------------------------------------
-
-    def plan(self, query: Query | str) -> Plan:
-        """Plan a query without executing it."""
-        return self.planner.plan(query)
 
     def query(
         self,
@@ -606,14 +704,9 @@ class FileQueryEngine:
         a ``degraded`` span.
         """
         if isinstance(query, QueryRequest):
-            result = self.query(query.query, budget=query.budget)
-            return query_response(result, query)
+            return self._respond(query)
         tracer = self._tracer()
-        if tracer is None:
-            plan = self.planner.plan(query)
-        else:
-            plan = self.planner.plan(query, tracer=tracer)
-        return self._run_plan(plan, budget, tracer)
+        return self._run_plan(self.planner.plan(query, tracer=tracer), budget, tracer)
 
     def execute_plan(
         self, plan: Plan, budget: ResourceBudget | None = None
@@ -631,7 +724,7 @@ class FileQueryEngine:
         return self._run_plan(plan, budget, self._tracer())
 
     def _run_plan(
-        self, plan: Plan, budget: ResourceBudget | None, tracer: Tracer | None
+        self, plan: Plan, budget: ResourceBudget | None, tracer: Tracer | NullTracer
     ) -> QueryResult:
         budget = budget if budget is not None else self.budget
         meter = (
@@ -639,17 +732,12 @@ class FileQueryEngine:
         )
         skip_malformed = self.policy.skip_malformed
         try:
-            if tracer is None:
-                execution: Execution = self._executor.execute(
-                    plan, meter=meter, skip_malformed=skip_malformed
-                )
-            else:
-                execution = self._executor.execute(
-                    plan, tracer=tracer, meter=meter, skip_malformed=skip_malformed
-                )
+            execution: Execution = self._executor.execute(
+                plan, tracer=tracer, meter=meter, skip_malformed=skip_malformed
+            )
         except BudgetExceededError as error:
             if self.policy.on_budget != FULL_SCAN:
-                error.trace = tracer.finish() if tracer is not None else None
+                error.trace = tracer.finish()
                 raise
             plan, execution = self._budget_fallback(
                 plan, error, tracer, skip_malformed
@@ -660,7 +748,7 @@ class FileQueryEngine:
         self,
         plan: Plan,
         error: BudgetExceededError,
-        tracer: Tracer | None,
+        tracer: Tracer | NullTracer,
         skip_malformed: bool,
     ) -> tuple[Plan, Execution]:
         """Retry a budget-blown query once through the full-scan pipeline —
@@ -671,17 +759,10 @@ class FileQueryEngine:
             query=plan.query,
             notes=list(plan.notes) + [f"budget degraded: {error}"],
         )
-        if tracer is None:
+        with tracer.span("degraded", reason=str(error), code=BUDGET_DEGRADED):
             execution = self._executor.execute(
-                fallback, skip_malformed=skip_malformed
+                fallback, tracer=tracer, skip_malformed=skip_malformed
             )
-        else:
-            with tracer.span(
-                "degraded", reason=str(error), code=BUDGET_DEGRADED
-            ):
-                execution = self._executor.execute(
-                    fallback, tracer=tracer, skip_malformed=skip_malformed
-                )
         execution.stats.warnings.insert(
             0,
             QueryWarning(
@@ -697,107 +778,6 @@ class FileQueryEngine:
         )
         return fallback, execution
 
-    def explain(
-        self, query: QueryRequest | QueryResult | Query | str
-    ) -> str | ExplainResponse:
-        """A human-readable account of the plan for a query, including the
-        engine's cache state.
-
-        Accepts a :class:`QueryResult` directly (its plan is reused — no
-        ``engine.explain(result.plan.query)`` round-trip) as well as query
-        text or a parsed :class:`Query`.  A :class:`~repro.api.QueryRequest`
-        returns the wire-ready :class:`~repro.api.ExplainResponse` instead
-        of bare text.
-        """
-        from repro.core.explain import explain_plan
-
-        if isinstance(query, QueryRequest):
-            return ExplainResponse(text=self.explain(query.query))
-        plan = query.plan if isinstance(query, QueryResult) else self.plan(query)
-        return explain_plan(plan, cache=self.cache_description())
-
-    def analyze(
-        self, query: QueryRequest | QueryResult | Query | str
-    ) -> Analysis | AnalyzeResponse:
-        """EXPLAIN ANALYZE: execute the query (or reuse an already-executed
-        :class:`QueryResult`) and return an :class:`~repro.obs.analyze.Analysis`
-        pairing the static cost-model estimates with measured actuals —
-        per-stage wall-time/bytes from the trace plus per-plan-node timing
-        and region counts from an instrumented evaluation.  A
-        :class:`~repro.api.QueryRequest` executes under the request's
-        budget and returns the wire-ready
-        :class:`~repro.api.AnalyzeResponse`.
-        """
-        if isinstance(query, QueryRequest):
-            executed = self.query(query.query, budget=query.budget)
-            return AnalyzeResponse.from_analysis(self.analyze(executed))
-        result = query if isinstance(query, QueryResult) else self.query(query)
-        plan = result.plan
-        nodes = []
-        if plan.optimized_expression is not None:
-            # Re-run the expression with per-node instrumentation, bypassing
-            # the shared result cache so every node's cost is measured.
-            node_log = {}
-            self.index.run(plan.optimized_expression, node_log=node_log, use_cache=False)
-            # Estimates are taken BEFORE feeding this run's actuals into the
-            # feedback history, so the report shows the deltas the planner
-            # actually faced (and calibration never grades its own homework).
-            nodes = build_node_table(
-                plan.optimized_expression,
-                node_log,
-                estimator=self.cost_model.estimate_rows,
-            )
-            if self.feedback_config.enabled:
-                fed = self.cost_model.observe_tree(plan.optimized_expression, node_log)
-                if fed:
-                    self.save_feedback()
-        return Analysis(
-            plan=plan,
-            stats=result.stats,
-            nodes=nodes,
-            trace=result.trace,
-            cache=self.cache_description(),
-        )
-
-    # -- feedback calibration ----------------------------------------------------------
-
-    def save_feedback(self) -> None:
-        """Persist the feedback history when a directory is configured
-        (no-op otherwise — in-memory history lives with the engine)."""
-        if self.feedback_config.enabled and self.feedback_config.directory:
-            from repro.feedback.history import HISTORY_FILENAME
-
-            self.feedback_history.save(
-                Path(self.feedback_config.directory) / HISTORY_FILENAME
-            )
-
-    def calibration_state(self) -> dict:
-        """Deprecated spelling of the calibration summary: use
-        :meth:`stats` and read ``.calibration`` instead (one unified
-        surface for every statistics consumer)."""
-        import warnings
-
-        warnings.warn(
-            "FileQueryEngine.calibration_state() is deprecated; use "
-            "FileQueryEngine.stats().calibration instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._calibration_state()
-
-    def _calibration_state(self) -> dict:
-        """A JSON-friendly summary of the feedback-calibration state for
-        this corpus: whether it is enabled, calibrated (history exists for
-        this fingerprint), and the per-key corrections."""
-        snapshot = self.feedback_history.snapshot(self.corpus_fingerprint)
-        return {
-            "enabled": self.feedback_config.enabled,
-            "calibrated": self.cost_model.calibrated,
-            "fingerprint": self.corpus_fingerprint,
-            "directory": self.feedback_config.directory,
-            **snapshot,
-        }
-
     # -- the baseline ----------------------------------------------------------------
 
     def baseline_query(self, query: Query | str) -> QueryResult:
@@ -812,9 +792,6 @@ class FileQueryEngine:
             query = parse_query(query)
         plan = Plan(strategy="full-scan", query=query, notes=["forced baseline"])
         tracer = self._tracer()
-        if tracer is None:
-            execution = self._executor.execute(plan, use_cache=False)
-            return self._package_result(plan, execution, None)
         execution = self._executor.execute(plan, use_cache=False, tracer=tracer)
         return self._package_result(plan, execution, tracer)
 
@@ -849,35 +826,19 @@ class FileQueryEngine:
     def statistics(self) -> IndexStatistics:
         return self.index.statistics()
 
-    def stats(self) -> StatsResponse:
-        """The unified statistics surface (:class:`~repro.api.StatsResponse`):
-        index statistics, cache configuration + lifetime activity, and the
-        feedback-calibration state, as one wire-ready object shared by the
-        CLI's ``stats --json`` and the server's ``GET /stats``."""
-        return StatsResponse(
-            index=self.statistics().to_dict(),
-            cache_config=self.cache_config.describe(),
-            cache=self.cache_stats.to_dict(),
-            calibration=self._calibration_state(),
-            backend={
-                "type": "file",
-                "corpus_bytes": len(self.text),
-                "indexed_names": sorted(self.indexed_names),
-                "degraded": self.degraded,
-            },
-        )
+    def _engines(self, load: bool = False) -> "list[FileQueryEngine]":
+        return [self]
 
-    def cache_description(self) -> str:
-        """One line: cache configuration plus lifetime hit/miss totals."""
-        described = self.cache_config.describe()
-        stats = self.cache_stats
-        activity = (
-            f"expr {stats.expression_hits}h/{stats.expression_misses}m, "
-            f"parse {stats.parse_hits}h/{stats.parse_misses}m, "
-            f"plan {stats.plan_hits}h/{stats.plan_misses}m, "
-            f"{stats.bytes_parse_avoided} bytes not reparsed"
-        )
-        return f"{described}; {activity}"
+    def _index_summary(self) -> dict:
+        return self.statistics().to_dict()
+
+    def _backend(self) -> dict:
+        return {
+            "type": "file",
+            "corpus_bytes": len(self.text),
+            "indexed_names": sorted(self.indexed_names),
+            "degraded": self.degraded,
+        }
 
     @property
     def indexed_names(self) -> frozenset[str]:

@@ -118,12 +118,7 @@ class DatabaseError(ReproError):
 
 
 class RegionIndexError(ReproError):
-    """Errors in the indexing engine.
-
-    Historically spelled ``IndexError_`` (with a trailing underscore to
-    avoid shadowing the builtin :class:`IndexError`); that name still
-    resolves to this class but emits a :class:`DeprecationWarning`.
-    """
+    """Errors in the indexing engine."""
 
 
 class IndexConfigError(RegionIndexError):
@@ -397,16 +392,3 @@ class BudgetExceededError(ReproError):
             f"(spent {spent}{unit})"
         )
 
-
-def __getattr__(name: str):
-    if name == "IndexError_":
-        import warnings
-
-        warnings.warn(
-            "repro.errors.IndexError_ is deprecated; use "
-            "repro.errors.RegionIndexError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RegionIndexError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,8 +24,8 @@ Integrity and staleness are distinguished by typed errors:
   source file changed after it was built (raised by callers via
   :func:`stale_reason`).
 
-Indexes saved before manifests existed (format version 1) load without
-checksum verification.
+A directory without ``manifest.json`` is a damaged index, not an older
+format: nothing loads without checksum verification.
 
 Saves are crash-safe: :func:`save_index` writes into a temporary sibling
 directory and renames it into place only once every file (manifest
@@ -77,7 +77,7 @@ _FORMAT_VERSION = 2
 #: ``applied_seq`` journal checkpoint).  Plain saves stay at version 2 so
 #: existing indexes and their readers are untouched.
 _LIVE_FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_SUPPORTED_VERSIONS = (2, 3)
 
 #: The files covered by manifest checksums.
 _CHECKSUMMED = ("corpus.txt", "regions.json", "config.json")
@@ -141,11 +141,11 @@ def load_schema_fingerprint(directory: str | os.PathLike[str]) -> str | None:
 
 
 def load_manifest(directory: str | os.PathLike[str]) -> dict | None:
-    """The saved manifest, or ``None`` for pre-manifest (v1) indexes.
+    """The saved manifest, or ``None`` when the directory has none (which
+    :func:`verify_index` treats as damage).
 
     Raises :class:`IndexCorruptError` when a manifest exists but cannot be
-    parsed — a half-written or damaged manifest must not demote integrity
-    checking to "legacy index, skip verification".
+    parsed.
     """
     path = Path(directory) / "manifest.json"
     try:
@@ -218,11 +218,11 @@ def save_index(
                 replica = staging / replica_dir_name(i)
                 replica.mkdir()
                 _write_index_files(engine, replica, schema_fingerprint, source_path, live)
-            _write_replica_manifest(
+            save_replica_manifest(
                 staging,
                 corpus_fingerprint(engine.text),
                 [replica_dir_name(i) for i in range(replicas)],
-                _source_record(source_path),
+                source_record(source_path),
                 live,
             )
         _swap_into_place(staging, target)
@@ -230,7 +230,7 @@ def save_index(
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _source_record(source_path: str | os.PathLike[str] | None) -> dict | None:
+def source_record(source_path: str | os.PathLike[str] | None) -> dict | None:
     if source_path is None:
         return None
     source: dict = {"path": str(source_path)}
@@ -260,17 +260,6 @@ def _replica_manifest_data(
     if live is not None:
         manifest["live"] = dict(live)
     return manifest
-
-
-def _write_replica_manifest(
-    path: Path,
-    fingerprint: str,
-    replica_names: list[str],
-    source: dict | None,
-    live: dict | None,
-) -> None:
-    data = _replica_manifest_data(fingerprint, replica_names, source, live)
-    (path / "manifest.json").write_text(json.dumps(data, indent=2), encoding="utf-8")
 
 
 def save_replica_manifest(
@@ -383,7 +372,7 @@ def sweep_stale_staging(directory: str | os.PathLike[str]) -> list[str]:
 
 def load_live_state(directory: str | os.PathLike[str]) -> dict | None:
     """The live-ingestion state stored in a saved index's manifest, or
-    ``None`` when the index has none (v1/v2, or v3 without the key)."""
+    ``None`` when the index has none (v2, or v3 without the key)."""
     manifest = load_manifest(directory)
     if manifest is None:
         return None
@@ -459,7 +448,7 @@ def _write_index_files(
         config_data["schema_fingerprint"] = schema_fingerprint
     (path / "config.json").write_text(json.dumps(config_data, indent=2), encoding="utf-8")
 
-    source = _source_record(source_path)
+    source = source_record(source_path)
     manifest = {
         "format_version": format_version,
         "corpus_fingerprint": corpus_fingerprint(engine.text),
@@ -473,20 +462,23 @@ def _write_index_files(
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
 
-def verify_index(directory: str | os.PathLike[str]) -> dict | None:
+def verify_index(directory: str | os.PathLike[str]) -> dict:
     """Check a saved index's integrity without loading it.
 
-    Returns the manifest (``None`` for legacy v1 directories, which have
-    no checksums to verify).  Raises :class:`IndexNotFoundError` when the
-    directory is not a saved index and :class:`IndexCorruptError` on any
-    checksum mismatch or missing checksummed file.
+    Returns the manifest.  Raises :class:`IndexNotFoundError` when the
+    directory is not a saved index and :class:`IndexCorruptError` on a
+    missing manifest, any checksum mismatch or a missing checksummed file.
     """
     path = Path(directory)
     if not (path / "config.json").exists():
         raise IndexNotFoundError(str(path), "missing config.json")
     manifest = load_manifest(path)
     if manifest is None:
-        return None
+        # No manifest means no checksums to hold the other files to: that
+        # is damage, never a licence to load them unverified.
+        raise IndexCorruptError(
+            str(path), "manifest.json is missing", part="manifest.json"
+        )
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict):
         raise IndexCorruptError(
@@ -531,30 +523,21 @@ def stale_reason(
             return f"source file {source_path!s} unreadable: {error}"
     current = corpus_fingerprint(source_text)
     manifest = load_manifest(path)
-    if manifest is not None and isinstance(manifest.get("corpus_fingerprint"), str):
-        saved = manifest["corpus_fingerprint"]
-    else:
-        # Legacy index: fall back to hashing the saved corpus text itself.
-        try:
-            saved = corpus_fingerprint((path / "corpus.txt").read_text(encoding="utf-8"))
-        except OSError:
-            return None  # no basis for comparison
-    if saved == current:
-        return None
+    saved = manifest.get("corpus_fingerprint") if manifest is not None else None
+    if not isinstance(saved, str) or saved == current:
+        return None  # fresh, or no recorded basis (load_index judges the damage)
     reason = (
         f"source content changed since the index was built "
         f"(saved {saved}, current {current})"
     )
-    if manifest is not None and isinstance(manifest.get("source"), dict):
+    if isinstance(manifest.get("source"), dict):
         recorded = manifest["source"]
         if "mtime" in recorded:
             reason += f"; indexed source mtime {recorded['mtime']}"
     return reason
 
 
-def load_index(
-    directory: str | os.PathLike[str], verify_checksums: bool = True
-) -> IndexEngine:
+def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
     """Load a persisted engine; rebuilds word/suffix indexes from the text.
 
     Raises :class:`IndexNotFoundError` when ``directory`` is not a saved
@@ -562,8 +545,7 @@ def load_index(
     integrity verification (checksums, structure, format version).
     """
     path = Path(directory)
-    if verify_checksums:
-        verify_index(path)
+    verify_index(path)
     try:
         text = (path / "corpus.txt").read_text(encoding="utf-8")
         regions_raw = (path / "regions.json").read_text(encoding="utf-8")

@@ -73,15 +73,8 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.api import (
-    AnalyzeResponse,
-    ExplainResponse,
-    QueryRequest,
-    QueryResponse,
-    StatsResponse,
-    query_response,
-)
-from repro.core.engine import FileQueryEngine
+from repro.api import QueryRequest, QueryResponse
+from repro.core.engine import EngineBase, FileQueryEngine
 from repro.errors import (
     DuplicateRequestError,
     IndexCorruptError,
@@ -130,7 +123,7 @@ def _record_digest(record: str) -> str:
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
 
-class LiveEngine:
+class LiveEngine(EngineBase):
     """A sharded query engine that accepts durable appends.
 
     Construct via :meth:`open` on a directory produced by
@@ -639,8 +632,7 @@ class LiveEngine:
         logical corpus.  A :class:`~repro.api.QueryRequest` returns the
         wire-ready :class:`~repro.api.QueryResponse`."""
         if isinstance(query, QueryRequest):
-            result = self.query(query.query, budget=query.budget)
-            return query_response(result, query)
+            return self._respond(query)
         with self._lock:
             snapshot = {
                 name: list(frames)
@@ -648,6 +640,11 @@ class LiveEngine:
                 if frames
             }
             manifest = self._manifest
+        budget = budget if budget is not None else self._engine.budget
+        if budget is not None:
+            # Mint the end-to-end deadline here, not inside the base engine:
+            # the delta segments below must run under the same budget.
+            budget = budget.started()
         base = self._engine.query(query, budget=budget, fail_fast=fail_fast)
         if self._load_warnings:
             base.stats.warnings[:0] = list(self._load_warnings)
@@ -660,8 +657,13 @@ class LiveEngine:
                 rows.extend(shard_result.rows)
             frames = snapshot.get(entry.name)
             if frames:
-                delta_result = self._delta_engine(entry.name, frames).query(query)
+                delta_result = self._delta_engine(entry.name, frames).query(
+                    query, budget=budget.at_dispatch() if budget is not None else None
+                )
                 rows.extend(delta_result.rows)
+                base.stats.warnings.extend(
+                    warning.tagged(entry.name) for warning in delta_result.warnings
+                )
         return ShardedQueryResult(
             rows=rows,
             plan=base.plan,
@@ -677,7 +679,9 @@ class LiveEngine:
         if cached is not None and cached[0] == frames[-1].seq:
             return cached[1]
         engine = FileQueryEngine(
-            self.schema, "".join(frame.record for frame in frames)
+            self.schema,
+            "".join(frame.record for frame in frames),
+            policy=self._options.get("policy"),
         )
         self._delta[shard_name] = (frames[-1].seq, engine)
         return engine
@@ -918,40 +922,40 @@ class LiveEngine:
                 "request_ids": len(self._request_seqs),
             }
 
-    def replica_health(self) -> list[dict[str, Any]]:
-        """Per-shard replica health from the underlying sharded engine
-        (empty when no shard is replicated)."""
-        return self._engine.replica_health()
+    # What the live layer does not change is the base sharded engine's —
+    # looked up per call, because every compaction re-opens that engine.
 
-    def explain(self, query: Any) -> str | ExplainResponse:
-        """The base engine's plan/roster explanation (the delta segment
-        executes the same shared plan shape on a small in-memory engine)."""
-        return self._engine.explain(query)
+    @property
+    def feedback_config(self):
+        return self._engine.feedback_config
 
-    def analyze(
-        self, query: Any, budget: ResourceBudget | None = None
-    ) -> Any | AnalyzeResponse:
-        """EXPLAIN ANALYZE over the *base* index (instrumentation needs
-        the persisted shard engines; pending deltas are excluded — compact
-        first for exact row counts)."""
-        return self._engine.analyze(query, budget=budget)
+    @property
+    def feedback_history(self):
+        return self._engine.feedback_history
 
-    def stats(self) -> StatsResponse:
-        response = self._engine.stats()
+    def _engines(self, load: bool = False) -> list[FileQueryEngine]:
+        return self._engine._engines(load)
+
+    def _roster(self) -> list[str]:
+        return self._engine._roster()
+
+    def _index_summary(self) -> dict[str, Any]:
+        return self._engine._index_summary()
+
+    def _backend(self) -> dict[str, Any]:
+        base = self._engine._backend()
         with self._lock:
-            response.backend.update(
-                {
-                    "type": "live",
-                    "base": "sharded",
-                    "pending_records": sum(
-                        len(frames) for frames in self._pending.values()
-                    ),
-                    "next_seq": self._next_seq,
-                    "tail": self._manifest.shards[-1].name,
-                    "ack_quorum": self.ack_quorum,
-                }
-            )
-        return response
+            return {
+                **base,
+                "type": "live",
+                "base": "sharded",
+                "pending_records": sum(
+                    len(frames) for frames in self._pending.values()
+                ),
+                "next_seq": self._next_seq,
+                "tail": self._manifest.shards[-1].name,
+                "ack_quorum": self.ack_quorum,
+            }
 
     def close(self) -> None:
         with self._lock:

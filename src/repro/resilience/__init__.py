@@ -69,7 +69,6 @@ from repro.resilience.warnings import (
     SHARD_SPLIT,
     SHARD_TIMEOUT,
     STALE_STAGING_REMOVED,
-    UNVERIFIED_LEGACY_INDEX,
     QueryWarning,
     malformed_region_warning,
 )
@@ -113,5 +112,4 @@ __all__ = [
     "DELTA_REPLAYED",
     "SHARD_SPLIT",
     "STALE_STAGING_REMOVED",
-    "UNVERIFIED_LEGACY_INDEX",
 ]

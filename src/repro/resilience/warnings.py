@@ -30,7 +30,6 @@ REPLANNED = "replanned"
 DELTA_REPLAYED = "delta-replayed"
 SHARD_SPLIT = "shard-split"
 STALE_STAGING_REMOVED = "stale-staging-removed"
-UNVERIFIED_LEGACY_INDEX = "unverified-legacy-index"
 REPLICA_FAILOVER = "replica-failover"
 REPLICA_QUARANTINED = "replica-quarantined"
 REPLICA_REPAIRED = "replica-repaired"
@@ -52,6 +51,10 @@ class QueryWarning:
 
     def to_dict(self) -> dict[str, Any]:
         return {"code": self.code, "message": self.message, "detail": dict(self.detail)}
+
+    def tagged(self, shard: str) -> "QueryWarning":
+        """This warning with the shard it came from named in ``detail``."""
+        return QueryWarning(self.code, self.message, {**self.detail, "shard": shard})
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.message}"

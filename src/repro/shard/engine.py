@@ -32,7 +32,6 @@ import os
 import random
 import threading
 import time
-import warnings as _warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
@@ -41,24 +40,16 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
-from repro.api import (
-    AnalyzeResponse,
-    ExplainResponse,
-    QueryRequest,
-    QueryResponse,
-    StatsResponse,
-    query_response,
-)
+from repro.api import QueryRequest, QueryResponse
 from repro.cache import CacheConfig
-from repro.core.engine import FileQueryEngine, QueryResult
+from repro.core.engine import EngineBase, FileQueryEngine, QueryResult
 from repro.core.planner import Plan
-from repro.db.parser import parse_query
 from repro.db.query import Query
 from repro.db.values import Value, canonical
 from repro.errors import QueryError, ShardFailedError
 from repro.feedback import HISTORY_FILENAME, FeedbackConfig, FeedbackHistory
 from repro.index.config import IndexConfig
-from repro.obs.analyze import Analysis, build_node_table
+from repro.index.persist import corpus_fingerprint, schema_fingerprint, source_record
 from repro.obs.trace import Span, Trace
 from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.resilience.budget import ResourceBudget
@@ -184,7 +175,7 @@ class ShardedQueryResult:
         return len(self.rows)
 
 
-class ShardedEngine:
+class ShardedEngine(EngineBase):
     """Query a corpus of many files through one schema, one shard each.
 
     Construction is via the classmethods: :meth:`from_texts` /
@@ -246,20 +237,23 @@ class ShardedEngine:
         # One shared history across all shards: keys carry each shard's own
         # corpus fingerprint, so per-shard calibration is automatic while
         # persistence stays a single root-level feedback.json.
-        self.feedback_config = FeedbackConfig.coerce(feedback)
-        if feedback_history is not None:
-            self.feedback_history = feedback_history
-        elif self.feedback_config.enabled and self.feedback_config.directory:
-            self.feedback_history = FeedbackHistory.load_or_fresh(
-                Path(self.feedback_config.directory) / HISTORY_FILENAME
-            )
-        else:
-            self.feedback_history = FeedbackHistory()
+        self._open_feedback(feedback, feedback_history)
         self._shards = list(shards)
         for shard in self._shards:
             shard.breaker = CircuitBreaker(self.breaker_config, name=shard.name)
 
     # -- construction ----------------------------------------------------------
+
+    @classmethod
+    def _eager(
+        cls, schema: StructuringSchema, shards: list[_Shard], options: dict[str, Any]
+    ) -> "ShardedEngine":
+        """Build every shard engine up front (the expensive per-shard parse
+        happens once, here)."""
+        engine = cls(schema, shards, **options)
+        for shard in engine._shards:
+            engine._ensure_engine(shard)
+        return engine
 
     @classmethod
     def from_texts(
@@ -278,10 +272,7 @@ class ShardedEngine:
         shards = [
             _Shard(name=name, text=text) for name, text in zip(names, texts)
         ]
-        engine = cls(schema, shards, **options)
-        for shard in engine._shards:
-            engine._ensure_engine(shard)
-        return engine
+        return cls._eager(schema, shards, options)
 
     @classmethod
     def from_paths(
@@ -302,10 +293,7 @@ class ShardedEngine:
                     source_path=path,
                 )
             )
-        engine = cls(schema, shards, **options)
-        for shard in engine._shards:
-            engine._ensure_engine(shard)
-        return engine
+        return cls._eager(schema, shards, options)
 
     @classmethod
     def split(
@@ -371,8 +359,6 @@ class ShardedEngine:
         The root manifest is written last: it is the commit point, and it
         only ever lists shards whose directories are already complete.
         """
-        from repro.index.persist import corpus_fingerprint, schema_fingerprint
-
         root = Path(directory)
         (root / SHARDS_SUBDIR).mkdir(parents=True, exist_ok=True)
         entries = []
@@ -384,21 +370,12 @@ class ShardedEngine:
                 source_path=shard.source_path,
                 replicas=replicas,
             )
-            source: dict[str, Any] | None = None
-            if shard.source_path is not None:
-                source = {"path": str(shard.source_path)}
-                try:
-                    stat = os.stat(shard.source_path)
-                    source["mtime"] = stat.st_mtime
-                    source["size"] = stat.st_size
-                except OSError:
-                    pass
             entries.append(
                 ShardEntry(
                     name=shard.name,
                     directory=relative,
                     corpus_fingerprint=corpus_fingerprint(engine.text),
-                    source=source,
+                    source=source_record(shard.source_path),
                 )
             )
         save_shard_manifest(
@@ -462,64 +439,39 @@ class ShardedEngine:
     def _load_shard_engine(
         self, shard: _Shard, attempt_offset: int = 0
     ) -> FileQueryEngine:
+        options = dict(
+            optimize_expressions=self.optimize_expressions,
+            cache_config=self.cache_config,
+            tracing=self.tracing,
+            budget=self.budget,
+            feedback=self.feedback_config,
+            feedback_history=self.feedback_history,
+        )
         if shard.directory is None:
             return FileQueryEngine(
-                self.schema,
-                shard.text or "",
-                self.config,
-                optimize_expressions=self.optimize_expressions,
-                cache_config=self.cache_config,
-                tracing=self.tracing,
-                policy=self.policy,
-                budget=self.budget,
-                feedback=self.feedback_config,
-                feedback_history=self.feedback_history,
+                self.schema, shard.text or "", self.config, policy=self.policy, **options
             )
+
+        def open_at(path: str, policy: DegradationPolicy) -> FileQueryEngine:
+            return FileQueryEngine.from_saved(
+                self.schema, path, policy=policy, source_path=shard.source_path, **options
+            )
+
         replica_set = self._replica_set(shard)
         if replica_set is None:
-            return self._load_saved(str(shard.directory), shard, self.policy)
-        # Replicated shard: strict per-replica loads first — a damaged copy
-        # must fail over to its sibling, not degrade to a full scan.  The
-        # engine's real policy is the *last* resort, once every replica has
-        # refused a clean load.
-        from dataclasses import replace as _replace
-
-        from repro.resilience.policy import RAISE
-
-        strict_load = _replace(
-            self.policy, on_corrupt=RAISE, on_stale=RAISE, on_missing=RAISE
-        )
-        load = replica_set.load(
-            lambda path: self._load_saved(path, shard, strict_load),
-            fallback=lambda path: self._load_saved(path, shard, self.policy),
-            offset=attempt_offset,
-        )
+            return open_at(str(shard.directory), self.policy)
+        load = replica_set.load_under(self.policy, open_at, offset=attempt_offset)
         engine: FileQueryEngine = load.value
-        if load.warnings:
-            # Failover decisions surface on every result this engine
-            # serves, exactly like load-time degradation warnings.
-            engine._load_warnings.extend(load.warnings)
+        # Failover decisions surface on every result this engine serves,
+        # exactly like load-time degradation warnings.
+        engine._load_warnings.extend(load.warnings)
         with shard.lock:
             shard.replica_events = list(load.events)
         return engine
 
-    def _load_saved(
-        self, path: str, shard: _Shard, policy: DegradationPolicy
-    ) -> FileQueryEngine:
-        return FileQueryEngine.from_saved(
-            self.schema,
-            path,
-            optimize_expressions=self.optimize_expressions,
-            cache_config=self.cache_config,
-            tracing=self.tracing,
-            policy=policy,
-            budget=self.budget,
-            source_path=shard.source_path,
-            feedback=self.feedback_config,
-            feedback_history=self.feedback_history,
-        )
-
-    def _shared_plan(self, holder: dict, engine: FileQueryEngine, query: Query) -> Plan:
+    def _shared_plan(
+        self, holder: dict, engine: FileQueryEngine, query: Query | str
+    ) -> Plan:
         """Plan once, under a lock; every other shard reuses the plan."""
         with holder["lock"]:
             if "plan" not in holder:
@@ -561,8 +513,7 @@ class ShardedEngine:
         applies per shard; pagination slices the merged rows).
         """
         if isinstance(query, QueryRequest):
-            result = self.query(query.query, budget=query.budget)
-            return query_response(result, query)
+            return self._respond(query)
         fail_fast = self.fail_fast if fail_fast is None else fail_fast
         workers = max_parallel if max_parallel is not None else self.max_parallel
         if workers < 1:
@@ -570,19 +521,25 @@ class ShardedEngine:
         hedge_after = (
             self.hedge_after_s if hedge_after_s is None else hedge_after_s
         )
-        parsed = parse_query(query) if isinstance(query, str) else query
         holder: dict[str, Any] = {"lock": threading.Lock()}
         started = perf_counter()
+        planning = next((e for e in self._engines() if not e.degraded), None)
+        if planning is not None:
+            # Query text goes to the planner the way FileQueryEngine.query
+            # sends it, always on the first healthy loaded shard, so a
+            # repeated text hits that planner's plan cache.  Only a cold
+            # engine (nothing loaded yet) plans inside its scatter tasks.
+            holder["plan"] = planning.planner.plan(query)
 
         effective = budget if budget is not None else self.budget
         if effective is not None:
             effective = effective.started()  # mint the deadline once, here
-        outcomes = self._scatter(parsed, effective, holder, workers, hedge_after)
-        return self._gather(parsed, outcomes, holder, started, fail_fast)
+        outcomes = self._scatter(query, effective, holder, workers, hedge_after)
+        return self._gather(outcomes, holder, started, fail_fast)
 
     def _scatter(
         self,
-        query: Query,
+        query: Query | str,
         budget: ResourceBudget | None,
         holder: dict[str, Any],
         workers: int,
@@ -758,7 +715,7 @@ class ShardedEngine:
     def _run_shard(
         self,
         shard: _Shard,
-        query: Query,
+        query: Query | str,
         budget: ResourceBudget | None,
         holder: dict[str, Any],
         attempt_offset: int = 0,
@@ -867,7 +824,6 @@ class ShardedEngine:
 
     def _gather(
         self,
-        query: Query,
         outcomes: list[_Outcome],
         holder: dict[str, Any],
         started: float,
@@ -913,11 +869,7 @@ class ShardedEngine:
                 record.rows = len(outcome.result.rows)
                 record.strategy = outcome.result.stats.strategy
                 for inner in outcome.result.warnings:
-                    tagged = QueryWarning(
-                        inner.code,
-                        inner.message,
-                        detail={**inner.detail, "shard": outcome.shard},
-                    )
+                    tagged = inner.tagged(outcome.shard)
                     warnings.append(tagged)
                     record.warnings.append(tagged)
             records.append(record)
@@ -1020,165 +972,14 @@ class ShardedEngine:
 
     # -- introspection ---------------------------------------------------------
 
-    def explain(self, query: QueryRequest | Query | str) -> str | ExplainResponse:
-        """The shared plan (built on the first loadable shard) plus the
-        shard roster.  A :class:`~repro.api.QueryRequest` returns the
-        wire-ready :class:`~repro.api.ExplainResponse`."""
-        from repro.core.explain import explain_plan
-
-        if isinstance(query, QueryRequest):
-            return ExplainResponse(text=self.explain(query.query))
-        engine = self._any_engine()
-        plan = engine.planner.plan(
-            parse_query(query) if isinstance(query, str) else query
-        )
-        lines = [explain_plan(plan, cache=self.cache_description())]
-        lines.append(
-            f"shards:    {len(self._shards)} "
-            f"(plan reused per shard; retry: {self.retry.describe()}; "
-            f"breaker: {self.breaker_config.describe()})"
-        )
-        for shard in self._shards:
-            state = shard.breaker.snapshot()["state"]
-            loaded = "loaded" if shard.engine is not None else "lazy"
-            lines.append(f"  {shard.name}  [{loaded}, breaker {state}]")
-        return "\n".join(lines)
-
-    def analyze(
-        self,
-        query: QueryRequest | Query | str,
-        budget: ResourceBudget | None = None,
-    ) -> Analysis | AnalyzeResponse:
-        """EXPLAIN ANALYZE over the whole corpus: the shared plan's
-        per-node estimates paired with measured actuals from one healthy
-        shard, plus the scatter-gather trace and the per-shard stats
-        (``stats.to_dict()["shards"]``).  A :class:`~repro.api.QueryRequest`
-        returns the wire-ready :class:`~repro.api.AnalyzeResponse` (the
-        request budget applies per shard)."""
-        if isinstance(query, QueryRequest):
-            return AnalyzeResponse.from_analysis(
-                self.analyze(query.query, budget=query.budget)
-            )
-        result = self.query(query, budget=budget)
-        plan = result.plan
-        if plan is None:
-            # Every healthy shard ran degraded (local full-scan plans);
-            # report the plan the degraded engines actually used.
-            first = next(iter(result.shard_results.values()))
-            plan = first.plan
-        nodes = []
-        if plan.optimized_expression is not None:
-            engine = self._any_indexed_engine()
-            if engine is not None:
-                node_log: dict = {}
-                engine.index.run(
-                    plan.optimized_expression, node_log=node_log, use_cache=False
-                )
-                # Estimate (and, when enabled, feed the shared history)
-                # against the instrumented shard's own fingerprint:
-                # per-shard keying is what makes the corrections honest.
-                nodes = build_node_table(
-                    plan.optimized_expression,
-                    node_log,
-                    estimator=engine.cost_model.estimate_rows,
-                )
-                if self.feedback_config.enabled:
-                    fed = engine.cost_model.observe_tree(
-                        plan.optimized_expression, node_log
-                    )
-                    if fed:
-                        self.save_feedback()
-        return Analysis(
-            plan=plan,
-            stats=result.stats,  # type: ignore[arg-type] — duck-typed facade
-            nodes=nodes,
-            trace=result.trace,
-            cache=self.cache_description(),
-        )
-
-    def save_feedback(self) -> None:
-        """Persist the shared calibration history to its configured
-        directory (no-op when feedback is disabled or in-memory only)."""
-        if self.feedback_config.enabled and self.feedback_config.directory:
-            self.feedback_history.save(
-                Path(self.feedback_config.directory) / HISTORY_FILENAME
-            )
-
-    def calibration_state(self) -> dict[str, Any]:
-        """Deprecated: use :meth:`stats` (``stats().calibration``) instead."""
-        _warnings.warn(
-            "ShardedEngine.calibration_state() is deprecated; "
-            "use ShardedEngine.stats().calibration instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._calibration_state()
-
-    def _calibration_state(self) -> dict[str, Any]:
-        """Corpus-wide calibration state: the shared history's snapshot
-        (per-shard fingerprints appear as distinct entries)."""
-        return {
-            "enabled": self.feedback_config.enabled,
-            "directory": self.feedback_config.directory,
-            "shards": len(self._shards),
-            **self.feedback_history.snapshot(),
-        }
-
-    def stats(self) -> StatsResponse:
-        """The unified :class:`~repro.api.QueryBackend` stats surface.
-
-        ``cache`` sums the per-shard :class:`~repro.cache.CacheStats`
-        counters key-wise across the shard engines loaded so far (lazy
-        shards contribute nothing until first touched); ``index``
-        summarizes the shard roster rather than one index's internals.
-        """
+    def _engines(self, load: bool = False) -> list[FileQueryEngine]:
         loaded = [shard.engine for shard in self._shards if shard.engine is not None]
-        cache: dict[str, Any] = {}
-        for engine in loaded:
-            for key, value in engine.cache_stats.to_dict().items():
-                cache[key] = cache.get(key, 0) + value
-        index: dict[str, Any] = {
-            "shards": len(self._shards),
-            "loaded_shards": len(loaded),
-            "per_shard": {
-                shard.name: shard.engine.statistics().to_dict()
-                for shard in self._shards
-                if shard.engine is not None
-            },
-        }
-        return StatsResponse(
-            index=index,
-            cache_config=self.cache_description(),
-            cache=cache,
-            calibration=self._calibration_state(),
-            backend={
-                "type": "sharded",
-                "shard_names": self.shard_names,
-                "breakers": {
-                    shard.name: shard.breaker.snapshot()["state"]
-                    for shard in self._shards
-                },
-                "replica_health": self.replica_health(),
-            },
-        )
-
-    def replica_health(self) -> list[dict[str, Any]]:
-        """Per-replica health of every replicated shard, in shard order
-        (``[]`` when no shard uses the replicated layout) — the shape
-        served under ``replicas`` in ``GET /healthz``."""
-        health: list[dict[str, Any]] = []
-        for shard in self._shards:
-            replica_set = self._replica_set(shard)
-            if replica_set is not None:
-                health.append(replica_set.health())
-        return health
-
-    def _any_engine(self) -> FileQueryEngine:
-        """The first shard engine that loads (for planning/explain)."""
+        if loaded or not load:
+            return loaded
         last_error: Exception | None = None
         for shard in self._shards:
             try:
-                return self._ensure_engine(shard)
+                return [self._ensure_engine(shard)]
             except Exception as error:  # noqa: BLE001 — try the next shard
                 last_error = error
         raise ShardFailedError(
@@ -1187,25 +988,44 @@ class ShardedEngine:
             cause=last_error,
         ) from last_error
 
-    def _any_indexed_engine(self) -> FileQueryEngine | None:
+    def _roster(self) -> list[str]:
+        lines = [
+            f"shards:    {len(self._shards)} "
+            f"(plan reused per shard; retry: {self.retry.describe()}; "
+            f"breaker: {self.breaker_config.describe()})"
+        ]
         for shard in self._shards:
-            if shard.engine is not None and not shard.engine.degraded:
-                return shard.engine
-        return None
+            state = shard.breaker.snapshot()["state"]
+            loaded = "loaded" if shard.engine is not None else "lazy"
+            lines.append(f"  {shard.name}  [{loaded}, breaker {state}]")
+        return lines
 
-    def cache_description(self) -> str:
-        """Aggregated cache activity across the shard engines loaded so far."""
-        loaded = [shard.engine for shard in self._shards if shard.engine is not None]
-        if not loaded:
-            return "no shard engines loaded yet"
-        expression_hits = sum(e.cache_stats.expression_hits for e in loaded)
-        expression_misses = sum(e.cache_stats.expression_misses for e in loaded)
-        parse_hits = sum(e.cache_stats.parse_hits for e in loaded)
-        parse_misses = sum(e.cache_stats.parse_misses for e in loaded)
-        avoided = sum(e.cache_stats.bytes_parse_avoided for e in loaded)
-        return (
-            f"{loaded[0].cache_config.describe()} x{len(loaded)} shard(s); "
-            f"expr {expression_hits}h/{expression_misses}m, "
-            f"parse {parse_hits}h/{parse_misses}m, "
-            f"{avoided} bytes not reparsed"
-        )
+    def _index_summary(self) -> dict[str, Any]:
+        """The shard roster rather than one index's internals (lazy shards
+        contribute nothing until first touched)."""
+        per_shard = {
+            shard.name: shard.engine.statistics().to_dict()
+            for shard in self._shards
+            if shard.engine is not None
+        }
+        return {
+            "shards": len(self._shards),
+            "loaded_shards": len(per_shard),
+            "per_shard": per_shard,
+        }
+
+    def _backend(self) -> dict[str, Any]:
+        replica_sets = (self._replica_set(shard) for shard in self._shards)
+        return {
+            "type": "sharded",
+            "shard_names": self.shard_names,
+            "breakers": {
+                shard.name: shard.breaker.snapshot()["state"]
+                for shard in self._shards
+            },
+            "replica_health": [
+                replica_set.health()
+                for replica_set in replica_sets
+                if replica_set is not None
+            ],
+        }

@@ -18,7 +18,8 @@ path over that layout:
   defects) propagates, because another copy of the same bytes cannot fix it;
 - only when *every* replica fails the strict pass does the set fall back to
   the engine's configured :class:`~repro.resilience.DegradationPolicy` —
-  degradation remains the last resort, after replication is exhausted.
+  degradation remains the last resort, after replication is exhausted
+  (:meth:`ReplicaSet.load_under` is the one place that rule lives).
 
 Replica health states (see ``docs/robustness.md``): **healthy** (serving),
 **suspect** (failed a load or fingerprint check; breaker counting),
@@ -29,7 +30,7 @@ Replica health states (see ``docs/robustness.md``): **healthy** (serving),
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, TypeVar
@@ -41,6 +42,7 @@ from repro.errors import (
 )
 from repro.index.persist import load_manifest, load_replica_manifest
 from repro.resilience.breaker import BreakerConfig, CircuitBreaker
+from repro.resilience.policy import RAISE, DegradationPolicy
 from repro.resilience.warnings import REPLICA_FAILOVER, QueryWarning
 
 T = TypeVar("T")
@@ -291,6 +293,24 @@ class ReplicaSet:
                 str(self.directory), "no replica could be routed to"
             )
         raise last_error
+
+    def load_under(
+        self,
+        policy: DegradationPolicy,
+        open_at: Callable[[str, DegradationPolicy], T],
+        offset: int = 0,
+    ) -> ReplicaLoad:
+        """Load one engine from this set under ``policy``: a strict load per
+        replica first — a damaged copy must fail over to its sibling, not
+        degrade to a full scan — and the caller's real policy only as the
+        last resort, once every replica has refused a clean load.
+        ``open_at(path, policy)`` opens the index at one replica directory."""
+        strict = replace(policy, on_corrupt=RAISE, on_stale=RAISE, on_missing=RAISE)
+        return self.load(
+            lambda path: open_at(path, strict),
+            fallback=lambda path: open_at(path, policy),
+            offset=offset,
+        )
 
     def _note_skip(
         self,

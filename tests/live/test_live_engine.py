@@ -53,6 +53,39 @@ def test_unparseable_record_is_rejected_before_journaling(
         live.close()
 
 
+def test_delta_segment_runs_under_the_request_budget(schema, saved_index, corpus_text):
+    from repro.errors import BudgetExceededError
+    from repro.resilience import DegradationPolicy, ResourceBudget
+    from repro.workloads.bibtex import generate_bibtex
+
+    # Each base shard holds 6 of the 24 references, the delta 12: a cap of
+    # 9 regions is blown only inside the delta segment — which used to run
+    # with no budget at all, so the cap was silently ignored.
+    text = generate_bibtex(entries=12, seed=99)
+    appended = [
+        text[child.start : child.end] + "\n\n" for child in schema.parse(text).children
+    ]
+    budget = ResourceBudget(max_regions=9)
+    live = open_live(schema, saved_index)
+    try:
+        for record in appended:
+            live.append(record)
+        with pytest.raises(BudgetExceededError):
+            live.query(QUERY, budget=budget)
+    finally:
+        live.close()
+    live = open_live(schema, saved_index, policy=DegradationPolicy.degrade())
+    try:
+        result = live.query(QUERY, budget=budget)
+        assert result.canonical_rows() == rebuild_rows(
+            schema, corpus_text + "".join(appended)
+        )
+        degraded = [w for w in result.warnings if w.code == "budget-degraded"]
+        assert [w.detail["shard"] for w in degraded] == [live.status()["tail"]]
+    finally:
+        live.close()
+
+
 def test_query_request_returns_wire_response(schema, saved_index, records):
     live = open_live(schema, saved_index)
     try:

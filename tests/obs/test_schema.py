@@ -8,13 +8,13 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SCHEMA_PATH = REPO_ROOT / "schemas" / "analyze.schema.json"
-CHECKER_PATH = REPO_ROOT / "scripts" / "check_analyze_schema.py"
+CHECKER_PATH = REPO_ROOT / "scripts" / "check_schema.py"
 
 SELECT = 'SELECT r FROM Reference r WHERE r.Authors.Name.Last_Name = "Chang"'
 
 
 def _load_checker():
-    spec = importlib.util.spec_from_file_location("check_analyze_schema", CHECKER_PATH)
+    spec = importlib.util.spec_from_file_location("check_schema", CHECKER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

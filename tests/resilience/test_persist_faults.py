@@ -4,6 +4,8 @@ trace span) otherwise — the PR's headline acceptance criterion."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.engine import FileQueryEngine
@@ -18,9 +20,7 @@ from repro.resilience import (
     corrupt_index_file,
 )
 
-#: Every (part, mode) fault and the strict-policy error it must raise
-#: (``None`` = the index still loads: a deleted manifest demotes the
-#: directory to a legacy v1 index, which has no checksums to fail).
+#: Every (part, mode) fault and the strict-policy error it must raise.
 FAULT_MATRIX = [
     ("corpus", "garbage", IndexCorruptError),
     ("corpus", "truncate", IndexCorruptError),
@@ -33,7 +33,7 @@ FAULT_MATRIX = [
     ("config", "delete", IndexNotFoundError),
     ("manifest", "garbage", IndexCorruptError),
     ("manifest", "truncate", IndexCorruptError),
-    ("manifest", "delete", None),
+    ("manifest", "delete", IndexCorruptError),
 ]
 
 
@@ -43,12 +43,6 @@ class TestFaultMatrix:
         self, saved_index, corpus_schema, part, mode, expected
     ):
         corrupt_index_file(saved_index, part=part, mode=mode)
-        if expected is None:
-            engine = FileQueryEngine.from_saved(
-                corpus_schema, str(saved_index), policy=DegradationPolicy.strict()
-            )
-            assert engine.indexed_names  # legacy load, still indexed
-            return
         with pytest.raises(expected) as excinfo:
             FileQueryEngine.from_saved(
                 corpus_schema, str(saved_index), policy=DegradationPolicy.strict()
@@ -58,12 +52,47 @@ class TestFaultMatrix:
     @pytest.mark.parametrize("part,mode,expected", FAULT_MATRIX)
     def test_verify_index_matches_load_behaviour(self, saved_index, part, mode, expected):
         corrupt_index_file(saved_index, part=part, mode=mode)
-        if expected is None:
-            assert verify_index(saved_index) is None  # legacy: nothing to verify
+        with pytest.raises(expected):
+            verify_index(saved_index)
+        with pytest.raises(expected):
             load_index(saved_index)
-        else:
-            with pytest.raises(expected):
-                load_index(saved_index)
+
+
+class TestMissingManifestIsDamage:
+    """A saved index without ``manifest.json`` used to load as "legacy v1,
+    skip checksums": halve ``regions.json`` (still valid JSON), delete the
+    manifest, and ``SELECT r.Key FROM Reference r`` answered 12 of 25 rows
+    under nothing but a warning."""
+
+    QUERY = "SELECT r.Key FROM Reference r"
+
+    @pytest.fixture
+    def halved_index(self, saved_index):
+        regions_path = saved_index / "regions.json"
+        regions = json.loads(regions_path.read_text(encoding="utf-8"))
+        regions["Reference"] = regions["Reference"][: len(regions["Reference"]) // 2]
+        regions_path.write_text(json.dumps(regions), encoding="utf-8")
+        (saved_index / "manifest.json").unlink()
+        return saved_index
+
+    def test_strict_policy_raises_a_typed_error(self, halved_index, corpus_schema):
+        with pytest.raises(IndexCorruptError) as excinfo:
+            FileQueryEngine.from_saved(
+                corpus_schema, str(halved_index), policy=DegradationPolicy.strict()
+            )
+        assert excinfo.value.part == "manifest.json"
+
+    def test_default_policy_answers_every_row(
+        self, halved_index, corpus_schema, corpus_text
+    ):
+        expected = FileQueryEngine(corpus_schema, corpus_text).query(self.QUERY)
+        result = FileQueryEngine.from_saved(corpus_schema, str(halved_index)).query(
+            self.QUERY
+        )
+        assert len(result.rows) == len(expected.rows) == 25
+        assert result.canonical_rows() == expected.canonical_rows()
+        codes = [warning.code for warning in result.warnings]
+        assert INDEX_CORRUPT in codes and DEGRADED_FULL_SCAN in codes
 
 
 class TestGracefulDegradation:

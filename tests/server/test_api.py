@@ -177,22 +177,6 @@ def test_stats_response_keeps_cli_shape(engine) -> None:
     assert payload["backend"]["type"] == "file"
 
 
-# -- deprecation shims ---------------------------------------------------------
-
-
-def test_calibration_state_is_a_deprecated_alias(engine) -> None:
-    with pytest.warns(DeprecationWarning, match="stats\\(\\).calibration"):
-        legacy = engine.calibration_state()
-    assert legacy == engine.stats().calibration
-
-
-def test_sharded_calibration_state_is_a_deprecated_alias(schema, corpus_text) -> None:
-    sharded = ShardedEngine.split(schema, corpus_text, 2)
-    with pytest.warns(DeprecationWarning):
-        legacy = sharded.calibration_state()
-    assert legacy == sharded.stats().calibration
-
-
 def test_top_level_reexports() -> None:
     for name in (
         "QueryRequest",

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from check_server_schema import validate_envelope  # via conftest sys.path
+from check_schema import validate_envelope  # via conftest sys.path
 import json
 from pathlib import Path
 

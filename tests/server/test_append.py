@@ -45,7 +45,7 @@ def test_append_envelope_carries_seq_shard_and_pending(live_app, record) -> None
 
 
 def test_append_envelope_conforms_to_schema(live_app, record) -> None:
-    from check_server_schema import SCHEMA_PATH, validate_envelope
+    from check_schema import SCHEMA_PATH, validate_envelope
 
     schema_doc = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
     _, envelope = live_app.handle("POST", "/append", {"record": record})
@@ -154,7 +154,7 @@ class TestIdempotentAppend:
             assert envelope["error"]["code"] == "bad-request"
 
     def test_deduped_envelope_conforms_to_schema(self, live_app, record) -> None:
-        from check_server_schema import SCHEMA_PATH, validate_envelope
+        from check_schema import SCHEMA_PATH, validate_envelope
 
         schema_doc = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
         live_app.handle("POST", "/append", {"record": record, "request_id": "r"})

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from check_server_schema import validate_envelope  # via conftest sys.path
+from check_schema import validate_envelope  # via conftest sys.path
 
 from repro.api import QueryRequest, QueryResponse, render_rows
 from repro.core.engine import FileQueryEngine

@@ -57,7 +57,7 @@ def test_healthz_replicas_is_null_for_plain_backends(app) -> None:
 
 
 def test_healthz_conforms_to_schema(replicated_app) -> None:
-    from check_server_schema import SCHEMA_PATH, validate_envelope
+    from check_schema import SCHEMA_PATH, validate_envelope
 
     schema_doc = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
     _, envelope = replicated_app.handle("GET", "/healthz", None)

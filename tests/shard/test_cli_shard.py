@@ -148,6 +148,20 @@ def test_analyze_json_carries_shard_records(cli_sharded, capsys) -> None:
     assert len(payload["stats"]["shards"]) == 8
 
 
+@pytest.mark.parametrize("command", ["query", "explain", "analyze"])
+def test_top_level_commands_detect_a_sharded_index(cli_sharded, capsys, command) -> None:
+    # One backend selection: `repro query --index <sharded dir>` is the
+    # same handler as `repro shard query`, so stdout is identical.
+    tail = ["--workload", "bibtex", "--index", str(cli_sharded), QUERY]
+    code, nested, _ = run(capsys, ["shard", command, *tail])
+    assert code == 0
+    code, top_level, _ = run(capsys, [command, *tail])
+    assert code == 0
+    if command == "analyze":  # measured times differ run to run
+        nested, top_level = (text.split("\n")[1:6] for text in (nested, top_level))
+    assert top_level == nested
+
+
 def test_query_on_single_index_directory_errors_cleanly(
     tmp_path, schema, corpus_text, capsys
 ) -> None:

@@ -48,6 +48,20 @@ def test_sharded_rows_match_the_unsharded_engine(
     assert result.plan is not None  # planned once, shared
 
 
+def test_repeated_query_text_reaches_the_plan_cache(
+    saved_sharded, schema, query_text
+) -> None:
+    from repro.api import render_rows
+
+    # Text goes to one stable shard's planner, as FileQueryEngine.query
+    # sends it: the cold query plans inside its scatter, every later one
+    # on the first loaded shard, so the third repetition must be a hit.
+    engine = ShardedEngine.from_saved(schema, saved_sharded)
+    answers = [render_rows(engine.query(query_text).rows) for _ in range(3)]
+    assert answers[0] == answers[1] == answers[2]
+    assert engine.stats().cache["plan_hits"] > 0
+
+
 def test_rows_arrive_in_shard_order(sharded_engine, query_text) -> None:
     result = sharded_engine.query(query_text)
     ordered = [

@@ -9,7 +9,18 @@ import repro
 
 class TestExports:
     def test_version(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
+
+    def test_version_is_single_sourced(self):
+        # pyproject.toml reads repro.__version__; a literal there would
+        # drift from what /healthz serves (it said 1.5.0 beside 1.6.0).
+        import re
+        from pathlib import Path
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        assert re.search(r"^version\s*=\s*[\"']", text, re.MULTILINE) is None
+        assert 'version = { attr = "repro.__version__" }' in text
 
     def test_shard_exports(self):
         from repro import shard
@@ -122,16 +133,6 @@ class TestExports:
         assert repro.Tracer is obs.Tracer
         assert repro.HookRegistry is obs.HookRegistry
         assert repro.SpanCollector is obs.SpanCollector
-
-    def test_index_error_alias_warns_and_resolves(self):
-        from repro import errors
-
-        with pytest.warns(DeprecationWarning, match="RegionIndexError"):
-            alias = errors.IndexError_
-        assert alias is errors.RegionIndexError
-        with pytest.warns(DeprecationWarning, match="RegionIndexError"):
-            top_level_alias = repro.IndexError_
-        assert top_level_alias is errors.RegionIndexError
 
     def test_new_spelling_does_not_warn(self):
         from repro import errors
