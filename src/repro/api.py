@@ -1,13 +1,9 @@
 """The unified engine API: one request/response family for every caller.
 
-Before this module each frontend spoke its own dialect:
-:class:`~repro.core.engine.FileQueryEngine` returned
-:class:`~repro.core.engine.QueryResult`,
-:class:`~repro.shard.ShardedEngine` returned
-:class:`~repro.shard.ShardedQueryResult`, and the CLI hand-assembled JSON
-envelopes from whichever it got.  The query server
-(:mod:`repro.server`) would have been a third dialect.  Instead, this
-module pins **one request/response dataclass family** plus a
+Before this module each frontend spoke its own dialect: the CLI
+hand-assembled JSON envelopes from whichever engine result it got, and
+the query server (:mod:`repro.server`) would have been another.  Instead,
+this module pins **one request/response dataclass family** plus a
 :class:`QueryBackend` protocol that every engine satisfies (through
 :class:`~repro.core.engine.EngineBase`), so the server, the CLI, and
 library callers all speak one surface:
@@ -19,9 +15,10 @@ library callers all speak one surface:
 >>> response.total_rows
 20
 
-The rich per-engine results remain available — passing query *text* (or a
-parsed :class:`~repro.db.query.Query`) keeps the historical signatures and
-return types, unchanged.  Passing a :class:`QueryRequest` selects the
+The rich result remains available — passing query *text* (or a parsed
+:class:`~repro.db.query.Query`) returns one
+:class:`~repro.core.engine.QueryResult` from every engine.  Passing a
+:class:`QueryRequest` selects the
 unified surface and returns the wire-ready dataclasses below.
 
 Pagination
@@ -343,8 +340,8 @@ def paginate(
 
 
 def query_response(result: Any, request: QueryRequest) -> QueryResponse:
-    """Package an executed result (single-engine or sharded — both carry
-    ``rows``, ``warnings``, and a ``stats.to_dict()``) into one page."""
+    """Package an executed :class:`~repro.core.engine.QueryResult` into
+    one page."""
     rendered = render_rows(result.rows)
     page, row_start, next_cursor = paginate(rendered, request)
     return QueryResponse(

@@ -25,7 +25,7 @@ Example
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -79,25 +79,33 @@ from repro.text.document import Corpus
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.feedback import FeedbackConfig, FeedbackHistory
+    from repro.shard.stats import ShardedStats
 
 
 @dataclass
 class QueryResult:
-    """Rows, their source regions, the plan, the consolidated statistics
-    facade (:class:`~repro.obs.stats.QueryStats`), and the pipeline trace."""
+    """Rows, the plan, the statistics and the trace of one answer.
+
+    One corpus's answer carries its source ``regions`` and a
+    :class:`~repro.obs.stats.QueryStats`; an answer merged over several
+    sources (:class:`~repro.shard.ShardedEngine`) carries the per-source
+    ``shard_results`` and a :class:`~repro.shard.stats.ShardedStats`.
+    ``row_hashes`` holds the hash of each row's canonical key, in row order."""
 
     rows: list[tuple[Value, ...]]
-    regions: RegionSet
-    plan: Plan
-    stats: QueryStats
+    plan: Plan | None
+    stats: "QueryStats | ShardedStats"
+    regions: RegionSet | None = None
     trace: Trace | None = None
+    shard_results: "dict[str, QueryResult]" = field(default_factory=dict)
+    row_hashes: list[int] = field(default_factory=list)
 
     @property
     def warnings(self) -> list[QueryWarning]:
         """Structured non-fatal incidents: degradation decisions taken while
         loading the engine or executing this query, malformed regions
-        skipped under a tolerant policy."""
-        return self.stats.execution.warnings
+        skipped under a tolerant policy, failed or skipped sources."""
+        return self.stats.warnings
 
     @property
     def values(self) -> list[Value]:
@@ -672,6 +680,7 @@ class FileQueryEngine(EngineBase):
             plan=plan,
             stats=QueryStats(execution.stats, trace=trace),
             trace=trace,
+            row_hashes=execution.row_hashes,
         )
 
     # -- querying -----------------------------------------------------------------

@@ -537,6 +537,40 @@ def stale_reason(
     return reason
 
 
+def _config_from(data: dict) -> IndexConfig:
+    return IndexConfig(
+        region_names=(
+            frozenset(data["region_names"]) if data["region_names"] is not None else None
+        ),
+        scoped=tuple(
+            ScopedRegionSpec(source=item["source"], scope=item["scope"], name=item["name"])
+            for item in data["scoped"]
+        ),
+        word_index=data["word_index"],
+        word_scope=data["word_scope"],
+        lowercase_words=data["lowercase_words"],
+        suffix_array=data["suffix_array"],
+    )
+
+
+def load_index_config(directory: str | os.PathLike[str]) -> IndexConfig | None:
+    """The :class:`IndexConfig` a saved index (or its first readable
+    replica) was built with, without loading it; ``None`` when no copy's
+    ``config.json`` is readable."""
+    path = Path(directory)
+    try:
+        replicated = load_replica_manifest(path)
+    except IndexCorruptError:
+        return None
+    copies = [path / r["directory"] for r in replicated["replicas"]] if replicated else [path]
+    for copy in copies:
+        try:
+            return _config_from(json.loads((copy / "config.json").read_text(encoding="utf-8")))
+        except (OSError, ValueError, KeyError, TypeError, IndexConfigError):
+            continue
+    return None
+
+
 def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
     """Load a persisted engine; rebuilds word/suffix indexes from the text.
 
@@ -571,23 +605,7 @@ def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
             part="config.json",
         )
     try:
-        config = IndexConfig(
-            region_names=(
-                frozenset(config_data["region_names"])
-                if config_data["region_names"] is not None
-                else None
-            ),
-            scoped=tuple(
-                ScopedRegionSpec(
-                    source=item["source"], scope=item["scope"], name=item["name"]
-                )
-                for item in config_data["scoped"]
-            ),
-            word_index=config_data["word_index"],
-            word_scope=config_data["word_scope"],
-            lowercase_words=config_data["lowercase_words"],
-            suffix_array=config_data["suffix_array"],
-        )
+        config = _config_from(config_data)
         instance = Instance(
             {
                 name: RegionSet(Region(start, end) for start, end in spans)

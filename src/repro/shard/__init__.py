@@ -23,11 +23,7 @@ scrubber (:mod:`repro.shard.scrub`) quarantines and repairs damaged
 copies in the background.
 """
 
-from repro.shard.engine import (
-    DEFAULT_MAX_PARALLEL,
-    ShardedEngine,
-    ShardedQueryResult,
-)
+from repro.shard.engine import DEFAULT_MAX_PARALLEL, ShardedEngine
 from repro.shard.manifest import (
     ShardEntry,
     ShardManifest,
@@ -63,7 +59,6 @@ __all__ = [
     "ShardExecution",
     "ShardManifest",
     "ShardedEngine",
-    "ShardedQueryResult",
     "ShardedStats",
     "is_sharded_index",
     "load_shard_manifest",

@@ -4,7 +4,8 @@
 plays for a single engine: one facade with a stable ``to_dict()``.  Its
 shape is a superset of the single-engine one — every documented
 ``QueryStats.to_dict()`` key is present with corpus-wide aggregates
-(sums over the shards that produced rows), plus a ``"shards"`` list with
+(sums over the shards that produced rows; ``rows`` is the merged count
+actually served), plus a ``"shards"`` list with
 one record per shard: status, attempts/retries, wall-time, rows,
 strategy, and the circuit-breaker state observed at the end of the
 query.  The CLI's ``--json`` output and EXPLAIN ANALYZE both embed it.
@@ -74,15 +75,18 @@ class ShardedStats:
         The scatter-gather :class:`~repro.obs.trace.Trace` (one
         ``shard:<name>`` span per shard, each healthy shard's own pipeline
         trace grafted beneath), or ``None`` when tracing is off.
+    rows:
+        The rows served: the union of the shards' rows, not their sum.
     """
 
-    __slots__ = ("shards", "warnings", "trace", "duration_s", "_results")
+    __slots__ = ("shards", "warnings", "trace", "duration_s", "rows", "_results")
 
     def __init__(
         self,
         shards: list[ShardExecution],
         warnings: list[QueryWarning],
         duration_s: float,
+        rows: int,
         trace: "Trace | None" = None,
         results: "list[QueryResult] | None" = None,
     ) -> None:
@@ -90,6 +94,7 @@ class ShardedStats:
         self.warnings = warnings
         self.trace = trace
         self.duration_s = duration_s
+        self.rows = rows
         self._results = results if results is not None else []
 
     # -- aggregate views -------------------------------------------------------
@@ -97,10 +102,6 @@ class ShardedStats:
     @property
     def strategy(self) -> str:
         return "sharded"
-
-    @property
-    def rows(self) -> int:
-        return sum(record.rows for record in self.shards)
 
     def _sum(self, attribute: str) -> int:
         return sum(

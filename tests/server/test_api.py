@@ -138,6 +138,35 @@ def test_request_rows_match_legacy_rendering(engine) -> None:
     assert response.stats["strategy"] == legacy.stats.strategy
 
 
+@pytest.mark.parametrize("backend", ["file", "sharded", "live"])
+def test_stats_rows_equal_the_rows_served(backend, schema, corpus_text, tmp_path) -> None:
+    from repro.core.engine import FileQueryEngine
+    from repro.live import LiveEngine
+    from repro.workloads.bibtex import generate_bibtex
+
+    # A projection whose values repeat across shards and in the delta.
+    query = "SELECT r.Year FROM Reference r"
+    appended = generate_bibtex(entries=6, seed=99)
+    records = [
+        appended[child.start : child.end] + "\n\n"
+        for child in schema.parse(appended).children
+    ]
+    if backend == "file":
+        engine = FileQueryEngine(schema, corpus_text)
+    elif backend == "sharded":
+        engine = ShardedEngine.split(schema, corpus_text, 8)
+    else:
+        ShardedEngine.split(schema, corpus_text, 4).save(tmp_path / "lidx")
+        engine = LiveEngine.open(schema, tmp_path / "lidx")
+        for record in records:
+            engine.append(record)
+    response = engine.query(QueryRequest(query=query))
+    assert response.stats["rows"] == response.total_rows
+    assert len(set(map(tuple, response.rows))) == response.total_rows
+    if backend == "live":
+        engine.close()
+
+
 def test_sharded_request_rows_match_legacy_rendering(schema, corpus_text) -> None:
     sharded = ShardedEngine.split(schema, corpus_text, 4)
     legacy = sharded.query(QUERY)
