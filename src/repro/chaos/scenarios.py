@@ -496,10 +496,13 @@ def _live_setup(
 
 
 def _tail_journal(directory: Path) -> Path:
+    from repro.live import WAL_SUBDIR
     from repro.shard.manifest import load_shard_manifest
+    from repro.shard.replica import ReplicaSet
 
     entry = load_shard_manifest(directory).shards[-1]
-    return directory / "wal" / f"{Path(entry.directory).name}.wal"
+    tail = ReplicaSet.open(directory / entry.directory)
+    return tail.journal_paths(directory / WAL_SUBDIR)[0]
 
 
 def _rebuild_rows(fx: "Fixtures", logical: str) -> set[tuple]:
@@ -513,9 +516,9 @@ def _verify_compacted_corpus(
     files must concatenate byte-for-byte to the logical corpus — row
     projection cannot hide a double-applied or half-lost record from
     this check."""
-    from repro.index.persist import is_replicated_index, replica_directories
     from repro.live import LiveEngine
     from repro.shard.manifest import load_shard_manifest
+    from repro.shard.replica import ReplicaSet
 
     live = LiveEngine.open(fx.schema, directory)
     live.compact()
@@ -523,18 +526,12 @@ def _verify_compacted_corpus(
     pieces: list[str] = []
     replicas_agree = True
     for entry in load_shard_manifest(directory).shards:
-        shard_dir = directory / entry.directory
-        if is_replicated_index(shard_dir):
-            copies = [
-                (replica / "corpus.txt").read_text(encoding="utf-8")
-                for replica in replica_directories(shard_dir)
-            ]
-            replicas_agree = replicas_agree and all(c == copies[0] for c in copies)
-            pieces.append(copies[0])
-        else:
-            pieces.append(
-                (shard_dir / "corpus.txt").read_text(encoding="utf-8")
-            )
+        copies = [
+            (copy / "corpus.txt").read_text(encoding="utf-8")
+            for copy in ReplicaSet.open(directory / entry.directory).copies
+        ]
+        replicas_agree = replicas_agree and all(c == copies[0] for c in copies)
+        pieces.append(copies[0])
     stored = "".join(pieces)
     verdict.add(
         "corpus-byte-identical",
@@ -772,15 +769,18 @@ MALFORMED_BODIES = [
 
 def _replicated_setup(
     fx: "Fixtures", workdir: Path, replicas: int
-) -> tuple[Path, list[Path]]:
-    """A saved sharded index with N complete copies per shard, plus the
-    per-shard directories for fault injection."""
+) -> tuple[Path, list[list[Path]]]:
+    """A saved sharded index with N complete copies per shard, plus each
+    shard's copy directories for fault injection."""
     from repro.shard.manifest import load_shard_manifest
+    from repro.shard.replica import ReplicaSet
 
     directory = workdir / "replicated-idx"
     fx.sharded_engine().save(directory, replicas=replicas)
     manifest = load_shard_manifest(directory)
-    return directory, [directory / entry.directory for entry in manifest.shards]
+    return directory, [
+        ReplicaSet.open(directory / entry.directory).copies for entry in manifest.shards
+    ]
 
 
 def _damage_replica(rng: random.Random, replica_dir: Path) -> None:
@@ -843,12 +843,10 @@ def _judge_scrub_heals(
 def _run_corrupt_one_replica(
     fx: "Fixtures", rng: random.Random, backend: str, workdir: Path
 ) -> Verdict:
-    from repro.index.persist import replica_dir_name
-
     verdict = Verdict()
-    directory, shard_dirs = _replicated_setup(fx, workdir, replicas=2)
-    for shard_dir in shard_dirs:
-        _damage_replica(rng, shard_dir / replica_dir_name(rng.randrange(2)))
+    directory, shard_copies = _replicated_setup(fx, workdir, replicas=2)
+    for copies in shard_copies:
+        _damage_replica(rng, copies[rng.randrange(2)])
     _judge_replicated_read(verdict, fx, directory, require_failover=True)
     _judge_scrub_heals(verdict, fx, directory)
     return verdict
@@ -857,15 +855,13 @@ def _run_corrupt_one_replica(
 def _run_corrupt_all_but_one(
     fx: "Fixtures", rng: random.Random, backend: str, workdir: Path
 ) -> Verdict:
-    from repro.index.persist import replica_dir_name
-
     verdict = Verdict()
-    directory, shard_dirs = _replicated_setup(fx, workdir, replicas=3)
-    for shard_dir in shard_dirs:
+    directory, shard_copies = _replicated_setup(fx, workdir, replicas=3)
+    for copies in shard_copies:
         survivor = rng.randrange(3)
         for index in range(3):
             if index != survivor:
-                _damage_replica(rng, shard_dir / replica_dir_name(index))
+                _damage_replica(rng, copies[index])
     _judge_replicated_read(verdict, fx, directory, require_failover=True)
     _judge_scrub_heals(verdict, fx, directory)
     return verdict
@@ -875,16 +871,15 @@ def _run_kill_mid_repair(
     fx: "Fixtures", rng: random.Random, backend: str, workdir: Path
 ) -> Verdict:
     from repro.core.engine import FileQueryEngine as _Engine
-    from repro.index.persist import replica_dir_name
     from repro.resilience import DegradationPolicy
     from repro.shard.scrub import scrub_index
 
     verdict = Verdict()
-    directory, shard_dirs = _replicated_setup(fx, workdir, replicas=2)
-    victim_shard = shard_dirs[rng.randrange(len(shard_dirs))]
-    healthy_name = replica_dir_name(rng.randrange(2))
-    victim_name = replica_dir_name(1 - int(healthy_name[-1]))
-    _damage_replica(rng, victim_shard / victim_name)
+    directory, shard_copies = _replicated_setup(fx, workdir, replicas=2)
+    victim_shard = shard_copies[rng.randrange(len(shard_copies))]
+    healthy = rng.randrange(2)
+    survivor = victim_shard[healthy]
+    _damage_replica(rng, victim_shard[1 - healthy])
     point = rng.choice(["scrub:quarantined", "scrub:peer-copied", "scrub:repaired"])
 
     def crash_hook(name: str) -> None:
@@ -908,9 +903,7 @@ def _run_kill_mid_repair(
     survivor_ok = True
     try:
         _Engine.from_saved(
-            fx.schema,
-            str(victim_shard / healthy_name),
-            policy=DegradationPolicy.strict(),
+            fx.schema, str(survivor), policy=DegradationPolicy.strict()
         )
     except Exception as error:  # noqa: BLE001 — oracle judges the outcome
         survivor_ok = False
@@ -923,7 +916,7 @@ def _run_kill_mid_repair(
         verdict.add(
             "healthy-replica-survives",
             True,
-            f"{healthy_name} still verifies after the crash",
+            f"{survivor.name} still verifies after the crash",
         )
     # A re-run finishes the interrupted repair, and the next pass is clean.
     _judge_scrub_heals(verdict, fx, directory)

@@ -76,6 +76,7 @@ from repro.cache import CacheConfig, CacheStats
 from repro.core.engine import FileQueryEngine
 from repro.errors import ReproError
 from repro.index.config import IndexConfig
+from repro.index.persist import check_replicas
 from repro.resilience import DegradationPolicy, ResourceBudget
 
 WORKLOADS: dict[str, tuple[Callable, Callable]] = {}
@@ -346,10 +347,10 @@ def _cmd_live_status(args: argparse.Namespace) -> int:
 
 def _replicas_from_args(args: argparse.Namespace) -> int | None:
     replicas = getattr(args, "replicas", None)
-    if replicas is None:
-        return None
-    if replicas < 2:
-        raise SystemExit("--replicas needs at least 2 copies to be worth the disk")
+    try:
+        check_replicas(replicas)  # refuse before anything is built
+    except ValueError as error:
+        raise SystemExit(f"--{error}") from None
     return replicas
 
 

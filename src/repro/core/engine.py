@@ -479,9 +479,10 @@ class FileQueryEngine(EngineBase):
         query through the cached full-scan pipeline, or rebuild the index
         from the best surviving text.  ``source_text``/``source_path``
         provide the *current* source for staleness checks and recovery.
-        A replicated root (``repro index --replicas N``) is routed to its
-        first healthy copy exactly like a replicated shard (see
-        :meth:`~repro.shard.replica.ReplicaSet.load_under`).
+        The directory's copies are opened through
+        :meth:`~repro.shard.replica.ReplicaSet.load_under`: a plain
+        directory directly, a replicated root (``repro index --replicas
+        N``) by routing to its first healthy copy like a replicated shard.
 
         Always raises :class:`~repro.errors.RegionIndexError` when the saved
         index was built with a different structuring schema (region names
@@ -489,16 +490,8 @@ class FileQueryEngine(EngineBase):
         policy degrades past that.  Indexes saved before fingerprints
         existed load without the check.
         """
-        from repro.index.persist import (
-            load_index,
-            load_schema_fingerprint,
-            schema_fingerprint,
-            stale_reason,
-            sweep_stale_staging,
-        )
         from repro.shard.replica import ReplicaSet
 
-        policy = policy if policy is not None else DegradationPolicy()
         options = dict(
             optimize_expressions=optimize_expressions,
             cache_config=cache_config,
@@ -507,24 +500,32 @@ class FileQueryEngine(EngineBase):
             feedback=feedback,
             feedback_history=feedback_history,
         )
+        return ReplicaSet.open(directory).load_under(
+            policy if policy is not None else DegradationPolicy(),
+            lambda path, copy_policy: cls._load_copy(
+                schema, path, copy_policy, source_text, source_path, **options
+            ),
+        ).value
 
-        replica_set = ReplicaSet.open(directory)
-        if replica_set is not None:
-            load = replica_set.load_under(
-                policy,
-                lambda path, replica_policy: cls.from_saved(
-                    schema,
-                    path,
-                    policy=replica_policy,
-                    source_text=source_text,
-                    source_path=source_path,
-                    **options,
-                ),
-            )
-            engine: "FileQueryEngine" = load.value
-            engine.policy = policy
-            engine._load_warnings.extend(load.warnings)
-            return engine
+    @classmethod
+    def _load_copy(
+        cls,
+        schema: StructuringSchema,
+        directory: str,
+        policy: DegradationPolicy,
+        source_text: str | None = None,
+        source_path: str | os.PathLike[str] | None = None,
+        **options,
+    ) -> "FileQueryEngine":
+        """Open the one saved index at ``directory`` (a single copy, see
+        :meth:`from_saved`) under ``policy``."""
+        from repro.index.persist import (
+            load_index,
+            load_schema_fingerprint,
+            schema_fingerprint,
+            stale_reason,
+            sweep_stale_staging,
+        )
 
         load_warnings = [
             QueryWarning(

@@ -31,7 +31,7 @@ Saves are crash-safe: :func:`save_index` writes into a temporary sibling
 directory and renames it into place only once every file (manifest
 included) is on disk, so an interrupted save cannot leave a torn index.
 
-Replicated layout (``save_index(..., replicas=N)``)::
+Replicated layout (``save_index(..., replicas=N)``, N >= 2)::
 
     manifest.json      kind="replicated": the replica map, the corpus
                        fingerprint every replica must match, and (v3) the
@@ -44,7 +44,9 @@ Replicated layout (``save_index(..., replicas=N)``)::
 
 Each ``replica-{i}/`` is a full saved index in its own right, so every
 single-directory primitive in this module (verify, load, swap-in-place)
-applies per replica unchanged.
+applies per replica unchanged.  This module writes and reads the bytes;
+which directories hold a saved index's copies — and what to do when they
+disagree — is decided by :class:`repro.shard.replica.ReplicaSet` alone.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ def save_index(
     checkpoint, or vice versa.  Saves carrying ``live`` are stamped format
     version 3; plain saves stay at version 2.
 
-    ``replicas=N`` (optional, N >= 1) writes the replicated layout instead:
+    ``replicas=N`` (optional, N >= 2) writes the replicated layout instead:
     ``replica-{i}/`` sibling directories under ``directory``, each a
     complete v2/v3 index, plus a ``kind="replicated"`` manifest recording
     the replica map.  The manifest is written last inside the staging
@@ -201,8 +203,7 @@ def save_index(
     index complete under a ``.<name>.retired-*`` sibling rather than a
     torn mixture of the two.
     """
-    if replicas is not None and replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    check_replicas(replicas)
     target = Path(directory)
     target.parent.mkdir(parents=True, exist_ok=True)
     sweep_stale_staging(target)
@@ -230,6 +231,14 @@ def save_index(
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def check_replicas(replicas: int | None) -> None:
+    """The one rule for ``replicas``: ``None`` saves a plain directory, and
+    a replicated layout holds at least two copies — one copy would only be
+    a plain directory spelled differently."""
+    if replicas is not None and replicas < 2:
+        raise ValueError("replicas needs at least 2 copies to be worth the disk")
+
+
 def source_record(source_path: str | os.PathLike[str] | None) -> dict | None:
     if source_path is None:
         return None
@@ -244,7 +253,7 @@ def source_record(source_path: str | os.PathLike[str] | None) -> dict | None:
 
 
 def _replica_manifest_data(
-    fingerprint: str,
+    fingerprint: str | None,
     replica_names: list[str],
     source: dict | None,
     live: dict | None,
@@ -284,30 +293,27 @@ def load_replica_manifest(directory: str | os.PathLike[str]) -> dict | None:
     the directory is not a replicated index.
 
     A damaged shard-level manifest must not make a shard with intact
-    replicas unreadable: when the manifest is missing or unparseable but
-    ``replica-*/`` subdirectories exist, a degraded manifest is synthesised
-    from the directory listing (``corpus_fingerprint`` is ``None`` — no
-    recorded expectation survives — and ``"manifest_damaged": True`` marks
-    it for the scrubber).
+    replicas unreadable: when the manifest is missing, unparseable, or a
+    replicated manifest with a malformed replica map, but ``replica-*/``
+    subdirectories exist, a degraded manifest is synthesised from the
+    directory listing (``corpus_fingerprint`` is ``None`` — no recorded
+    expectation survives — and ``"manifest_damaged": True`` marks it for
+    the scrubber).
     """
     path = Path(directory)
     try:
         manifest = load_manifest(path)
     except IndexCorruptError:
         manifest = None
-    if manifest is not None and manifest.get("kind") == REPLICA_KIND:
+    if manifest is not None:
+        if manifest.get("kind") != REPLICA_KIND:
+            return None  # a plain (or sharded-root) manifest
         replicas = manifest.get("replicas")
-        if not isinstance(replicas, list) or not all(
+        if isinstance(replicas, list) and all(
             isinstance(r, dict) and isinstance(r.get("directory"), str)
             for r in replicas
         ):
-            raise IndexCorruptError(
-                str(path), "replicated manifest has a malformed replica map",
-                part="manifest.json",
-            )
-        return manifest
-    if manifest is not None:
-        return None  # a plain (or sharded-root) manifest
+            return manifest
     listed = sorted(
         entry.name
         for entry in path.glob(f"{REPLICA_DIR_PREFIX}*")
@@ -315,33 +321,7 @@ def load_replica_manifest(directory: str | os.PathLike[str]) -> dict | None:
     )
     if not listed:
         return None
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": REPLICA_KIND,
-        "replica_format_version": REPLICA_FORMAT_VERSION,
-        "corpus_fingerprint": None,
-        "replicas": [{"directory": name} for name in listed],
-        "source": None,
-        "manifest_damaged": True,
-    }
-
-
-def is_replicated_index(directory: str | os.PathLike[str]) -> bool:
-    """True when ``directory`` uses the replicated layout."""
-    try:
-        return load_replica_manifest(directory) is not None
-    except IndexCorruptError:
-        return True  # claims the layout, even if the replica map is torn
-
-
-def replica_directories(directory: str | os.PathLike[str]) -> list[Path]:
-    """The replica subdirectories recorded (or, degraded, discovered) at
-    ``directory``, in manifest order.  Empty for non-replicated layouts."""
-    manifest = load_replica_manifest(directory)
-    if manifest is None:
-        return []
-    root = Path(directory)
-    return [root / entry["directory"] for entry in manifest["replicas"]]
+    return {**_replica_manifest_data(None, listed, None, None), "manifest_damaged": True}
 
 
 def sweep_stale_staging(directory: str | os.PathLike[str]) -> list[str]:
@@ -554,21 +534,13 @@ def _config_from(data: dict) -> IndexConfig:
 
 
 def load_index_config(directory: str | os.PathLike[str]) -> IndexConfig | None:
-    """The :class:`IndexConfig` a saved index (or its first readable
-    replica) was built with, without loading it; ``None`` when no copy's
-    ``config.json`` is readable."""
-    path = Path(directory)
+    """The :class:`IndexConfig` a saved index directory was built with,
+    without loading it; ``None`` when its ``config.json`` is unreadable."""
+    path = Path(directory) / "config.json"
     try:
-        replicated = load_replica_manifest(path)
-    except IndexCorruptError:
+        return _config_from(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError, IndexConfigError):
         return None
-    copies = [path / r["directory"] for r in replicated["replicas"]] if replicated else [path]
-    for copy in copies:
-        try:
-            return _config_from(json.loads((copy / "config.json").read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError, TypeError, IndexConfigError):
-            continue
-    return None
 
 
 def load_index(directory: str | os.PathLike[str]) -> IndexEngine:

@@ -48,11 +48,17 @@ durability guarantees.  The moving parts:
   the process died is promoted to all of them — for a replicated shard,
   "acked" weakens to "fsynced on at least one journal";
 - compaction folds the delta into *every* replica, then rewrites the
-  shard-level replica manifest as the commit point; a crash in between is
+  shard-level replica manifest as the commit point
+  (:meth:`~repro.shard.replica.ReplicaSet.fold`); a crash in between is
   finished at the next :meth:`open`, which reconciles a shard manifest
   that fell behind replicas that all agree on a newer fingerprint
-  *before* the checkpoint is read (otherwise replay would re-apply frames
-  the replicas already hold).
+  (:meth:`~repro.shard.replica.ReplicaSet.reconcile`) *before* the
+  checkpoint is read (otherwise replay would re-apply frames the
+  replicas already hold).
+
+Which directories hold a shard's copies, and which journal belongs to
+each, is the shard's :class:`~repro.shard.replica.ReplicaSet`'s to say; a
+plain shard directory is a set of one.
 
 Appends may carry a client ``request_id`` for **idempotence**: a replayed
 id returns the original sequence number with ``deduped=True`` instead of
@@ -80,19 +86,12 @@ from repro.api import QueryResponse
 from repro.core.engine import FileQueryEngine, QueryResult
 from repro.errors import (
     DuplicateRequestError,
-    IndexCorruptError,
     JournalCorruptError,
     ParseError,
     WriteQuorumError,
 )
 from repro.index.persist import applied_seq as saved_applied_seq
-from repro.index.persist import (
-    corpus_fingerprint,
-    load_index_config,
-    load_manifest,
-    load_replica_manifest,
-    save_replica_manifest,
-)
+from repro.index.persist import corpus_fingerprint, load_manifest
 from repro.live.journal import (
     Frame,
     JournalWriter,
@@ -118,6 +117,7 @@ from repro.shard.manifest import (
     save_shard_manifest,
     shard_slug,
 )
+from repro.shard.replica import ReplicaSet
 from repro.shard.split import split_corpus
 
 WAL_SUBDIR = "wal"
@@ -169,6 +169,7 @@ class LiveEngine(ShardedEngine):
         if any(shard.name.endswith(DELTA_SUFFIX) for shard in self._shards):
             raise ValueError(f"live shard names must not end with {DELTA_SUFFIX!r}")
         self.root = root
+        self._wal_dir = root / WAL_SUBDIR
         self.max_shard_bytes = max_shard_bytes
         self.crash_hook = crash_hook
         self.ack_quorum = ack_quorum
@@ -178,7 +179,6 @@ class LiveEngine(ShardedEngine):
         self._load_warnings = load_warnings
         self._delta: dict[str, tuple[int, _Shard]] = {}
         self._writers: dict[str, JournalWriter] = {}
-        self._replica_layout: dict[str, list[str] | None] = {}
         self._request_seqs: dict[str, tuple[int, str]] = dict(request_seqs or {})
         self._quorum_warned: set[tuple[str, tuple[str, ...]]] = set()
         self._lock = threading.RLock()
@@ -233,49 +233,21 @@ class LiveEngine(ShardedEngine):
         # replica but before the manifest rewrite.  Finish that commit now
         # — before the checkpoint is read in step 4 — or replay would
         # re-apply frames the replicas already hold, duplicating rows.
+        copies = {
+            entry.directory: ReplicaSet.open(root / entry.directory, shard_name=entry.name)
+            for entry in manifest.shards
+        }
         for entry in manifest.shards:
-            shard_dir = root / entry.directory
-            replicated = load_replica_manifest(shard_dir)
-            if replicated is None:
-                continue
-            states: list[tuple[str, dict | None]] = []
-            for rel in replicated["replicas"]:
-                try:
-                    own = load_manifest(shard_dir / rel["directory"])
-                except IndexCorruptError:
-                    continue
-                if own is None or not isinstance(own.get("corpus_fingerprint"), str):
-                    continue
-                live = own.get("live")
-                states.append(
-                    (
-                        own["corpus_fingerprint"],
-                        dict(live) if isinstance(live, dict) else None,
+            agreed = copies[entry.directory].reconcile()
+            if agreed is not None:
+                warnings.append(
+                    QueryWarning(
+                        DELTA_REPLAYED,
+                        f"shard {entry.name!r}'s replicas committed ahead of its "
+                        "manifest (crash mid-compaction); shard manifest reconciled",
+                        detail={"shard": entry.name, "fingerprint": agreed},
                     )
                 )
-            fingerprints = {fingerprint for fingerprint, _ in states}
-            if len(fingerprints) != 1:
-                continue  # unreadable or disagreeing replicas: scrubber territory
-            agreed = fingerprints.pop()
-            if agreed == replicated.get("corpus_fingerprint"):
-                continue
-            lives = [live for _, live in states if live]
-            live = max(lives, key=lambda l: l.get("applied_seq", 0), default=None)
-            save_replica_manifest(
-                shard_dir,
-                agreed,
-                [rel["directory"] for rel in replicated["replicas"]],
-                source=replicated.get("source"),
-                live=live,
-            )
-            warnings.append(
-                QueryWarning(
-                    DELTA_REPLAYED,
-                    f"shard {entry.name!r}'s replicas committed ahead of its "
-                    "manifest (crash mid-compaction); shard manifest reconciled",
-                    detail={"shard": entry.name, "fingerprint": agreed},
-                )
-            )
 
         # 3. A shard whose own (atomically committed) manifest ran ahead
         # of the root manifest: a compaction crashed between the shard
@@ -324,20 +296,14 @@ class LiveEngine(ShardedEngine):
         known_wals: set[str] = set()
         for entry in entries:
             applied = applied_by_dir[entry.directory]
-            replicated = load_replica_manifest(root / entry.directory)
-            replica_names = (
-                [rel["directory"] for rel in replicated["replicas"]]
-                if replicated is not None
-                else None
-            )
-            paths = cls._journal_paths_for(root, entry.directory, replica_names)
-            legacy: Path | None = None
-            if replica_names is not None:
-                # A shard replicated after it already journaled keeps its
-                # old single journal in the union until it is re-leveled.
-                legacy = wal_dir / f"{Path(entry.directory).name}.wal"
-                if legacy.exists():
-                    paths = paths + [legacy]
+            paths = copies[entry.directory].journal_paths(wal_dir)
+            # A shard replicated after it already journaled keeps its old
+            # single journal in the union until it is re-leveled.
+            legacy: Path | None = wal_dir / f"{Path(entry.directory).name}.wal"
+            if legacy in paths or not legacy.exists():
+                legacy = None
+            else:
+                paths = paths + [legacy]
             known_wals.update(path.name for path in paths)
             replays = {path: replay_journal(path) for path in paths}
             union: dict[int, Frame] = {}
@@ -360,22 +326,18 @@ class LiveEngine(ShardedEngine):
             frames = [frame for frame in ordered if frame.seq > applied]
             torn = sum(replay.torn_bytes for replay in replays.values())
             promoted = 0
-            if replica_names is not None:
-                want = [frame.seq for frame in frames]
-                for path in paths:
-                    if path is legacy:
-                        continue
-                    have = [
-                        frame.seq
-                        for frame in replays[path].frames
-                        if frame.seq > applied
-                    ]
-                    if have == want:
-                        continue
+            want = [frame.seq for frame in frames]
+            for path in paths:
+                if path is legacy:
+                    continue
+                have = [
+                    frame.seq for frame in replays[path].frames if frame.seq > applied
+                ]
+                if have != want:
                     promoted += len(set(want) - set(have))
                     cls._rewrite_journal(path, frames)
-                if legacy is not None:
-                    legacy.unlink(missing_ok=True)
+            if legacy is not None:
+                legacy.unlink(missing_ok=True)
             for frame in frames:
                 if frame.request_id is not None:
                     request_seqs[frame.request_id] = (
@@ -424,7 +386,7 @@ class LiveEngine(ShardedEngine):
                     "— acked appends would be lost",
                 )
 
-        options.setdefault("config", load_index_config(root / entries[-1].directory))
+        options.setdefault("config", copies[entries[-1].directory].index_config())
         return cls.from_saved(
             schema,
             root,
@@ -470,30 +432,8 @@ class LiveEngine(ShardedEngine):
 
     # -- journal plumbing -------------------------------------------------------
 
-    @staticmethod
-    def _journal_paths_for(
-        root: Path, directory: str, replica_names: list[str] | None
-    ) -> list[Path]:
-        base = Path(directory).name
-        wal_dir = root / WAL_SUBDIR
-        if replica_names:
-            return [wal_dir / f"{base}.{name}.wal" for name in replica_names]
-        return [wal_dir / f"{base}.wal"]
-
-    def _replica_names(self, entry: ShardEntry) -> list[str] | None:
-        if entry.directory not in self._replica_layout:
-            replicated = load_replica_manifest(self.root / entry.directory)
-            self._replica_layout[entry.directory] = (
-                [rel["directory"] for rel in replicated["replicas"]]
-                if replicated is not None
-                else None
-            )
-        return self._replica_layout[entry.directory]
-
-    def _journal_paths(self, entry: ShardEntry) -> list[Path]:
-        return self._journal_paths_for(
-            self.root, entry.directory, self._replica_names(entry)
-        )
+    def _copies(self, entry: ShardEntry) -> ReplicaSet:
+        return self._replica_set(self._shard_by_name(entry.name))
 
     def _writer_for(self, path: Path) -> JournalWriter:
         key = str(path)
@@ -562,7 +502,7 @@ class LiveEngine(ShardedEngine):
                         raise DuplicateRequestError(request_id, seq)
                     return {"seq": seq, "deduped": True}
             tail = self._manifest.shards[-1]
-            paths = self._journal_paths(tail)
+            paths = self._copies(tail).journal_paths(self._wal_dir)
             quorum = self._effective_quorum(len(paths))
             seq = self._next_seq
             # The sequence number is burned even if the fan-out fails
@@ -698,29 +638,14 @@ class LiveEngine(ShardedEngine):
                 frames = self._pending.get(entry.name)
                 if not frames:
                     continue
-                shard_dir = self.root / entry.directory
-                replicated = load_replica_manifest(shard_dir)
+                copies = self._copies(entry)
                 applied = frames[-1].seq
-                new_text = self._base_text(shard_dir, replicated) + "".join(
-                    frame.record for frame in frames
+                new_text = copies.base_text() + "".join(frame.record for frame in frames)
+                copies.fold(
+                    FileQueryEngine(self.schema, new_text, self.config),
+                    {"applied_seq": applied},
+                    lambda name: self._crash(f"compact:replica-saved:{name}"),
                 )
-                folded_engine = FileQueryEngine(self.schema, new_text, self.config)
-                if replicated is None:
-                    folded_engine.save(str(shard_dir), live={"applied_seq": applied})
-                else:
-                    names = [rel["directory"] for rel in replicated["replicas"]]
-                    for name in names:
-                        folded_engine.save(
-                            str(shard_dir / name), live={"applied_seq": applied}
-                        )
-                        self._crash(f"compact:replica-saved:{name}")
-                    save_replica_manifest(
-                        shard_dir,
-                        corpus_fingerprint(new_text),
-                        names,
-                        source=replicated.get("source"),
-                        live={"applied_seq": applied},
-                    )
                 self._crash("compact:shard-saved")
                 self._replace_entry(
                     entry,
@@ -728,7 +653,7 @@ class LiveEngine(ShardedEngine):
                 )
                 save_shard_manifest(self.root, self._manifest)
                 self._crash("compact:manifest-updated")
-                for path in self._journal_paths(entry):
+                for path in copies.journal_paths(self._wal_dir):
                     trim_journal(path, applied)
                 self._pending.pop(entry.name, None)
                 self._delta.pop(entry.name, None)
@@ -739,36 +664,8 @@ class LiveEngine(ShardedEngine):
                         self._request_seqs.pop(frame.request_id, None)
                 folded[entry.name] = len(frames)
             split = self._maybe_split() if self.max_shard_bytes is not None else None
-            self._replica_layout.clear()
             self._shards = self._adopt(self._saved_shards(self.root, self._manifest))
             return {"folded": folded, "split": split}
-
-    @staticmethod
-    def _base_text(shard_dir: Path, replicated: dict | None) -> str:
-        """The authoritative base text of a shard; for a replicated shard
-        the first replica whose corpus matches the recorded fingerprint
-        (any readable copy when no copy matches or no expectation is
-        recorded — the scrubber, not compaction, adjudicates damage)."""
-        if replicated is None:
-            return (shard_dir / "corpus.txt").read_text(encoding="utf-8")
-        expected = replicated.get("corpus_fingerprint")
-        fallback: str | None = None
-        for rel in replicated["replicas"]:
-            try:
-                text = (shard_dir / rel["directory"] / "corpus.txt").read_text(
-                    encoding="utf-8"
-                )
-            except OSError:
-                continue
-            if expected is None or corpus_fingerprint(text) == expected:
-                return text
-            if fallback is None:
-                fallback = text
-        if fallback is not None:
-            return fallback
-        raise IndexCorruptError(
-            str(shard_dir), "no replica holds a readable corpus"
-        )
 
     def _replace_entry(self, old: ShardEntry, new: ShardEntry) -> None:
         entries = tuple(
@@ -785,16 +682,15 @@ class LiveEngine(ShardedEngine):
         afterwards.  A replicated tail splits into children saved with the
         same replica count."""
         tail = self._manifest.shards[-1]
-        shard_dir = self.root / tail.directory
-        replicated = load_replica_manifest(shard_dir)
-        replicas = len(replicated["replicas"]) if replicated is not None else None
-        text = self._base_text(shard_dir, replicated)
+        copies = self._copies(tail)
+        replicas = len(copies) if len(copies) > 1 else None
+        text = copies.base_text()
         if len(text.encode("utf-8")) <= self.max_shard_bytes:
             return None
         halves = split_corpus(self.schema, text, 2)
         if len(halves) < 2:
             return None  # a single record cannot be split
-        applied = saved_applied_seq(shard_dir)
+        applied = saved_applied_seq(copies.directory)
         position = len(self._manifest.shards) - 1
         new_entries: list[ShardEntry] = []
         for offset, half in enumerate(halves):
@@ -818,16 +714,14 @@ class LiveEngine(ShardedEngine):
                 )
             )
         self._crash("split:shards-saved")
-        old_journals = self._journal_paths(tail)
         self._manifest = dataclass_replace(
             self._manifest, shards=self._manifest.shards[:-1] + tuple(new_entries)
         )
         save_shard_manifest(self.root, self._manifest)
         self._crash("split:manifest-updated")
-        shutil.rmtree(shard_dir, ignore_errors=True)
-        for path in old_journals:
+        shutil.rmtree(copies.directory, ignore_errors=True)
+        for path in copies.journal_paths(self._wal_dir):
             path.unlink(missing_ok=True)
-        self._replica_layout.pop(tail.directory, None)
         warning = QueryWarning(
             SHARD_SPLIT,
             f"shard {tail.name!r} exceeded {self.max_shard_bytes} bytes and "
@@ -861,10 +755,12 @@ class LiveEngine(ShardedEngine):
             shards = []
             journal_bytes = 0
             for entry in self._manifest.shards:
-                names = self._replica_names(entry)
-                size = 0
-                for wal in self._journal_paths(entry):
-                    size += wal.stat().st_size if wal.exists() else 0
+                copies = self._copies(entry)
+                size = sum(
+                    wal.stat().st_size
+                    for wal in copies.journal_paths(self._wal_dir)
+                    if wal.exists()
+                )
                 journal_bytes += size
                 shards.append(
                     {
@@ -873,7 +769,7 @@ class LiveEngine(ShardedEngine):
                         "applied_seq": saved_applied_seq(self.root / entry.directory),
                         "pending": len(self._pending.get(entry.name, [])),
                         "journal_bytes": size,
-                        "replicas": len(names) if names else 1,
+                        "replicas": len(copies),
                     }
                 )
             return {

@@ -110,7 +110,7 @@ GATHER_GRACE_MAX_S = 1.0
 @dataclass
 class _Shard:
     """One shard's mutable state: identity, lazily built engine, breaker,
-    and — for replicated shard directories — the replica routing state."""
+    and — for a saved shard — its set of copies, opened on first use."""
 
     name: str
     text: str | None = None
@@ -119,8 +119,7 @@ class _Shard:
     engine: FileQueryEngine | None = None
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     lock: threading.Lock = field(default_factory=threading.Lock)
-    replica_set: "ReplicaSet | None" = None
-    replica_checked: bool = False
+    replica_set: ReplicaSet | None = None
     replica_events: list = field(default_factory=list)
     #: Whether the shard feeds (and plans by) the engine's shared feedback
     #: history; a live delta, re-fingerprinted by every append, does not.
@@ -400,18 +399,15 @@ class ShardedEngine(EngineBase):
                 return shard
         raise KeyError(f"no shard named {name!r}")
 
-    def _replica_set(self, shard: _Shard) -> "ReplicaSet | None":
-        """The shard's replica routing state (``None`` for text shards and
-        plain single-index directories).  Detected once, lock-protected."""
+    def _replica_set(self, shard: _Shard) -> ReplicaSet:
+        """A saved shard's copies, opened once (lock-protected)."""
         with shard.lock:
-            if not shard.replica_checked:
-                shard.replica_checked = True
-                if shard.directory is not None:
-                    shard.replica_set = ReplicaSet.open(
-                        shard.directory,
-                        breaker_config=self.breaker_config,
-                        shard_name=shard.name,
-                    )
+            if shard.replica_set is None:
+                shard.replica_set = ReplicaSet.open(
+                    shard.directory,
+                    breaker_config=self.breaker_config,
+                    shard_name=shard.name,
+                )
             return shard.replica_set
 
     def _ensure_engine(self, shard: _Shard, attempt_offset: int = 0) -> FileQueryEngine:
@@ -448,22 +444,16 @@ class ShardedEngine(EngineBase):
                 self.schema, shard.text or "", self.config, policy=self.policy, **options
             )
 
-        def open_at(path: str, policy: DegradationPolicy) -> FileQueryEngine:
-            return FileQueryEngine.from_saved(
-                self.schema, path, policy=policy, source_path=shard.source_path, **options
-            )
-
-        replica_set = self._replica_set(shard)
-        if replica_set is None:
-            return open_at(str(shard.directory), self.policy)
-        load = replica_set.load_under(self.policy, open_at, offset=attempt_offset)
-        engine: FileQueryEngine = load.value
-        # Failover decisions surface on every result this engine serves,
-        # exactly like load-time degradation warnings.
-        engine._load_warnings.extend(load.warnings)
+        load = self._replica_set(shard).load_under(
+            self.policy,
+            lambda path, policy: FileQueryEngine._load_copy(
+                self.schema, path, policy, source_path=shard.source_path, **options
+            ),
+            offset=attempt_offset,
+        )
         with shard.lock:
             shard.replica_events = list(load.events)
-        return engine
+        return load.value
 
     def _shared_plan(
         self, holder: dict, engine: FileQueryEngine, query: Query | str
@@ -1048,7 +1038,11 @@ class ShardedEngine(EngineBase):
         }
 
     def _backend(self) -> dict[str, Any]:
-        replica_sets = (self._replica_set(shard) for shard in self._shards)
+        replica_sets = (
+            self._replica_set(shard)
+            for shard in self._shards
+            if shard.directory is not None
+        )
         return {
             "type": "sharded",
             "shard_names": self.shard_names,
@@ -1059,6 +1053,6 @@ class ShardedEngine(EngineBase):
             "replica_health": [
                 replica_set.health()
                 for replica_set in replica_sets
-                if replica_set is not None
+                if replica_set.replicated
             ],
         }

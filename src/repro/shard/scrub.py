@@ -31,7 +31,13 @@ protocol, every step reusing the crash-safe persistence primitives:
 A shard manifest damaged or left behind by a crash is itself repairable:
 when every verifying replica agrees on one fingerprint, the manifest is
 rewritten to match them (the replicas *are* the committed state — each was
-fsynced and renamed into place before the manifest rewrite began).
+fsynced and renamed into place before the manifest rewrite began).  That
+rule, and the per-copy verification, belong to the shard's
+:class:`~repro.shard.replica.ReplicaSet` (:meth:`~ReplicaSet.reconcile`,
+:meth:`~ReplicaSet.problems`); the scrub asks for it before repairing
+copies (an interrupted commit) and again after (a damaged manifest over
+copies the repair made agree).  A plain shard directory is a set of one
+copy with no peer: its damage is reported, never healed.
 
 :class:`ScrubDaemon` runs the same scrub on a jittered interval from a
 daemon thread — the server-owned self-healing loop behind
@@ -49,22 +55,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.errors import IndexCorruptError, IndexNotFoundError
 from repro.index.persist import (
     QUARANTINE_PREFIX,
     corpus_fingerprint,
-    load_manifest,
-    load_replica_manifest,
-    save_replica_manifest,
     sweep_stale_staging,
-    verify_index,
 )
 from repro.resilience.warnings import (
     REPLICA_QUARANTINED,
     REPLICA_REPAIRED,
     QueryWarning,
 )
-from repro.shard.manifest import load_shard_manifest
+from repro.shard.manifest import ShardEntry, load_shard_manifest
+from repro.shard.replica import (  # noqa: F401 — the per-copy finding kinds
+    CORRUPT,
+    DIVERGED,
+    MISSING,
+    ReplicaSet,
+)
 
 #: Optional crash hook (tests/chaos): called with a named point before the
 #: scrub proceeds past it.  Points: ``scrub:quarantined`` (damaged replica
@@ -72,9 +79,6 @@ from repro.shard.manifest import load_shard_manifest
 #: promoted), ``scrub:repaired`` (replacement renamed into place).
 CrashHook = Callable[[str], None]
 
-CORRUPT = "corrupt"
-DIVERGED = "diverged"
-MISSING = "missing"
 MANIFEST_DAMAGED = "manifest-damaged"
 
 QUARANTINE_ACTION = "quarantined"
@@ -149,40 +153,6 @@ class ScrubReport:
         }
 
 
-def _replica_problem(directory: Path, expected: str | None) -> tuple[str, str] | None:
-    """Why this replica directory is damaged, or ``None`` when it is clean."""
-    if not directory.is_dir():
-        return MISSING, f"replica directory {directory.name!r} does not exist"
-    try:
-        verify_index(directory)
-    except (IndexNotFoundError, IndexCorruptError) as error:
-        return CORRUPT, str(error)
-    try:
-        own = load_manifest(directory)
-    except IndexCorruptError as error:
-        return CORRUPT, str(error)
-    if own is None:
-        return CORRUPT, "replica has no manifest (replicas are always v2+)"
-    recorded = own.get("corpus_fingerprint")
-    try:
-        actual = corpus_fingerprint(
-            (directory / "corpus.txt").read_text(encoding="utf-8")
-        )
-    except OSError as error:
-        return CORRUPT, f"corpus unreadable: {error}"
-    if recorded != actual:
-        return CORRUPT, (
-            f"corpus bytes hash to {actual} but the replica manifest "
-            f"records {recorded}"
-        )
-    if expected is not None and actual != expected:
-        return DIVERGED, (
-            f"replica carries {actual} but the shard manifest committed "
-            f"{expected}"
-        )
-    return None
-
-
 def _quarantine_name(shard_dir: Path, replica_name: str, clock: Callable[[], float]) -> Path:
     stamp = int(clock())
     candidate = shard_dir / f"{QUARANTINE_PREFIX}{stamp}-{replica_name}"
@@ -204,40 +174,23 @@ def scrub_index(
     under a sharded index root.  See the module docstring for the
     verification rules and the anti-entropy repair protocol."""
     root = Path(directory)
-    manifest = load_shard_manifest(root)
     report = ScrubReport()
-    for entry in manifest.shards:
-        shard_dir = root / entry.directory
+    for entry in load_shard_manifest(root).shards:
+        copies = ReplicaSet.open(root / entry.directory, shard_name=entry.name)
         report.shards_checked += 1
-        replica_manifest = load_replica_manifest(shard_dir)
-        if replica_manifest is None:
-            # Plain single-copy shard: verify in place; there is no peer to
-            # repair from, so damage is reported, not healed.
-            report.replicas_checked += 1
-            problem = _replica_problem(shard_dir, entry.corpus_fingerprint)
-            if problem is not None:
-                kind, detail = problem
-                report.findings.append(
-                    ScrubFinding(shard=entry.name, replica=None, kind=kind, detail=detail)
+        report.replicas_checked += len(copies)
+        expected = copies.expected_fingerprint or entry.corpus_fingerprint
+        problems = copies.problems(expected)
+        for copy, (kind, detail) in problems.items():
+            report.findings.append(
+                ScrubFinding(
+                    shard=entry.name,
+                    replica=copy.name if copies.replicated else None,
+                    kind=kind,
+                    detail=detail,
                 )
-            continue
-        expected = replica_manifest.get("corpus_fingerprint") or entry.corpus_fingerprint
-        manifest_damaged = bool(replica_manifest.get("manifest_damaged"))
-        names = [item["directory"] for item in replica_manifest["replicas"]]
-        problems: dict[str, tuple[str, str]] = {}
-        for name in names:
-            report.replicas_checked += 1
-            problem = _replica_problem(shard_dir / name, expected)
-            if problem is not None:
-                problems[name] = problem
-                report.findings.append(
-                    ScrubFinding(
-                        shard=entry.name, replica=name,
-                        kind=problem[0], detail=problem[1],
-                    )
-                )
-        healthy = [name for name in names if name not in problems]
-        if manifest_damaged:
+            )
+        if copies.manifest_damaged:
             report.findings.append(
                 ScrubFinding(
                     shard=entry.name,
@@ -246,98 +199,44 @@ def scrub_index(
                     detail="shard manifest missing or unreadable",
                 )
             )
-        if not repair:
-            continue
-        if not healthy and problems:
-            # No replica matches the committed fingerprint.  If the
-            # self-consistent survivors all agree on one *other*
-            # fingerprint, the manifest rewrite is what the crash
-            # interrupted (every replica was folded and fsynced before the
-            # commit point): finish it rather than quarantining the world.
-            agreeing: dict[str | None, list[str]] = {}
-            for name, (kind, _detail) in problems.items():
-                if kind != DIVERGED:
-                    continue
-                own = load_manifest(shard_dir / name)
-                agreeing.setdefault(own.get("corpus_fingerprint"), []).append(name)
-            if len(agreeing) == 1:
-                agreed, agreed_names = next(iter(agreeing.items()))
-                if agreed is not None:
-                    live = None
-                    for name in agreed_names:
-                        state = load_manifest(shard_dir / name).get("live")
-                        if isinstance(state, dict):
-                            live = dict(state)
-                            break
-                    save_replica_manifest(
-                        shard_dir, agreed, names, source=entry.source, live=live
-                    )
-                    expected = agreed
-                    healthy = list(agreed_names)
-                    for name in agreed_names:
-                        del problems[name]
-                    report.repairs.append(
-                        ScrubRepair(
-                            shard=entry.name,
-                            replica=None,
-                            action=MANIFEST_REWRITTEN,
-                            detail=(
-                                f"promoted {agreed} agreed by "
-                                f"{len(agreed_names)} intact replica(s) "
-                                "(interrupted commit finished)"
-                            ),
-                        )
-                    )
-        if manifest_damaged and healthy:
-            # The replicas are the committed state; rewrite the shard
-            # manifest to match them when the survivors agree.
-            fingerprints = {
-                load_manifest(shard_dir / name).get("corpus_fingerprint")
-                for name in healthy
-            }
-            if len(fingerprints) == 1:
-                agreed = fingerprints.pop()
-                live = None
-                for name in healthy:
-                    state = load_manifest(shard_dir / name).get("live")
-                    if isinstance(state, dict):
-                        live = dict(state)
-                        break
-                save_replica_manifest(
-                    shard_dir, agreed, names, source=entry.source, live=live
-                )
-                expected = agreed
-                report.repairs.append(
-                    ScrubRepair(
-                        shard=entry.name,
-                        replica=None,
-                        action=MANIFEST_REWRITTEN,
-                        detail=f"rewritten from {len(healthy)} agreeing replica(s)",
-                    )
-                )
-        for name, (kind, detail) in problems.items():
+        if not repair or not copies.replicated:
+            continue  # a plain directory has no peer: reported, not healed
+        # Finish an interrupted commit before judging copies against it:
+        # copies that agree on a newer state are not damage.
+        if _reconcile(copies, report):
+            expected = copies.expected_fingerprint
+            problems = copies.problems(expected)
+        healthy = [copy for copy in copies.copies if copy not in problems]
+        for copy, (kind, _detail) in problems.items():
             _repair_replica(
-                schema,
-                entry,
-                shard_dir,
-                name,
-                kind,
-                healthy,
-                expected,
-                report,
-                crash_hook,
-                clock,
+                schema, entry, copy, kind, healthy, expected, report, crash_hook, clock
             )
+        if copies.manifest_damaged:
+            _reconcile(copies, report)  # the repaired copies may agree now
     return report
+
+
+def _reconcile(copies: ReplicaSet, report: ScrubReport) -> bool:
+    """Ask the set to finish an interrupted commit; record a rewrite."""
+    agreed = copies.reconcile()
+    if agreed is not None:
+        report.repairs.append(
+            ScrubRepair(
+                shard=copies.shard_name,
+                replica=None,
+                action=MANIFEST_REWRITTEN,
+                detail=f"rewritten to {agreed}, agreed by every verified replica",
+            )
+        )
+    return agreed is not None
 
 
 def _repair_replica(
     schema,
-    entry,
-    shard_dir: Path,
-    name: str,
+    entry: ShardEntry,
+    replica_dir: Path,
     kind: str,
-    healthy: list[str],
+    healthy: list[Path],
     expected: str | None,
     report: ScrubReport,
     crash_hook: CrashHook | None,
@@ -350,7 +249,7 @@ def _repair_replica(
     (reported :data:`UNREPAIRABLE`) — the scrub never reduces what
     survives on disk.
     """
-    replica_dir = shard_dir / name
+    shard_dir, name = replica_dir.parent, replica_dir.name
     source = entry.source or {}
     source_path = source.get("path")
     source_text: str | None = None
@@ -404,7 +303,7 @@ def _repair_replica(
     # Clear any staging orphan a previously crashed repair left behind.
     sweep_stale_staging(replica_dir)
     if healthy:
-        peer = shard_dir / healthy[0]
+        peer = healthy[0]
         staging = shard_dir / f".{name}.saving-{os.getpid()}"
         if staging.exists():
             shutil.rmtree(staging)
@@ -416,7 +315,7 @@ def _repair_replica(
             crash_hook("scrub:repaired")
         _record_repaired(
             report, entry.name, name, COPIED_FROM_PEER,
-            f"copied from verified peer {healthy[0]!r}",
+            f"copied from verified peer {peer.name!r}",
         )
         return
     from repro.core.engine import FileQueryEngine

@@ -3,7 +3,8 @@
 Answers are sets, and the gather that merges shards and live deltas is the
 one place rows from more than one corpus meet: every multi-source backend
 must serve, row for row and in order, what one engine over the logical
-corpus serves, with ``stats.rows`` equal to the rows served.  A join does
+corpus serves, with ``stats.rows`` equal to the rows served — whether the
+shards are plain directories or sets of replicated copies.  A join does
 not decompose over a split corpus, so it is answered only on one source
 and refused with a ``PlanningError`` on more.
 """
@@ -120,20 +121,35 @@ def _assert_equivalent(engine, solo, texts, join, sources: int) -> None:
             engine.query(join)
 
 
-@pytest.mark.parametrize("shards", [1, 3, 8])
-def test_sharded_equals_solo(workload, shards) -> None:
+def layouts(*shard_counts: int) -> list:
+    """``(shards, replicas)``: plain shard directories (id ``3``), then the
+    same shards saved as 2 replicated copies each (id ``3x2``)."""
+    return [
+        pytest.param(shards, replicas, id=f"{shards}x{replicas}" if replicas else str(shards))
+        for replicas in (None, 2)
+        for shards in shard_counts
+    ]
+
+
+@pytest.mark.parametrize("shards, replicas", layouts(1, 3, 8))
+def test_sharded_equals_solo(workload, shards, replicas, tmp_path) -> None:
     _, schema, text, _, texts, join = workload
     solo = FileQueryEngine(schema, text)
     sharded = ShardedEngine.split(schema, text, shards)
-    _assert_equivalent(sharded, solo, texts, join, sources=len(sharded.shard_names))
+    sources = len(sharded.shard_names)
+    _assert_equivalent(sharded, solo, texts, join, sources=sources)
+    # replicated ≡ single: the same shards saved and reopened, N copies each.
+    sharded.save(tmp_path / "sidx", replicas=replicas)
+    saved = ShardedEngine.from_saved(schema, tmp_path / "sidx")
+    _assert_equivalent(saved, solo, texts, join, sources=sources)
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("shards, replicas", layouts(1, 3))
 def test_live_equals_rebuild_before_and_after_compaction(
-    workload, shards, tmp_path
+    workload, shards, replicas, tmp_path
 ) -> None:
     _, schema, text, records, texts, join = workload
-    ShardedEngine.split(schema, text, shards).save(tmp_path / "lidx")
+    ShardedEngine.split(schema, text, shards).save(tmp_path / "lidx", replicas=replicas)
     rebuild = FileQueryEngine(schema, text + "".join(records))
     live = LiveEngine.open(schema, tmp_path / "lidx")
     try:

@@ -18,14 +18,16 @@ from repro.index.persist import (
     load_manifest,
     load_replica_manifest,
     replica_dir_name,
-    replica_directories,
     save_replica_manifest,
 )
+from repro.live import LiveEngine
 from repro.resilience import DegradationPolicy
 from repro.resilience.breaker import BreakerConfig
-from repro.shard import ReplicaSet, ShardedEngine
+from repro.shard import ReplicaSet, ShardedEngine, scrub_index
 from repro.shard.manifest import load_shard_manifest
+from repro.shard.scrub import MANIFEST_DAMAGED, MANIFEST_REWRITTEN
 from repro.shard.split import split_corpus
+from repro.workloads.bibtex import generate_bibtex
 
 
 @pytest.fixture
@@ -51,7 +53,7 @@ class TestReplicatedLayout:
     def test_save_with_replicas_writes_sibling_copies(
         self, replicated_dir, corpus_text
     ) -> None:
-        names = [d.name for d in replica_directories(replicated_dir)]
+        names = [d.name for d in ReplicaSet.open(replicated_dir).copies]
         assert names == [replica_dir_name(0), replica_dir_name(1)]
         manifest = load_replica_manifest(replicated_dir)
         assert manifest["corpus_fingerprint"] == corpus_fingerprint(corpus_text)
@@ -60,7 +62,7 @@ class TestReplicatedLayout:
     def test_each_replica_is_a_complete_loadable_index(
         self, replicated_dir, schema, corpus_text, query_text, reference_rows
     ) -> None:
-        for directory in replica_directories(replicated_dir):
+        for directory in ReplicaSet.open(replicated_dir).copies:
             engine = FileQueryEngine.from_saved(schema, str(directory))
             assert engine.query(query_text).canonical_rows() == reference_rows
 
@@ -85,7 +87,9 @@ class TestReplicatedLayout:
         directory = tmp_path / "plain"
         FileQueryEngine(schema, corpus_text).save(str(directory))
         assert load_replica_manifest(directory) is None
-        assert ReplicaSet.open(directory) is None
+        plain = ReplicaSet.open(directory)
+        assert not plain.replicated
+        assert plain.copies == [directory]
 
     def test_damaged_replica_manifest_degrades_not_fails(
         self, replicated_dir
@@ -138,7 +142,7 @@ class TestReplicaSetRouting:
     def test_all_replicas_corrupt_raises_the_last_error(
         self, replicated_dir, schema, query_text
     ) -> None:
-        for directory in replica_directories(replicated_dir):
+        for directory in ReplicaSet.open(replicated_dir).copies:
             corrupt_copy(directory)
         replicas = ReplicaSet.open(replicated_dir)
         with pytest.raises(IndexCorruptError):
@@ -291,3 +295,144 @@ class TestInterruptedCommit:
             lambda d: FileQueryEngine.from_saved(schema, d).query(query_text)
         )
         assert load.replica_index == 0
+
+
+def test_live_open_and_scrub_finish_an_interrupted_fold_alike(
+    tmp_path, schema, corpus_text
+) -> None:
+    """Every copy of the tail shard folded, its set manifest one fold
+    behind: live recovery and scrub repair apply the same reconcile rule,
+    so both leave the same set manifest."""
+    directory = tmp_path / "lidx"
+    ShardedEngine.split(schema, corpus_text, 2).save(directory, replicas=2)
+    extra = generate_bibtex(entries=3, seed=99)
+    records = [
+        extra[child.start : child.end] + "\n\n"
+        for child in schema.parse(extra).children
+    ]
+
+    def crash(point: str) -> None:
+        if point == f"compact:replica-saved:{replica_dir_name(1)}":
+            raise RuntimeError(point)
+
+    live = LiveEngine.open(schema, directory, crash_hook=crash)
+    try:
+        for record in records:
+            live.append(record)
+        with pytest.raises(RuntimeError):
+            live.compact()
+    finally:
+        live.close()
+    tail = load_shard_manifest(directory).shards[-1].directory
+    behind = load_manifest(directory / tail)["corpus_fingerprint"]
+    folded = {
+        load_manifest(copy)["corpus_fingerprint"]
+        for copy in ReplicaSet.open(directory / tail).copies
+    }
+    assert len(folded) == 1 and behind not in folded
+
+    twin = tmp_path / "twin"
+    shutil.copytree(directory, twin)
+    LiveEngine.open(schema, directory).close()
+    scrub_index(schema, twin, repair=True)
+    reconciled = load_manifest(directory / tail)
+    assert reconciled == load_manifest(twin / tail)
+    assert reconciled["corpus_fingerprint"] in folded
+    assert reconciled["live"] == {"applied_seq": len(records)}
+
+
+# -- one rule for the replica count ---------------------------------------------
+
+
+class TestReplicaCount:
+    def test_save_refuses_fewer_than_two_copies(
+        self, tmp_path, schema, corpus_text
+    ) -> None:
+        engine = FileQueryEngine(schema, corpus_text)
+        for replicas in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 copies"):
+                engine.save(str(tmp_path / "idx"), replicas=replicas)
+        assert not (tmp_path / "idx").exists()
+
+    def test_a_one_copy_layout_already_on_disk_still_loads(
+        self, replicated_dir, schema, query_text, reference_rows
+    ) -> None:
+        fingerprint = load_replica_manifest(replicated_dir)["corpus_fingerprint"]
+        shutil.rmtree(replicated_dir / replica_dir_name(1))
+        save_replica_manifest(replicated_dir, fingerprint, [replica_dir_name(0)])
+        copies = ReplicaSet.open(replicated_dir)
+        assert copies.replicated and len(copies) == 1
+        engine = FileQueryEngine.from_saved(schema, str(replicated_dir))
+        assert engine.query(query_text).canonical_rows() == reference_rows
+
+
+# -- a malformed replica map is a damaged manifest ------------------------------
+
+#: Every probe asks for all 40 references.
+PROBE_TEXT = generate_bibtex(entries=40, seed=1)
+EVERY_REFERENCE = "SELECT r FROM Reference r"
+
+
+def break_replica_map(shard_dir) -> None:
+    """Leave a replicated manifest readable but its replica map malformed."""
+    path = shard_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["replicas"] = "replica-0,replica-1"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestMalformedReplicaMap:
+    @pytest.fixture
+    def damaged(self, tmp_path, schema):
+        """A 3-shard, 2-replica index whose first shard's map is malformed."""
+        directory = tmp_path / "sidx"
+        ShardedEngine.split(schema, PROBE_TEXT, 3).save(directory, replicas=2)
+        shard_dir = directory / load_shard_manifest(directory).shards[0].directory
+        break_replica_map(shard_dir)
+        return directory, shard_dir
+
+    def test_the_set_is_rebuilt_from_the_listing(self, damaged) -> None:
+        _, shard_dir = damaged
+        copies = ReplicaSet.open(shard_dir)
+        assert copies.replicated and copies.manifest_damaged
+        assert [copy.name for copy in copies.copies] == [
+            replica_dir_name(0),
+            replica_dir_name(1),
+        ]
+
+    def test_solo_serves_every_row(self, tmp_path, schema) -> None:
+        directory = tmp_path / "ridx"
+        FileQueryEngine(schema, PROBE_TEXT).save(str(directory), replicas=2)
+        break_replica_map(directory)
+        engine = FileQueryEngine.from_saved(schema, str(directory))
+        assert len(engine.query(EVERY_REFERENCE)) == 40
+
+    def test_sharded_serves_every_row_without_partial_result(
+        self, damaged, schema
+    ) -> None:
+        directory, _ = damaged
+        result = ShardedEngine.from_saved(schema, directory).query(EVERY_REFERENCE)
+        assert len(result) == 40
+        assert "partial-result" not in {w.code for w in result.warnings}
+
+    def test_scrub_reports_it_and_repair_rewrites_the_manifest(
+        self, damaged, schema
+    ) -> None:
+        directory, shard_dir = damaged
+        report = scrub_index(schema, directory)
+        assert [f.kind for f in report.findings] == [MANIFEST_DAMAGED]
+        repaired = scrub_index(schema, directory, repair=True)
+        assert [r.action for r in repaired.repairs] == [MANIFEST_REWRITTEN]
+        assert load_replica_manifest(shard_dir)["replicas"] == [
+            {"directory": replica_dir_name(0)},
+            {"directory": replica_dir_name(1)},
+        ]
+        assert scrub_index(schema, directory).clean
+
+    def test_live_open_succeeds(self, damaged, schema) -> None:
+        directory, _ = damaged
+        live = LiveEngine.open(schema, directory)
+        try:
+            assert len(live.query(EVERY_REFERENCE)) == 40
+        finally:
+            live.close()
