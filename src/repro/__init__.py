@@ -115,7 +115,7 @@ from repro.resilience import (
 from repro.rig import RegionInclusionGraph, derive_full_rig, derive_partial_rig
 from repro.schema import Grammar, StructuringSchema
 from repro.server import QueryServer, ServerConfig
-from repro.shard import ShardedEngine, ShardedStats, split_corpus
+from repro.shard import ShardedEngine, split_corpus
 from repro.text import Corpus, Document
 
 __version__ = "1.7.0"
@@ -166,7 +166,6 @@ __all__ = [
     "ReplanTriggered",
     # sharded execution
     "ShardedEngine",
-    "ShardedStats",
     "split_corpus",
     # unified engine API
     "AnalyzeResponse",

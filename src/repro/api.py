@@ -1,25 +1,25 @@
-"""The unified engine API: one request/response family for every caller.
+"""The unified engine API: one way to ask, one request/response family.
 
-Before this module each frontend spoke its own dialect: the CLI
-hand-assembled JSON envelopes from whichever engine result it got, and
-the query server (:mod:`repro.server`) would have been another.  Instead,
-this module pins **one request/response dataclass family** plus a
-:class:`QueryBackend` protocol that every engine satisfies (through
-:class:`~repro.core.engine.EngineBase`), so the server, the CLI, and
-library callers all speak one surface:
+Every engine — :class:`~repro.core.engine.FileQueryEngine`,
+:class:`~repro.shard.ShardedEngine`, :class:`~repro.live.LiveEngine` —
+satisfies the :class:`QueryBackend` protocol with one signature per
+method: ``query(query, budget=None)`` returns a
+:class:`~repro.core.engine.QueryResult`, ``explain(query)`` text,
+``analyze(query, budget=None)`` an :class:`~repro.obs.analyze.Analysis`
+and ``stats()`` a :class:`StatsResponse`.  The wire side is **one
+request/response dataclass family** plus the builders that turn an
+engine's answer into it; :meth:`repro.server.app.QueryServerApp._execute`
+is the one place a :class:`QueryRequest` becomes a call, and the CLI's
+``--json`` output uses the same builders, so both emit identical shapes:
 
 >>> from repro import FileQueryEngine, QueryRequest
+>>> from repro.api import query_response
 >>> from repro.workloads.bibtex import bibtex_schema, generate_bibtex
 >>> engine = FileQueryEngine(bibtex_schema(), generate_bibtex(entries=20))
->>> response = engine.query(QueryRequest("SELECT r.Key FROM Reference r"))
+>>> request = QueryRequest("SELECT r.Key FROM Reference r", page_size=5)
+>>> response = query_response(engine.query(request.query), request)
 >>> response.total_rows
 20
-
-The rich result remains available — passing query *text* (or a parsed
-:class:`~repro.db.query.Query`) returns one
-:class:`~repro.core.engine.QueryResult` from every engine.  Passing a
-:class:`QueryRequest` selects the
-unified surface and returns the wire-ready dataclasses below.
 
 Pagination
 ----------
@@ -47,6 +47,7 @@ from repro.errors import PaginationError
 from repro.resilience.budget import ResourceBudget
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids cycles)
+    from repro.core.engine import QueryResult
     from repro.obs.analyze import Analysis
 
 
@@ -151,8 +152,9 @@ class QueryRequest:
 
         Accepted keys: ``query`` (required), ``cursor``, ``page_size``,
         and ``budget`` — a ``{"deadline_ms", "max_regions",
-        "max_bytes_parsed"}`` object.  Anything else is rejected so typos
-        fail loudly instead of silently doing nothing.
+        "max_bytes_parsed"}`` object whose deadline is a non-negative
+        number and whose caps are non-negative integers.  Anything else is
+        rejected so typos fail loudly instead of silently doing nothing.
         """
         if not isinstance(data, Mapping):
             raise PaginationError(f"request body must be an object, got {type(data).__name__}")
@@ -178,6 +180,18 @@ class QueryRequest:
                 raise PaginationError(
                     f"unknown budget field(s): {', '.join(sorted(bad))}"
                 )
+            for name, value in raw_budget.items():
+                number = name == "deadline_ms"
+                # `not value >= 0` also refuses NaN.
+                if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float) if number else int)
+                    or not value >= 0
+                ):
+                    raise PaginationError(
+                        f"budget '{name}' must be a non-negative "
+                        f"{'number' if number else 'integer'}, got {value!r}"
+                    )
             deadline_ms = raw_budget.get("deadline_ms")
             budget = ResourceBudget(
                 deadline_s=deadline_ms / 1e3 if deadline_ms is not None else None,
@@ -278,25 +292,30 @@ class StatsResponse:
 
 @runtime_checkable
 class QueryBackend(Protocol):
-    """What a query-serving backend must answer.
+    """What a query-serving backend must answer: one signature per method.
 
     :class:`~repro.core.engine.FileQueryEngine`,
     :class:`~repro.shard.ShardedEngine` and :class:`~repro.live.LiveEngine`
-    satisfy this: given a :class:`QueryRequest` their
-    ``query``/``explain``/``analyze`` return the unified response
-    dataclasses, and ``stats()`` reports the :class:`StatsResponse`.  The server (and any other frontend) depends
-    only on this protocol — a test double is a four-method class.
+    satisfy this.  ``query`` is query text or a parsed
+    :class:`~repro.db.query.Query`; ``explain`` and ``analyze`` also accept
+    an executed :class:`~repro.core.engine.QueryResult`.  The server (and
+    any other frontend) depends only on this protocol — a test double is a
+    four-method class.
     """
 
-    def query(self, query: "QueryRequest", /) -> "QueryResponse":
-        """Execute one request, honoring its budget and pagination."""
+    def query(
+        self, query: "Query | str", budget: ResourceBudget | None = None
+    ) -> "QueryResult":
+        """Execute one query under ``budget``."""
         ...  # pragma: no cover - protocol
 
-    def explain(self, query: "QueryRequest", /) -> "ExplainResponse":
-        """Describe the plan for a request without executing it."""
+    def explain(self, query: "QueryResult | Query | str") -> str:
+        """Describe the plan for a query without executing it."""
         ...  # pragma: no cover - protocol
 
-    def analyze(self, query: "QueryRequest", /) -> "AnalyzeResponse":
+    def analyze(
+        self, query: "QueryResult | Query | str", budget: ResourceBudget | None = None
+    ) -> "Analysis":
         """EXPLAIN ANALYZE: execute and report estimates next to actuals."""
         ...  # pragma: no cover - protocol
 
@@ -305,7 +324,7 @@ class QueryBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
-# -- response builders (shared by engines, CLI, and server) -------------------------
+# -- response builders (shared by the CLI and the server) ---------------------------
 
 
 def paginate(
@@ -339,7 +358,7 @@ def paginate(
     return page, offset, next_cursor
 
 
-def query_response(result: Any, request: QueryRequest) -> QueryResponse:
+def query_response(result: "QueryResult", request: QueryRequest) -> QueryResponse:
     """Package an executed :class:`~repro.core.engine.QueryResult` into
     one page."""
     rendered = render_rows(result.rows)

@@ -760,6 +760,8 @@ MALFORMED_BODIES = [
     ("missing-query", b"{}"),
     ("wrong-types", b'{"query": 42}'),
     ("bad-budget", b'{"query": "SELECT r FROM Reference r", "budget": "fast"}'),
+    ("string-deadline", b'{"query": "SELECT r FROM Reference r", "budget": {"deadline_ms": "5"}}'),
+    ("negative-cap", b'{"query": "SELECT r FROM Reference r", "budget": {"max_regions": -1}}'),
     ("bad-cursor", b'{"query": "SELECT r FROM Reference r", "cursor": "zzz"}'),
 ]
 

@@ -34,8 +34,8 @@ Examples::
 
     # Sharded corpora: one isolated index per file (or per byte-balanced
     # chunk of one file), scatter-gather queries with partial results
-    python -m repro shard build --workload bibtex --out ./sidx --files a.bib b.bib
-    python -m repro shard build --workload bibtex --out ./sidx \
+    python -m repro index --workload bibtex --out ./sidx --files a.bib b.bib
+    python -m repro index --workload bibtex --out ./sidx \
         --file refs.bib --shards 8
     python -m repro query --workload bibtex --index ./sidx 'SELECT ...'
     python -m repro query --workload bibtex --index ./sidx \
@@ -44,15 +44,16 @@ Examples::
     # Replication: N complete copies per shard, breaker-aware failover on
     # read, and a scrubber that verifies checksums + corpus fingerprints
     # and heals damage from a verified peer (quarantining, never deleting)
-    python -m repro shard build --workload bibtex --out ./sidx \
+    python -m repro index --workload bibtex --out ./sidx \
         --file refs.bib --shards 4 --replicas 2
     python -m repro scrub --workload bibtex --index ./sidx
     python -m repro scrub --workload bibtex --index ./sidx --repair
 
 ``query``, ``explain``, ``analyze``, ``stats`` and ``serve`` pick the
 backend from what they can observe — ``--live``, a sharded ``--index``,
-anything else — and ``shard query|explain|analyze`` are the same handlers
-under their historical names.  ``query``, ``stats`` and ``analyze`` accept
+anything else — and ``shard build|query|explain|analyze`` are the
+``index``/``query``/``explain``/``analyze`` handlers under their historical
+names.  ``query``, ``stats`` and ``analyze`` accept
 ``--json`` for machine-readable output, assembled from the unified response
 dataclasses in :mod:`repro.api` — the exact shapes the query server
 emits (``analyze`` is validated in CI against
@@ -71,7 +72,7 @@ import json
 import sys
 from typing import Callable
 
-from repro.api import QueryRequest, query_response, render_value
+from repro.api import AnalyzeResponse, QueryRequest, query_response, render_value
 from repro.cache import CacheConfig, CacheStats
 from repro.core.engine import FileQueryEngine
 from repro.errors import ReproError
@@ -110,6 +111,12 @@ def _policy_from_args(args: argparse.Namespace) -> DegradationPolicy | None:
     if getattr(args, "degrade", False):
         return DegradationPolicy.degrade()
     return None  # the engine default
+
+
+def _config_from_args(args: argparse.Namespace) -> IndexConfig:
+    if getattr(args, "partial", None):
+        return IndexConfig.partial(set(args.partial.split(",")))
+    return IndexConfig.full()
 
 
 def _budget_from_args(args: argparse.Namespace) -> ResourceBudget | None:
@@ -188,10 +195,7 @@ def _backend_from_args(args: argparse.Namespace):
         raise SystemExit("either --file or --index is required")
     with open(file, "r", encoding="utf-8") as handle:
         text = handle.read()
-    config = IndexConfig.full()
-    if getattr(args, "partial", None):
-        config = IndexConfig.partial(set(args.partial.split(",")))
-    return FileQueryEngine(schema, text, config, **options)
+    return FileQueryEngine(schema, text, _config_from_args(args), **options)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -219,7 +223,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(" | ".join(render_value(value) for value in row))
     _print_warnings(result)
     stats = result.stats
-    if hasattr(stats, "shards"):
+    if stats.shards:
         footer = (
             f" from {stats.healthy_shards}/{len(stats.shards)} shard(s), "
             f"{stats.retries} retry(ies)"
@@ -243,7 +247,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     engine = _backend_from_args(args)
-    response = engine.analyze(QueryRequest(query=args.query))
+    response = AnalyzeResponse.from_analysis(engine.analyze(args.query))
     if getattr(args, "json", False):
         print(json.dumps(response.to_dict(), indent=2))
     else:
@@ -252,12 +256,40 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    engine = _backend_from_args(args)
+    """Build and save an index: a sharded one from ``--files F...`` or
+    ``--file F --shards N`` (the only kind ``shard build`` makes), a plain
+    one otherwise."""
     replicas = _replicas_from_args(args)
-    engine.save(args.out, source_path=args.file or None, replicas=replicas)
-    where = f"{args.out} ({replicas} replica(s))" if replicas else args.out
-    print(f"saved index to {where}", file=sys.stderr)
-    print(engine.statistics().summary())
+    if not (args.files or args.shards is not None or getattr(args, "sharded", False)):
+        engine = _backend_from_args(args)
+        engine.save(args.out, source_path=args.file or None, replicas=replicas)
+        where = f"{args.out} ({replicas} replica(s))" if replicas else args.out
+        print(f"saved index to {where}", file=sys.stderr)
+        print(engine.statistics().summary())
+        return 0
+    from repro.shard import ShardedEngine
+
+    schema = _schema_for(args.workload)
+    config = _config_from_args(args)
+    if args.files:
+        engine = ShardedEngine.from_paths(schema, args.files, config=config)
+    elif args.file:
+        if not args.shards or args.shards < 1:
+            raise SystemExit("--file needs --shards N (how many chunks to cut)")
+        with open(args.file, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        engine = ShardedEngine.split(schema, text, args.shards, config=config)
+    else:
+        raise SystemExit("either --files F [F ...] or --file F --shards N is required")
+    engine.save(args.out, replicas=replicas)
+    copies = f", {replicas} replica(s) each" if replicas else ""
+    print(
+        f"saved sharded index ({len(engine.shard_names)} shard(s){copies}) "
+        f"to {args.out}",
+        file=sys.stderr,
+    )
+    for name in engine.shard_names:
+        print(f"  {name}", file=sys.stderr)
     return 0
 
 
@@ -352,36 +384,6 @@ def _replicas_from_args(args: argparse.Namespace) -> int | None:
     except ValueError as error:
         raise SystemExit(f"--{error}") from None
     return replicas
-
-
-def _cmd_shard_build(args: argparse.Namespace) -> int:
-    from repro.shard import ShardedEngine
-
-    schema = _schema_for(args.workload)
-    config = IndexConfig.full()
-    if getattr(args, "partial", None):
-        config = IndexConfig.partial(set(args.partial.split(",")))
-    if args.files:
-        engine = ShardedEngine.from_paths(schema, args.files, config=config)
-    elif args.file:
-        if not args.shards or args.shards < 1:
-            raise SystemExit("--file needs --shards N (how many chunks to cut)")
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        engine = ShardedEngine.split(schema, text, args.shards, config=config)
-    else:
-        raise SystemExit("either --files F [F ...] or --file F --shards N is required")
-    replicas = _replicas_from_args(args)
-    engine.save(args.out, replicas=replicas)
-    copies = f", {replicas} replica(s) each" if replicas else ""
-    print(
-        f"saved sharded index ({len(engine.shard_names)} shard(s){copies}) "
-        f"to {args.out}",
-        file=sys.stderr,
-    )
-    for name in engine.shard_names:
-        print(f"  {name}", file=sys.stderr)
-    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -670,14 +672,31 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(analyze)
     analyze.set_defaults(handler=_cmd_analyze)
 
-    index = commands.add_parser("index", help="build and persist indexes")
-    add_common(index, with_query=False)
-    index.add_argument("--out", required=True, help="output directory")
-    index.add_argument(
-        "--replicas",
-        type=int,
-        help="persist N complete copies of the index (replica-{i}/ dirs)",
+    def add_index_options(sub: argparse.ArgumentParser) -> None:
+        add_common(sub, with_query=False)
+        sub.add_argument(
+            "--files", nargs="+", help="corpus files, one shard per file (sharded)"
+        )
+        sub.add_argument(
+            "--shards",
+            type=int,
+            help="with --file: cut it into N byte-balanced shards at record "
+            "boundaries (sharded)",
+        )
+        sub.add_argument("--out", required=True, help="output directory")
+        sub.add_argument(
+            "--replicas",
+            type=int,
+            help="persist N complete copies of the index (of every shard, "
+            "when sharded) under replica-{i}/ dirs; reads fail over between "
+            "them and scrub heals damage",
+        )
+
+    index = commands.add_parser(
+        "index",
+        help="build and persist indexes (sharded with --files or --shards)",
     )
+    add_index_options(index)
     index.set_defaults(handler=_cmd_index)
 
     stats = commands.add_parser("stats", help="index statistics")
@@ -809,35 +828,12 @@ def build_parser() -> argparse.ArgumentParser:
     build = shard_commands.add_parser(
         "build", help="build and persist one index per shard"
     )
-    build.add_argument("--workload", required=True, help="bibtex | logs | sgml")
-    build.add_argument(
-        "--files", nargs="+", help="corpus files, one shard per file"
-    )
-    build.add_argument(
-        "--file", help="single corpus file to cut into --shards chunks"
-    )
-    build.add_argument(
-        "--shards",
-        type=int,
-        help="with --file: number of byte-balanced chunks to cut "
-        "(at record boundaries)",
-    )
-    build.add_argument(
-        "--partial",
-        help="comma-separated non-terminals for partial region indexes",
-    )
-    build.add_argument(
-        "--replicas",
-        type=int,
-        help="persist N complete copies of every shard (replica-{i}/ "
-        "dirs); reads fail over between them and scrub heals damage",
-    )
-    build.add_argument("--out", required=True, help="output directory")
-    build.set_defaults(handler=_cmd_shard_build)
+    add_index_options(build)
+    build.set_defaults(handler=_cmd_index, sharded=True)
 
-    # `shard query|explain|analyze` are the top-level commands under their
-    # historical names — same options, same handlers, same output — except
-    # that they refuse an --index that is not sharded.
+    # `shard build|query|explain|analyze` are the top-level commands under
+    # their historical names — same options, same handlers, same output —
+    # except that they build or accept only a sharded index.
     shard_query = shard_commands.add_parser(
         "query", help="scatter-gather a query over all shards"
     )

@@ -31,14 +31,7 @@ from typing import TYPE_CHECKING
 
 from repro.algebra.counters import OperationCounters
 from repro.algebra.region import Instance, RegionSet
-from repro.api import (
-    AnalyzeResponse,
-    ExplainResponse,
-    QueryRequest,
-    QueryResponse,
-    StatsResponse,
-    query_response,
-)
+from repro.api import StatsResponse
 from repro.cache import CacheConfig, CacheStats
 from repro.core.partial import Execution, ExecutionStats, PlanExecutor
 from repro.core.planner import Plan, Planner
@@ -79,26 +72,34 @@ from repro.text.document import Corpus
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.feedback import FeedbackConfig, FeedbackHistory
-    from repro.shard.stats import ShardedStats
 
 
 @dataclass
 class QueryResult:
     """Rows, the plan, the statistics and the trace of one answer.
 
-    One corpus's answer carries its source ``regions`` and a
-    :class:`~repro.obs.stats.QueryStats`; an answer merged over several
-    sources (:class:`~repro.shard.ShardedEngine`) carries the per-source
-    ``shard_results`` and a :class:`~repro.shard.stats.ShardedStats`.
-    ``row_hashes`` holds the hash of each row's canonical key, in row order."""
+    Every answer's ``stats`` is a :class:`~repro.obs.stats.QueryStats`.
+    One corpus's answer also carries its source ``regions``; an answer
+    merged over several sources (:class:`~repro.shard.ShardedEngine`)
+    holds each source's record in ``stats.shards``.  ``row_hashes`` holds
+    the hash of each row's canonical key, in row order."""
 
     rows: list[tuple[Value, ...]]
     plan: Plan | None
-    stats: "QueryStats | ShardedStats"
+    stats: QueryStats
     regions: RegionSet | None = None
     trace: Trace | None = None
-    shard_results: "dict[str, QueryResult]" = field(default_factory=dict)
     row_hashes: list[int] = field(default_factory=list)
+
+    @property
+    def shard_results(self) -> "dict[str, QueryResult]":
+        """Each healthy source's own answer, by source name (empty for a
+        single corpus's answer)."""
+        return {
+            record.shard: record.result
+            for record in self.stats.shards
+            if record.result is not None
+        }
 
     @property
     def warnings(self) -> list[QueryWarning]:
@@ -128,8 +129,8 @@ class EngineBase:
     they run a query (``query``), which loaded single-corpus engines hold
     the indexes (``_engines``) and how they describe themselves
     (``_index_summary``, ``_backend``, ``_roster``); ``explain``,
-    ``analyze``, ``stats``, feedback persistence and the
-    :class:`~repro.api.QueryRequest` surface derive from those here.
+    ``analyze``, ``stats`` and feedback persistence — the rest of the
+    :class:`~repro.api.QueryBackend` surface — derive from those here.
     """
 
     #: The one corpus this engine answers for (``None`` when it spans
@@ -179,49 +180,34 @@ class EngineBase:
         else:
             self.feedback_history = FeedbackHistory()
 
-    def _respond(self, request: QueryRequest) -> QueryResponse:
-        """The unified :class:`~repro.api.QueryBackend` surface: run the
-        request's query under its budget, page the rows per its cursor."""
-        return query_response(
-            self.query(request.query, budget=request.budget), request
-        )
-
     def plan(self, query: Query | str) -> Plan:
         """Plan a query without executing it (on the first loadable shard:
         every shard shares the schema and index configuration)."""
         return self._engines(load=True)[0].planner.plan(query)
 
-    def explain(self, query) -> str | ExplainResponse:
+    def explain(self, query: "QueryResult | Query | str") -> str:
         """A human-readable account of the plan for a query, including the
         engine's cache state and, for sharded engines, the shard roster.
-
         Accepts an executed result (its plan is reused), query text or a
-        parsed :class:`Query`; a :class:`~repro.api.QueryRequest` returns
-        the wire-ready :class:`~repro.api.ExplainResponse` instead of text.
-        """
+        parsed :class:`Query`."""
         from repro.core.explain import explain_plan
 
-        if isinstance(query, QueryRequest):
-            return ExplainResponse(text=self.explain(query.query))
         plan = self.plan(query) if isinstance(query, (str, Query)) else query.plan
         described = explain_plan(plan, cache=self.cache_description())
         return "\n".join([described, *self._roster()])
 
     def analyze(
-        self, query, budget: ResourceBudget | None = None
-    ) -> Analysis | AnalyzeResponse:
-        """EXPLAIN ANALYZE: execute the query (or reuse an executed result)
-        and pair the static cost-model estimates with measured actuals —
-        per-stage wall-time/bytes from the trace, per-plan-node timing and
-        region counts from an instrumented evaluation on one healthy loaded
-        index, and for sharded engines the per-shard stats.  A
-        :class:`~repro.api.QueryRequest` executes under its budget and
-        returns the wire-ready :class:`~repro.api.AnalyzeResponse`.
+        self,
+        query: "QueryResult | Query | str",
+        budget: ResourceBudget | None = None,
+    ) -> Analysis:
+        """EXPLAIN ANALYZE: execute the query under ``budget`` (or reuse an
+        executed result) and pair the static cost-model estimates with
+        measured actuals — per-stage wall-time/bytes from the trace,
+        per-plan-node timing and region counts from an instrumented
+        evaluation on one healthy loaded index, and for sharded engines the
+        per-shard stats.
         """
-        if isinstance(query, QueryRequest):
-            return AnalyzeResponse.from_analysis(
-                self.analyze(query.query, budget=query.budget)
-            )
         if isinstance(query, (str, Query)):
             result = self.query(query, budget=budget)
         else:
@@ -687,18 +673,10 @@ class FileQueryEngine(EngineBase):
     # -- querying -----------------------------------------------------------------
 
     def query(
-        self,
-        query: QueryRequest | Query | str,
-        budget: ResourceBudget | None = None,
-    ) -> QueryResult | QueryResponse:
-        """Plan and execute a query.
-
-        Passing a :class:`~repro.api.QueryRequest` selects the unified
-        :class:`~repro.api.QueryBackend` surface: the request's budget and
-        cursor pagination apply, and the wire-ready
-        :class:`~repro.api.QueryResponse` comes back.  Query text (or a
-        parsed :class:`~repro.db.query.Query`) keeps the historical rich
-        :class:`QueryResult`.
+        self, query: Query | str, budget: ResourceBudget | None = None
+    ) -> QueryResult:
+        """Plan and execute a query (text or a parsed
+        :class:`~repro.db.query.Query`).
 
         When tracing is enabled (the default) the result carries a
         hierarchical :class:`~repro.obs.trace.Trace` of the pipeline —
@@ -713,8 +691,6 @@ class FileQueryEngine(EngineBase):
         policy, retries once through the unguarded full-scan pipeline under
         a ``degraded`` span.
         """
-        if isinstance(query, QueryRequest):
-            return self._respond(query)
         tracer = self._tracer()
         return self._run_plan(self.planner.plan(query, tracer=tracer), budget, tracer)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.algebra.counters import OperationCounters
@@ -84,6 +84,16 @@ class ExecutionStats:
     #: actual cardinality blew past its calibrated estimate and the
     #: executor abandoned the index strategy for a full scan.
     replans: list[dict] = field(default_factory=list)
+
+    def merge(self, other: "ExecutionStats") -> None:
+        """Fold another execution's counters into this one — every integer
+        field and the algebra tally (the gather sums its sources this way;
+        ``strategy``, ``warnings`` and ``replans`` are the caller's)."""
+        for spec in fields(self):
+            value = getattr(other, spec.name)
+            if isinstance(value, int):
+                setattr(self, spec.name, getattr(self, spec.name) + value)
+        self.algebra.merge(other.algebra)
 
     @property
     def cache_hits(self) -> int:

@@ -82,8 +82,8 @@ from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from typing import Any
 
-from repro.api import QueryResponse
 from repro.core.engine import FileQueryEngine, QueryResult
+from repro.db.query import Query
 from repro.errors import (
     DuplicateRequestError,
     JournalCorruptError,
@@ -575,16 +575,12 @@ class LiveEngine(ShardedEngine):
     # -- querying ---------------------------------------------------------------
 
     def query(
-        self,
-        query: Any,
-        budget: ResourceBudget | None = None,
-        fail_fast: bool | None = None,
-    ) -> QueryResult | QueryResponse:
+        self, query: Query | str, budget: ResourceBudget | None = None
+    ) -> QueryResult:
         """The sharded scatter-gather over the base shards and every dirty
         shard's delta source — the merged rows are those of a full rebuild
-        of the logical corpus.  A :class:`~repro.api.QueryRequest` returns
-        the wire-ready :class:`~repro.api.QueryResponse`."""
-        return super().query(query, budget=budget, fail_fast=fail_fast)
+        of the logical corpus."""
+        return super().query(query, budget=budget)
 
     def _sources(self) -> list[_Shard]:
         """The base shards, each dirty one followed by its delta source:

@@ -25,7 +25,13 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any, Mapping
 
-from repro.api import QueryBackend, QueryRequest
+from repro.api import (
+    AnalyzeResponse,
+    ExplainResponse,
+    QueryBackend,
+    QueryRequest,
+    query_response,
+)
 from repro.errors import (
     BudgetExceededError,
     DuplicateRequestError,
@@ -387,15 +393,23 @@ class QueryServerApp:
         return envelope
 
     def _execute(self, endpoint: str, request: QueryRequest) -> dict[str, Any]:
+        """The one place a :class:`~repro.api.QueryRequest` becomes a
+        backend call: the query text under the request's budget, the
+        answer packaged by the shared response builders."""
+        backend = self.backend
         if endpoint == "/query":
-            response = self.backend.query(request)
+            response = query_response(
+                backend.query(request.query, budget=request.budget), request
+            )
             return {"ok": True, "kind": "query", **response.to_dict()}
         if endpoint == "/explain":
-            response = self.backend.explain(request)
+            response = ExplainResponse(text=backend.explain(request.query))
             return {"ok": True, "kind": "explain", **response.to_dict()}
         # /analyze: instrumented re-execution; the quota still applies to
         # the primary execution via the request budget.
-        response = self.backend.analyze(request)
+        response = AnalyzeResponse.from_analysis(
+            backend.analyze(request.query, budget=request.budget)
+        )
         return {"ok": True, "kind": "analyze", "analysis": response.to_dict()}
 
     # -- errors ------------------------------------------------------------------

@@ -23,6 +23,7 @@ scrubber (:mod:`repro.shard.scrub`) quarantines and repairs damaged
 copies in the background.
 """
 
+from repro.obs.stats import FAILED, OK, SKIPPED, ShardExecution
 from repro.shard.engine import DEFAULT_MAX_PARALLEL, ShardedEngine
 from repro.shard.manifest import (
     ShardEntry,
@@ -41,7 +42,6 @@ from repro.shard.scrub import (
     scrub_index,
 )
 from repro.shard.split import split_corpus
-from repro.shard.stats import FAILED, OK, SKIPPED, ShardedStats, ShardExecution
 
 __all__ = [
     "DEFAULT_MAX_PARALLEL",
@@ -59,7 +59,6 @@ __all__ = [
     "ShardExecution",
     "ShardManifest",
     "ShardedEngine",
-    "ShardedStats",
     "is_sharded_index",
     "load_shard_manifest",
     "save_shard_manifest",

@@ -49,9 +49,9 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
-from repro.api import QueryRequest, QueryResponse
 from repro.cache import CacheConfig
 from repro.core.engine import EngineBase, FileQueryEngine, QueryResult
+from repro.core.partial import ExecutionStats
 from repro.core.planner import Plan
 from repro.db.parser import parse_query
 from repro.db.query import Query
@@ -60,6 +60,7 @@ from repro.errors import PlanningError, QueryError, ShardFailedError
 from repro.feedback import HISTORY_FILENAME, FeedbackConfig, FeedbackHistory
 from repro.index.config import IndexConfig
 from repro.index.persist import corpus_fingerprint, schema_fingerprint, source_record
+from repro.obs.stats import FAILED, OK, SKIPPED, QueryStats, ShardExecution
 from repro.obs.trace import Span, Trace
 from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.resilience.budget import ResourceBudget
@@ -85,7 +86,6 @@ from repro.shard.manifest import (
 )
 from repro.shard.replica import ReplicaSet
 from repro.shard.split import split_corpus
-from repro.shard.stats import FAILED, OK, SKIPPED, ShardedStats, ShardExecution
 
 #: Default ceiling on concurrently evaluating shards.
 DEFAULT_MAX_PARALLEL = 8
@@ -127,36 +127,18 @@ class _Shard:
 
 
 @dataclass
-class _Outcome:
-    """What one scatter task reported back for one shard."""
-
-    shard: str
-    status: str
-    result: QueryResult | None = None
-    error: BaseException | None = None
-    attempts: int = 0
-    retries: int = 0
-    started_at: float = 0.0
-    ended_at: float = 0.0
-    warnings: list[QueryWarning] = field(default_factory=list)
-    breaker: dict[str, Any] = field(default_factory=dict)
-    hedged: bool = False
-    winner: str | None = None
-
-
-@dataclass
 class _ShardTask:
     """One shard's in-flight scatter state: the primary attempt and, when
     hedging kicked in, its racing duplicate."""
 
     number: int
     shard: _Shard
-    primary: "Future[_Outcome]"
+    primary: "Future[ShardExecution]"
     dispatched_at: float
-    hedge: "Future[_Outcome] | None" = None
+    hedge: "Future[ShardExecution] | None" = None
     hedged_at: float | None = None
 
-    def futures(self) -> list["Future[_Outcome]"]:
+    def futures(self) -> list["Future[ShardExecution]"]:
         return [self.primary] if self.hedge is None else [self.primary, self.hedge]
 
 
@@ -467,13 +449,8 @@ class ShardedEngine(EngineBase):
     # -- querying --------------------------------------------------------------
 
     def query(
-        self,
-        query: QueryRequest | Query | str,
-        budget: ResourceBudget | None = None,
-        fail_fast: bool | None = None,
-        max_parallel: int | None = None,
-        hedge_after_s: float | None = None,
-    ) -> QueryResult | QueryResponse:
+        self, query: Query | str, budget: ResourceBudget | None = None
+    ) -> QueryResult:
         """Scatter the query over all sources, gather their set union.
 
         Row order is deterministic: each distinct row appears once, where
@@ -488,28 +465,13 @@ class ShardedEngine(EngineBase):
         small grace for its own meter to fire) is abandoned with a
         ``shard-timeout`` warning instead of hanging the request.
 
-        With ``hedge_after_s`` (here or engine-wide), a shard still
-        running after that many seconds is re-dispatched to a second
-        attempt; the first finished attempt wins and the merged result
-        carries a ``shard-hedged`` warning.  With ``fail_fast`` (here or
-        engine-wide) any unhealthy shard raises
-        :class:`~repro.errors.ShardFailedError` instead of degrading to a
-        partial result.
-
-        A :class:`~repro.api.QueryRequest` selects the unified
-        :class:`~repro.api.QueryBackend` surface and returns the
-        wire-ready :class:`~repro.api.QueryResponse` (the request's budget
-        applies per shard; pagination slices the merged rows).
+        With the engine's ``hedge_after_s``, a shard still running after
+        that many seconds is re-dispatched to a second attempt; the first
+        finished attempt wins and the merged result carries a
+        ``shard-hedged`` warning.  With the engine's ``fail_fast`` any
+        unhealthy shard raises :class:`~repro.errors.ShardFailedError`
+        instead of degrading to a partial result.
         """
-        if isinstance(query, QueryRequest):
-            return self._respond(query)
-        fail_fast = self.fail_fast if fail_fast is None else fail_fast
-        workers = max_parallel if max_parallel is not None else self.max_parallel
-        if workers < 1:
-            raise ValueError(f"max_parallel must be >= 1, got {workers!r}")
-        hedge_after = (
-            self.hedge_after_s if hedge_after_s is None else hedge_after_s
-        )
         holder: dict[str, Any] = {"lock": threading.Lock()}
         started = perf_counter()
         planning = next((e for e in self._engines() if not e.degraded), None)
@@ -533,8 +495,8 @@ class ShardedEngine(EngineBase):
         effective = budget if budget is not None else self.budget
         if effective is not None:
             effective = effective.started()  # mint the deadline once, here
-        outcomes = self._scatter(sources, query, effective, holder, workers, hedge_after)
-        return self._gather(sources, outcomes, holder, started, fail_fast)
+        outcomes = self._scatter(sources, query, effective, holder)
+        return self._gather(sources, outcomes, holder, started)
 
     def _sources(self) -> list[_Shard]:
         """This query's snapshot of what to scatter to, in document order."""
@@ -546,20 +508,19 @@ class ShardedEngine(EngineBase):
         query: Query | str,
         budget: ResourceBudget | None,
         holder: dict[str, Any],
-        workers: int,
-        hedge_after: float | None,
-    ) -> list[_Outcome]:
+    ) -> list[ShardExecution]:
         """Dispatch one task per source and gather their outcomes, hedging
         stragglers and abandoning anything still running past the
         absolute deadline (plus grace)."""
-        base = min(workers, len(sources))
+        hedge_after = self.hedge_after_s
+        base = min(self.max_parallel, len(sources))
         pool = ThreadPoolExecutor(
             # Headroom for hedge attempts: a hedge must never queue
             # behind the very straggler it is meant to outrun.
             max_workers=base * 2 if hedge_after is not None else base,
             thread_name_prefix="repro-shard",
         )
-        outcomes: list[_Outcome] = [None] * len(sources)  # type: ignore[list-item]
+        outcomes: list[ShardExecution] = [None] * len(sources)  # type: ignore[list-item]
         query_errors: list[tuple[int, BaseException]] = []
         try:
             tasks = [
@@ -634,13 +595,13 @@ class ShardedEngine(EngineBase):
         self,
         task: _ShardTask,
         query_errors: list[tuple[int, BaseException]],
-    ) -> _Outcome | None:
+    ) -> ShardExecution | None:
         """The task's final outcome, or ``None`` while it is undecided.
 
         First *successful* attempt wins; a failed attempt whose sibling
         is still running stays undecided (the hedge may yet save the
         shard)."""
-        finished: list[tuple[str, _Outcome | None]] = []
+        finished: list[tuple[str, ShardExecution | None]] = []
         for which, future in (("primary", task.primary), ("hedge", task.hedge)):
             if future is None or not future.done():
                 continue
@@ -681,7 +642,7 @@ class ShardedEngine(EngineBase):
 
     def _abandon_task(
         self, task: _ShardTask, budget: ResourceBudget | None
-    ) -> _Outcome:
+    ) -> ShardExecution:
         """Give up on a shard that produced nothing by the deadline: the
         attempt threads are detached (their eventual results discarded)
         and a releasable injected hang is woken so it fails fast."""
@@ -701,7 +662,7 @@ class ShardedEngine(EngineBase):
                 "budget": described,
             },
         )
-        return _Outcome(
+        return ShardExecution(
             shard=task.shard.name,
             status=FAILED,
             error=TimeoutError(
@@ -723,7 +684,7 @@ class ShardedEngine(EngineBase):
         budget: ResourceBudget | None,
         holder: dict[str, Any],
         attempt_offset: int = 0,
-    ) -> _Outcome:
+    ) -> ShardExecution:
         started = perf_counter()
         if budget is not None:
             # A shard dispatched (or hedged) late gets only the request's
@@ -738,7 +699,7 @@ class ShardedEngine(EngineBase):
                 f"{snapshot['state']} after {snapshot['trips']} trip(s)",
                 detail={"shard": shard.name, **snapshot},
             )
-            return _Outcome(
+            return ShardExecution(
                 shard=shard.name,
                 status=SKIPPED,
                 attempts=0,
@@ -789,7 +750,7 @@ class ShardedEngine(EngineBase):
                     "retries": [dict(event) for event in retry_log],
                 },
             )
-            return _Outcome(
+            return ShardExecution(
                 shard=shard.name,
                 status=FAILED,
                 error=error,
@@ -814,7 +775,7 @@ class ShardedEngine(EngineBase):
                     },
                 )
             )
-        return _Outcome(
+        return ShardExecution(
             shard=shard.name,
             status=OK,
             result=result,
@@ -822,19 +783,18 @@ class ShardedEngine(EngineBase):
             retries=len(retry_log),
             started_at=started,
             ended_at=perf_counter(),
-            warnings=warnings,
+            warnings=warnings + [inner.tagged(shard.name) for inner in result.warnings],
             breaker=shard.breaker.snapshot(),
         )
 
     def _gather(
         self,
         sources: list[_Shard],
-        outcomes: list[_Outcome],
+        outcomes: list[ShardExecution],
         holder: dict[str, Any],
         started: float,
-        fail_fast: bool,
     ) -> QueryResult:
-        if fail_fast:
+        if self.fail_fast:
             for outcome in outcomes:
                 if outcome.status == FAILED:
                     raise ShardFailedError(
@@ -850,32 +810,7 @@ class ShardedEngine(EngineBase):
                         attempts=0,
                     )
 
-        warnings: list[QueryWarning] = list(self._load_warnings)
-        records: list[ShardExecution] = []
-        shard_results: dict[str, QueryResult] = {}
-        for outcome in outcomes:
-            warnings.extend(outcome.warnings)
-            record = ShardExecution(
-                shard=outcome.shard,
-                status=outcome.status,
-                attempts=outcome.attempts,
-                retries=outcome.retries,
-                duration_s=max(0.0, outcome.ended_at - outcome.started_at),
-                breaker=outcome.breaker,
-                error=str(outcome.error) if outcome.error is not None else None,
-                warnings=list(outcome.warnings),
-            )
-            if outcome.result is not None:
-                shard_results[outcome.shard] = outcome.result
-                record.rows = len(outcome.result.rows)
-                record.strategy = outcome.result.stats.strategy
-                for inner in outcome.result.warnings:
-                    tagged = inner.tagged(outcome.shard)
-                    warnings.append(tagged)
-                    record.warnings.append(tagged)
-            records.append(record)
-
-        results = list(shard_results.values())
+        results = [o.result for o in outcomes if o.result is not None]
         unhealthy = [o for o in outcomes if o.status != OK]
         if not results:
             first = unhealthy[0]
@@ -888,8 +823,19 @@ class ShardedEngine(EngineBase):
                 attempts=first.attempts,
                 cause=first.error,
             ) from first.error
+        # The merged execution: the sum over the healthy sources, the
+        # sources' warnings in source order, each replan naming its source.
+        execution = ExecutionStats(strategy="sharded", warnings=list(self._load_warnings))
+        for outcome in outcomes:
+            execution.warnings.extend(outcome.warnings)
+            if outcome.result is not None:
+                execution.merge(outcome.result.stats.execution)
+                execution.replans.extend(
+                    {**replan, "shard": outcome.shard}
+                    for replan in outcome.result.stats.replans
+                )
         if unhealthy:
-            warnings.append(
+            execution.warnings.append(
                 QueryWarning(
                     PARTIAL_RESULT,
                     f"partial result: rows from {len(results)} of "
@@ -926,26 +872,21 @@ class ShardedEngine(EngineBase):
         else:
             rows = list(answered[0].rows) if answered else []
             row_hashes = answered[0].row_hashes if answered else []
+        execution.rows = len(rows)
         trace = self._build_trace(sources, outcomes, started) if self.tracing else None
-        stats = ShardedStats(
-            shards=records,
-            warnings=warnings,
-            duration_s=perf_counter() - started,
-            rows=len(rows),
-            trace=trace,
-            results=results,
+        stats = QueryStats(
+            execution, trace=trace, shards=outcomes, duration_s=perf_counter() - started
         )
         return QueryResult(
             rows=rows,
             plan=holder.get("plan"),
             stats=stats,
             trace=trace,
-            shard_results=shard_results,
             row_hashes=row_hashes,
         )
 
     def _build_trace(
-        self, sources: list[_Shard], outcomes: list[_Outcome], started: float
+        self, sources: list[_Shard], outcomes: list[ShardExecution], started: float
     ) -> Trace:
         """One ``shard:<name>`` span per source under a ``shard-query``
         root, each healthy source's own pipeline trace grafted beneath.
@@ -979,10 +920,7 @@ class ShardedEngine(EngineBase):
                     child.annotate(reason=event.reason)
                 span.children.append(child)
             if outcome.result is not None:
-                span.annotate(
-                    rows=len(outcome.result.rows),
-                    strategy=outcome.result.stats.strategy,
-                )
+                span.annotate(rows=outcome.rows, strategy=outcome.strategy)
                 if outcome.result.trace is not None:
                     span.children.append(outcome.result.trace.root)
             root.children.append(span)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import QueryRequest
+from repro.api import QueryRequest, query_response
 from repro.core.engine import FileQueryEngine
 from repro.errors import PlanningError
 from repro.index.config import IndexConfig
@@ -106,7 +106,7 @@ def workload(request):
 
 
 def _served(engine, text: str) -> tuple[list[list[str]], int]:
-    response = engine.query(QueryRequest(text))
+    response = query_response(engine.query(text), QueryRequest(text))
     assert response.stats["rows"] == response.total_rows, text
     return response.rows, response.total_rows
 

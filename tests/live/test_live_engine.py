@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import QueryRequest, QueryResponse
+from repro.api import QueryRequest, QueryResponse, query_response
 from repro.errors import JournalCorruptError, ParseError
 from repro.live import LiveEngine, WAL_SUBDIR, encode_frame, replay_journal
 from repro.shard.manifest import load_shard_manifest
@@ -80,8 +80,9 @@ def test_delta_segment_runs_under_the_request_budget(schema, saved_index, corpus
         assert "shard-failed" in codes and "partial-result" in codes
         (failed,) = [r for r in partial.stats.shards if r.status == "failed"]
         assert failed.shard == delta
+        live.fail_fast = True
         with pytest.raises(ShardFailedError):
-            live.query(QUERY, budget=budget, fail_fast=True)
+            live.query(QUERY, budget=budget)
     finally:
         live.close()
     live = open_live(schema, saved_index, policy=DegradationPolicy.degrade())
@@ -100,7 +101,8 @@ def test_query_request_returns_wire_response(schema, saved_index, records):
     live = open_live(schema, saved_index)
     try:
         live.append(records[0])
-        response = live.query(QueryRequest(query=QUERY))
+        request = QueryRequest(query=QUERY)
+        response = query_response(live.query(request.query), request)
         assert isinstance(response, QueryResponse)
         assert response.total_rows == len(live.query(QUERY).rows)
     finally:

@@ -1,5 +1,5 @@
 """The unified engine API: request/response family, cursors, pagination,
-protocol conformance, and the deprecation shims."""
+wire validation, protocol conformance, and the one answer shape."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.api import (
     AnalyzeResponse,
+    ExplainResponse,
     QueryBackend,
     QueryRequest,
     QueryResponse,
@@ -15,11 +16,17 @@ from repro.api import (
     encode_cursor,
     paginate,
     query_digest,
+    query_response,
     render_rows,
 )
+from repro.core.engine import FileQueryEngine
 from repro.errors import PaginationError
+from repro.live import LiveEngine
+from repro.obs.stats import QueryStats
 from repro.resilience import ResourceBudget
+from repro.server import QueryServerApp
 from repro.shard import ShardedEngine
+from repro.workloads.bibtex import generate_bibtex
 
 from tests.server.conftest import QUERY, SELECT_ALL
 
@@ -114,7 +121,51 @@ def test_from_dict_rejects_malformed_payloads(payload: dict) -> None:
         QueryRequest.from_dict(payload)
 
 
-# -- both engines satisfy the protocol -----------------------------------------
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"deadline_ms": "5"},
+        {"deadline_ms": True},
+        {"deadline_ms": -1},
+        {"deadline_ms": float("nan")},
+        {"max_regions": "x"},
+        {"max_regions": -1},
+        {"max_regions": 2.0},
+        {"max_regions": False},
+        {"max_bytes_parsed": 1.5},
+        {"max_bytes_parsed": "100"},
+    ],
+)
+def test_from_dict_rejects_malformed_budgets(budget: dict) -> None:
+    # A deadline is a non-negative number and a cap a non-negative
+    # integer; a bool is neither, and nothing is coerced.
+    with pytest.raises(PaginationError, match="budget"):
+        QueryRequest.from_dict({"query": SELECT_ALL, "budget": budget})
+
+
+def test_from_dict_accepts_fractional_deadline_and_null_limits() -> None:
+    request = QueryRequest.from_dict(
+        {"query": SELECT_ALL, "budget": {"deadline_ms": 2.5, "max_regions": None}}
+    )
+    assert request.budget == ResourceBudget(deadline_s=0.0025)
+
+
+@pytest.mark.parametrize(
+    "budget", [{"deadline_ms": "5"}, {"max_regions": "x"}, {"max_regions": -1}]
+)
+def test_malformed_wire_budget_is_a_400(engine, budget: dict) -> None:
+    app = QueryServerApp(engine)
+    try:
+        status, envelope = app.handle(
+            "POST", "/query", {"query": SELECT_ALL, "budget": budget}
+        )
+    finally:
+        app.close()
+    assert status == 400
+    assert envelope["error"]["code"] == "bad-request"
+
+
+# -- every engine satisfies the protocol ---------------------------------------
 
 
 def test_file_engine_satisfies_backend_protocol(engine) -> None:
@@ -125,9 +176,19 @@ def test_sharded_engine_satisfies_backend_protocol(schema, corpus_text) -> None:
     assert isinstance(ShardedEngine.split(schema, corpus_text, 2), QueryBackend)
 
 
+def test_live_engine_satisfies_backend_protocol(schema, corpus_text, tmp_path) -> None:
+    ShardedEngine.split(schema, corpus_text, 2).save(tmp_path / "lidx")
+    live = LiveEngine.open(schema, tmp_path / "lidx")
+    try:
+        assert isinstance(live, QueryBackend)
+    finally:
+        live.close()
+
+
 def test_request_rows_match_legacy_rendering(engine) -> None:
     legacy = engine.query(QUERY)
-    response = engine.query(QueryRequest(query=QUERY))
+    request = QueryRequest(query=QUERY)
+    response = query_response(engine.query(request.query), request)
     assert isinstance(response, QueryResponse)
     assert response.rows == render_rows(legacy.rows)
     assert response.total_rows == len(legacy.rows)
@@ -140,10 +201,6 @@ def test_request_rows_match_legacy_rendering(engine) -> None:
 
 @pytest.mark.parametrize("backend", ["file", "sharded", "live"])
 def test_stats_rows_equal_the_rows_served(backend, schema, corpus_text, tmp_path) -> None:
-    from repro.core.engine import FileQueryEngine
-    from repro.live import LiveEngine
-    from repro.workloads.bibtex import generate_bibtex
-
     # A projection whose values repeat across shards and in the delta.
     query = "SELECT r.Year FROM Reference r"
     appended = generate_bibtex(entries=6, seed=99)
@@ -160,7 +217,7 @@ def test_stats_rows_equal_the_rows_served(backend, schema, corpus_text, tmp_path
         engine = LiveEngine.open(schema, tmp_path / "lidx")
         for record in records:
             engine.append(record)
-    response = engine.query(QueryRequest(query=query))
+    response = query_response(engine.query(query), QueryRequest(query=query))
     assert response.stats["rows"] == response.total_rows
     assert len(set(map(tuple, response.rows))) == response.total_rows
     if backend == "live":
@@ -170,17 +227,17 @@ def test_stats_rows_equal_the_rows_served(backend, schema, corpus_text, tmp_path
 def test_sharded_request_rows_match_legacy_rendering(schema, corpus_text) -> None:
     sharded = ShardedEngine.split(schema, corpus_text, 4)
     legacy = sharded.query(QUERY)
-    response = sharded.query(QueryRequest(query=QUERY))
+    response = query_response(sharded.query(QUERY), QueryRequest(query=QUERY))
     assert response.rows == render_rows(legacy.rows)
     assert response.stats["strategy"] == "sharded"
 
 
 def test_request_pagination_reassembles_full_result(engine) -> None:
-    full = engine.query(QueryRequest(query=SELECT_ALL))
+    full = query_response(engine.query(SELECT_ALL), QueryRequest(query=SELECT_ALL))
     collected: list[list[str]] = []
     request = QueryRequest(query=SELECT_ALL, page_size=7)
     while True:
-        page = engine.query(request)
+        page = query_response(engine.query(request.query), request)
         assert page.row_start == len(collected)
         collected.extend(page.rows)
         if page.next_cursor is None:
@@ -191,13 +248,55 @@ def test_request_pagination_reassembles_full_result(engine) -> None:
 
 
 def test_explain_and_analyze_requests_return_wire_dataclasses(engine) -> None:
-    explain = engine.explain(QueryRequest(query=SELECT_ALL))
+    explain = ExplainResponse(text=engine.explain(SELECT_ALL))
     assert explain.to_dict()["lines"] == explain.text.splitlines()
     analysis = engine.analyze(SELECT_ALL)
-    response = engine.analyze(QueryRequest(query=SELECT_ALL))
+    response = AnalyzeResponse.from_analysis(engine.analyze(SELECT_ALL))
     assert isinstance(response, AnalyzeResponse)
     # The wire shape is the pinned analyze --json contract, verbatim.
     assert response.to_dict().keys() == analysis.to_dict().keys()
+
+
+#: The documented keys of every answer's ``stats.to_dict()``; a merged
+#: answer adds ``shards``.
+STATS_KEYS = {
+    "strategy", "rows", "candidate_regions", "result_regions", "bytes_parsed",
+    "values_built", "objects_filtered_out", "join_bytes_compared", "algebra",
+    "cache", "warnings", "replans", "duration_s", "trace",
+}
+
+
+@pytest.mark.parametrize("tracing", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("backend", ["file", "sharded", "live"])
+def test_one_answer_shape(backend, tracing, schema, corpus_text, tmp_path) -> None:
+    if backend == "file":
+        engine = FileQueryEngine(schema, corpus_text, tracing=tracing)
+    elif backend == "sharded":
+        engine = ShardedEngine.split(schema, corpus_text, 4, tracing=tracing)
+    else:
+        ShardedEngine.split(schema, corpus_text, 4).save(tmp_path / "lidx")
+        engine = LiveEngine.open(schema, tmp_path / "lidx", tracing=tracing)
+        appended = generate_bibtex(entries=1, seed=99)
+        engine.append(appended.strip() + "\n\n")  # one delta source
+    try:
+        stats = engine.query(SELECT_ALL).stats
+    finally:
+        if backend == "live":
+            engine.close()
+    assert isinstance(stats, QueryStats)
+    data = stats.to_dict()
+    merged = backend != "file"
+    assert set(data) == STATS_KEYS | ({"shards"} if merged else set())
+    assert (data["trace"] is not None) == tracing
+    if merged:
+        # The gather's wall time, measured with or without a trace.
+        assert data["duration_s"] > 0
+        names = [record["shard"] for record in data["shards"]]
+        assert len(names) == (5 if backend == "live" else 4)
+        summary = stats.summary()
+        assert all(name in summary for name in names)
+    else:
+        assert (data["duration_s"] > 0) == tracing
 
 
 def test_stats_response_keeps_cli_shape(engine) -> None:

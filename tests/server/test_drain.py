@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import QueryRequest, QueryResponse
+from repro.core.engine import QueryResult
+from repro.core.partial import ExecutionStats
+from repro.obs.stats import QueryStats
 from repro.errors import ServerDrainingError
 from repro.server import QueryServer, QueryServerApp, ServerConfig
 from repro.server.pool import WorkerPool
@@ -38,15 +40,15 @@ class _BlockingBackend:
         self.release = threading.Event()
         self.started = threading.Event()
 
-    def query(self, request: QueryRequest) -> QueryResponse:
+    def query(self, query, budget=None) -> QueryResult:
         self.started.set()
         self.release.wait(timeout=60)
-        return QueryResponse(rows=[["done"]], total_rows=1)
+        return QueryResult(rows=[], plan=None, stats=QueryStats(ExecutionStats("done")))
 
-    def explain(self, request):  # pragma: no cover - protocol filler
+    def explain(self, query):  # pragma: no cover - protocol filler
         raise NotImplementedError
 
-    def analyze(self, request):  # pragma: no cover - protocol filler
+    def analyze(self, query, budget=None):  # pragma: no cover - protocol filler
         raise NotImplementedError
 
     def stats(self):  # pragma: no cover - protocol filler

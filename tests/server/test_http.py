@@ -20,7 +20,10 @@ import pytest
 
 from check_schema import validate_envelope  # via conftest sys.path
 
-from repro.api import QueryRequest, QueryResponse, render_rows
+from repro.api import render_rows
+from repro.core.engine import QueryResult
+from repro.core.partial import ExecutionStats
+from repro.obs.stats import QueryStats
 from repro.core.engine import FileQueryEngine
 from repro.server import QueryServer, ServerConfig
 from repro.shard import ShardedEngine
@@ -142,15 +145,15 @@ class _SlowBackend:
         self.release = release
         self.started = threading.Event()
 
-    def query(self, request: QueryRequest) -> QueryResponse:
+    def query(self, query, budget=None) -> QueryResult:
         self.started.set()
         self.release.wait(timeout=60)
-        return QueryResponse(rows=[["slow"]], total_rows=1)
+        return QueryResult(rows=[], plan=None, stats=QueryStats(ExecutionStats("slow")))
 
-    def explain(self, request):  # pragma: no cover - protocol filler
+    def explain(self, query):  # pragma: no cover - protocol filler
         raise NotImplementedError
 
-    def analyze(self, request):  # pragma: no cover - protocol filler
+    def analyze(self, query, budget=None):  # pragma: no cover - protocol filler
         raise NotImplementedError
 
     def stats(self):  # pragma: no cover - protocol filler

@@ -102,9 +102,9 @@ def test_hedged_read_beats_a_slow_shard(
     # contract: the hedge fires, someone wins, rows stay byte-identical.
     fault = SlowShard(delay_s=0.25, shard="shard2")
     engine = ShardedEngine.split(
-        schema, corpus_text, N_SHARDS, fault_injector=fault
+        schema, corpus_text, N_SHARDS, fault_injector=fault, hedge_after_s=0.03
     )
-    result = engine.query(query_text, hedge_after_s=0.03)
+    result = engine.query(query_text)
     assert result.canonical_rows() == reference_rows  # hedging never loses rows
     codes = {warning.code for warning in result.warnings}
     assert codes == {SHARD_HEDGED}
@@ -133,11 +133,12 @@ def test_engine_wide_hedging_default(
 
 
 def test_healthy_shards_never_hedge(
-    schema, corpus_text, query_text, reference_rows, sharded_engine
+    schema, corpus_text, query_text, reference_rows
 ) -> None:
     # A generous hedge threshold over a healthy engine: no attempt runs
     # long enough to trigger it, so no hedges and no warnings.
-    result = sharded_engine.query(query_text, hedge_after_s=5.0)
+    engine = ShardedEngine.split(schema, corpus_text, N_SHARDS, hedge_after_s=5.0)
+    result = engine.query(query_text)
     assert result.canonical_rows() == reference_rows
     assert result.warnings == []
 
@@ -150,9 +151,9 @@ def test_negative_hedge_threshold_rejected(schema, corpus_text) -> None:
 def test_hedge_annotated_in_trace(schema, corpus_text, query_text) -> None:
     fault = SlowShard(delay_s=0.25, shard="shard1")
     engine = ShardedEngine.split(
-        schema, corpus_text, N_SHARDS, fault_injector=fault
+        schema, corpus_text, N_SHARDS, fault_injector=fault, hedge_after_s=0.03
     )
-    result = engine.query(query_text, hedge_after_s=0.03)
+    result = engine.query(query_text)
     assert result.trace is not None
     spans = [
         span

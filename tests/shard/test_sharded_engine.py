@@ -118,9 +118,10 @@ def test_unknown_class_falls_back_to_empty_full_scan(sharded_engine) -> None:
 
 
 def test_max_parallel_one_still_covers_all_shards(
-    sharded_engine, query_text, reference_rows
+    schema, corpus_text, query_text, reference_rows
 ) -> None:
-    result = sharded_engine.query(query_text, max_parallel=1)
+    engine = ShardedEngine.split(schema, corpus_text, 8, max_parallel=1)
+    result = engine.query(query_text)
     assert result.canonical_rows() == reference_rows
 
 
@@ -177,14 +178,6 @@ def test_fail_fast_raises_typed_error(saved_sharded, schema, query_text) -> None
         engine.query(query_text)
     assert info.value.shard == engine.shard_names[2]
     assert info.value.attempts >= 1
-
-
-def test_fail_fast_per_call_override(saved_sharded, schema, query_text) -> None:
-    corrupt_shard_corpus(saved_sharded, 0)
-    engine = ShardedEngine.from_saved(schema, saved_sharded)
-    assert engine.query(query_text).stats.failed_shards == 1  # tolerant default
-    with pytest.raises(ShardFailedError):
-        engine.query(query_text, fail_fast=True)
 
 
 # -- acceptance scenario 3: transient faults retried --------------------------

@@ -26,7 +26,6 @@ class TestExports:
         from repro import shard
 
         assert repro.ShardedEngine is shard.ShardedEngine
-        assert repro.ShardedStats is shard.ShardedStats
         assert repro.split_corpus is shard.split_corpus
         assert issubclass(repro.ShardFailedError, repro.ShardError)
         assert issubclass(repro.ShardError, repro.ReproError)
