@@ -39,7 +39,7 @@ import binascii
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Mapping, Protocol, TypeVar, runtime_checkable
 
 from repro.db.query import Query
 from repro.db.values import AtomicValue, ObjectValue, canonical
@@ -77,6 +77,8 @@ def render_rows(rows: list[tuple]) -> list[list[str]]:
 
 
 # -- pagination cursors -------------------------------------------------------------
+
+_Row = TypeVar("_Row")
 
 
 def query_digest(query_text: str) -> str:
@@ -328,9 +330,9 @@ class QueryBackend(Protocol):
 
 
 def paginate(
-    rendered: list[list[str]], request: QueryRequest
-) -> tuple[list[list[str]], int, str | None]:
-    """Slice rendered rows per the request's cursor/page_size.
+    rows: list[_Row], request: QueryRequest
+) -> tuple[list[_Row], int, str | None]:
+    """Slice rows (evaluated or rendered) per the request's cursor/page_size.
 
     Returns ``(page, row_start, next_cursor)``.  A cursor must carry the
     digest of the *same* query text — a token replayed against a
@@ -349,26 +351,23 @@ def paginate(
             )
         page_size = page_size if page_size is not None else token_page
     if page_size is None:
-        return rendered, 0, None
-    page = rendered[offset : offset + page_size]
+        return rows, 0, None
+    page = rows[offset : offset + page_size]
     end = offset + len(page)
-    next_cursor = (
-        encode_cursor(digest, end, page_size) if end < len(rendered) else None
-    )
+    next_cursor = encode_cursor(digest, end, page_size) if end < len(rows) else None
     return page, offset, next_cursor
 
 
 def query_response(result: "QueryResult", request: QueryRequest) -> QueryResponse:
     """Package an executed :class:`~repro.core.engine.QueryResult` into
-    one page."""
-    rendered = render_rows(result.rows)
-    page, row_start, next_cursor = paginate(rendered, request)
+    one page.  Only the page's rows are rendered."""
+    page, row_start, next_cursor = paginate(result.rows, request)
     return QueryResponse(
-        rows=page,
+        rows=render_rows(page),
         warnings=[warning.to_dict() for warning in result.warnings],
         stats=result.stats.to_dict(),
         row_start=row_start,
-        total_rows=len(rendered),
+        total_rows=len(result.rows),
         next_cursor=next_cursor,
     )
 

@@ -59,6 +59,17 @@ ENGINE_ENDPOINTS = {"/query", "/explain", "/analyze"}
 APPEND_ENDPOINT = "/append"
 
 
+def plain_error(status: int, code: str, message: str) -> tuple[int, dict[str, Any]]:
+    """An ``HTTPError`` envelope for a refusal that carries no detail (an
+    unknown endpoint, a wrong method, a malformed body or header)."""
+    return status, {
+        "ok": False,
+        "kind": "error",
+        "status": status,
+        "error": {"type": "HTTPError", "code": code, "message": message, "detail": {}},
+    }
+
+
 class _MethodNotAllowed(Exception):
     """Internal: wrong HTTP method for a known endpoint (→ 405)."""
 
@@ -242,7 +253,7 @@ class QueryServerApp:
         if path == APPEND_ENDPOINT:
             self._require(method, "POST", path)
             return self._append_envelope(body)
-        return self._plain_error(404, "not-found", f"no such endpoint: {path}")
+        return plain_error(404, "not-found", f"no such endpoint: {path}")
 
     def _require(self, method: str, expected: str, path: str) -> None:
         if method != expected:
@@ -332,14 +343,14 @@ class QueryServerApp:
         overloaded or draining server rejects appends the same way — but
         the body is ``{"record": "..."}`` rather than a query request."""
         if not callable(getattr(self.backend, "append", None)):
-            return self._plain_error(
+            return plain_error(
                 400,
                 "append-unsupported",
                 f"backend {type(self.backend).__name__} does not support "
                 "live appends; serve a live engine to enable /append",
             )
         if body is None or not isinstance(body.get("record"), str):
-            return self._plain_error(
+            return plain_error(
                 400, "bad-request", 'append needs a JSON body {"record": "..."}'
             )
         record = body["record"]
@@ -347,7 +358,7 @@ class QueryServerApp:
         if request_id is not None and (
             not isinstance(request_id, str) or not request_id
         ):
-            return self._plain_error(
+            return plain_error(
                 400, "bad-request", "request_id must be a non-empty string"
             )
         if self.draining:
@@ -420,19 +431,9 @@ class QueryServerApp:
         pending = self.admission.snapshot()["in_flight"]
         return self.stats.retry_after_s(pending, workers=self.config.workers)
 
-    def _plain_error(
-        self, status: int, code: str, message: str
-    ) -> tuple[int, dict[str, Any]]:
-        return status, {
-            "ok": False,
-            "kind": "error",
-            "status": status,
-            "error": {"type": "HTTPError", "code": code, "message": message, "detail": {}},
-        }
-
     def _error_envelope(self, error: Exception) -> tuple[int, dict[str, Any]]:
         if isinstance(error, _MethodNotAllowed):
-            return self._plain_error(405, "method-not-allowed", str(error))
+            return plain_error(405, "method-not-allowed", str(error))
         name = type(error).__name__
         detail: dict[str, Any] = {}
         if isinstance(error, ServerOverloadedError):

@@ -43,6 +43,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from pathlib import Path
@@ -119,6 +120,9 @@ class _Shard:
     engine: FileQueryEngine | None = None
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Held across a primary engine build, so that concurrent queries on a
+    #: cold shard build its engine once between them.
+    build_lock: threading.Lock = field(default_factory=threading.Lock)
     replica_set: ReplicaSet | None = None
     replica_events: list = field(default_factory=list)
     #: Whether the shard feeds (and plans by) the engine's shared feedback
@@ -395,20 +399,27 @@ class ShardedEngine(EngineBase):
     def _ensure_engine(self, shard: _Shard, attempt_offset: int = 0) -> FileQueryEngine:
         """Build or load the shard's engine (idempotent).
 
-        The load itself runs *outside* the shard lock — only the publish is
-        locked — so a hedge attempt can race the primary onto a different
-        replica instead of queueing behind a stuck load.  Failures leave
-        ``shard.engine`` unset so the next attempt — this query's retry, or
-        the next query — starts clean.
+        Primary attempts build one at a time under the shard's build lock:
+        a query that finds another mid-build waits and reuses its engine,
+        so concurrent queries on a cold shard — a live delta that an append
+        just replaced — pay for one build, not one each.  A hedge attempt
+        (``attempt_offset`` > 0) skips that queue, so it can race the
+        primary onto a different replica instead of waiting behind a stuck
+        load.  Failures leave ``shard.engine`` unset so the next attempt —
+        this query's retry, or the next query — starts clean.
         """
         with shard.lock:
             if shard.engine is not None:
                 return shard.engine
-        engine = self._load_shard_engine(shard, attempt_offset)
-        with shard.lock:
-            if shard.engine is None:
-                shard.engine = engine
-            return shard.engine
+        with nullcontext() if attempt_offset else shard.build_lock:
+            with shard.lock:
+                if shard.engine is not None:
+                    return shard.engine
+            engine = self._load_shard_engine(shard, attempt_offset)
+            with shard.lock:
+                if shard.engine is None:
+                    shard.engine = engine
+                return shard.engine
 
     def _load_shard_engine(
         self, shard: _Shard, attempt_offset: int = 0

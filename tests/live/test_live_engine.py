@@ -3,6 +3,9 @@ queries, compaction commit points, tail splitting, and crash recovery."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.api import QueryRequest, QueryResponse, query_response
@@ -36,6 +39,48 @@ def test_merged_rows_match_a_full_rebuild(schema, saved_index, corpus_text, reco
             live.append(record)
         merged = live.query(QUERY).canonical_rows()
         assert merged == rebuild_rows(schema, corpus_text + "".join(records))
+    finally:
+        live.close()
+
+
+def test_concurrent_queries_after_an_append_build_the_delta_once(
+    schema, saved_index, corpus_text, records, monkeypatch
+):
+    from repro.live.engine import DELTA_SUFFIX
+    from repro.shard import ShardedEngine
+
+    # Every query after an append finds a fresh delta source with no
+    # engine.  Two queries that meet it together must share one build:
+    # building it once per query doubles the work of exactly the requests
+    # that happen to overlap.
+    load = ShardedEngine._load_shard_engine
+    builds: list[str] = []
+    both_waiting = threading.Barrier(2)
+
+    def counting_load(self, shard, attempt_offset=0):
+        if shard.name.endswith(DELTA_SUFFIX):
+            builds.append(shard.name)
+            time.sleep(0.2)  # a slow build: the other query arrives mid-build
+        return load(self, shard, attempt_offset)
+
+    monkeypatch.setattr(ShardedEngine, "_load_shard_engine", counting_load)
+    live = open_live(schema, saved_index)
+    try:
+        live.append(records[0])
+        expected = rebuild_rows(schema, corpus_text + records[0])
+        answers: list[list] = []
+
+        def ask() -> None:
+            both_waiting.wait()
+            answers.append(live.query(QUERY).canonical_rows())
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert answers == [expected, expected]
+        assert len(builds) == 1
     finally:
         live.close()
 

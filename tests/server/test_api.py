@@ -18,6 +18,7 @@ from repro.api import (
     query_digest,
     query_response,
     render_rows,
+    render_value,
 )
 from repro.core.engine import FileQueryEngine
 from repro.errors import PaginationError
@@ -26,7 +27,7 @@ from repro.obs.stats import QueryStats
 from repro.resilience import ResourceBudget
 from repro.server import QueryServerApp
 from repro.shard import ShardedEngine
-from repro.workloads.bibtex import generate_bibtex
+from repro.workloads.bibtex import bibtex_schema, generate_bibtex
 
 from tests.server.conftest import QUERY, SELECT_ALL
 
@@ -79,6 +80,28 @@ def test_paginate_without_page_size_returns_everything() -> None:
     rows = [[str(n)] for n in range(4)]
     page, start, cursor = paginate(rows, QueryRequest(query="SELECT a"))
     assert (page, start, cursor) == (rows, 0, None)
+
+
+def test_query_response_renders_only_the_page(monkeypatch) -> None:
+    engine = FileQueryEngine(bibtex_schema(), generate_bibtex(entries=20))
+    query = "SELECT r.Key FROM Reference r"
+    result = engine.query(query)
+    everything = render_rows(result.rows)
+    assert len(everything) == 20
+    calls: list[object] = []
+
+    def counting(value):
+        calls.append(value)
+        return render_value(value)
+
+    monkeypatch.setattr("repro.api.render_value", counting)
+    first = query_response(result, QueryRequest(query=query, page_size=10))
+    assert len(calls) == 10
+    assert (first.rows, first.row_start, first.total_rows) == (everything[:10], 0, 20)
+    calls.clear()
+    last = query_response(result, QueryRequest(query=query, cursor=first.next_cursor))
+    assert len(calls) == 10
+    assert (last.rows, last.row_start, last.next_cursor) == (everything[10:], 10, None)
 
 
 # -- request validation --------------------------------------------------------

@@ -4,10 +4,12 @@ CLI's ``repro serve`` round trip."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -104,6 +106,69 @@ def test_malformed_json_body_is_400(server) -> None:
     envelope = json.load(excinfo.value)
     assert envelope["error"]["code"] == "bad-json"
     assert_conforms(envelope)
+
+
+def _raw_post(server, content_length: str, body: bytes = b"") -> tuple[int, str | None, dict]:
+    """POST /query with a verbatim ``Content-Length`` header over a raw
+    socket; returns (status, ``Connection`` header, envelope)."""
+    sock = socket.create_connection((server.host, server.port), timeout=5)
+    try:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+            + body
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, response.getheader("Connection"), json.loads(response.read())
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize("content_length", ["abc", "1e3", "-1", "+5", "1 2"])
+def test_malformed_content_length_is_400(server, content_length: str) -> None:
+    status, connection, envelope = _raw_post(
+        server, content_length, b'{"query": "SELECT r FROM Reference r"}'
+    )
+    assert (status, connection) == (400, "close")
+    assert envelope["error"]["code"] == "bad-request"
+    assert "Content-Length" in envelope["error"]["message"]
+    assert_conforms(envelope)
+
+
+def test_oversized_body_is_413_and_closes(server) -> None:
+    status, connection, envelope = _raw_post(server, str(9 * 1024 * 1024))
+    assert (status, connection) == (413, "close")
+    assert envelope["error"]["code"] == "payload-too-large"
+    assert_conforms(envelope)
+
+
+def test_keep_alive_round_trips_wait_on_no_tcp_timer(server) -> None:
+    """A response written as headers then body must not sit behind the
+    client's delayed ACK: with Nagle's algorithm on, every round trip on
+    a kept-alive connection took >= 40 ms."""
+    page = json.dumps({"query": "SELECT r.Key FROM Reference r", "page_size": 10})
+    whole = json.dumps({"query": "SELECT r FROM Reference r"})  # ~18 KB envelope
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    headers = {"Content-Type": "application/json"}
+
+    def round_trip(body: str) -> tuple[float, bytes]:
+        started = time.perf_counter()
+        connection.request("POST", "/query", body=body, headers=headers)
+        response = connection.getresponse()
+        data = response.read()
+        assert response.status == 200
+        return time.perf_counter() - started, data
+
+    try:
+        round_trip(page)  # warm the plan and parse caches
+        _, data = round_trip(whole)
+        assert len(data) > 16_000  # the whole-corpus answer spans segments
+        timings = [round_trip(body)[0] for _ in range(10) for body in (page, whole)]
+    finally:
+        connection.close()
+    assert statistics.median(timings) < 0.020, sorted(timings)
 
 
 def test_wrong_method_over_http_is_405(server) -> None:
