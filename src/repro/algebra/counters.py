@@ -5,7 +5,7 @@ significantly more expensive than the simple inclusion operation ⊃", Section
 3.1).  To make those costs observable without relying on wall-clock noise,
 every algebra operator reports its work to an :class:`OperationCounters`
 object: number of operator applications, region comparisons performed, and
-regions produced.  The benchmark harness reads these alongside timings.
+regions produced.  The paper-claims test asserts ratios of these tallies.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ The program is exact on *laminar* instances (no two indexed regions
 partially overlap) — which is what parse trees produce, the paper's
 application domain.  The evaluator's pairwise ``⊃d`` in
 :mod:`repro.algebra.ops` is the reference semantics for arbitrary instances;
-benchmark E3 runs both to expose the cost gap the paper describes.
+``tests/algebra/test_direct.py`` checks that the two agree when laminar.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Cache transparency: results are byte-identical with caching on or off.
 
-Seeded-random property test over the E1–E7 benchmark query suite (bibtex,
+Seeded-random property test over the E1–E7 paper-claim queries (bibtex,
 sgml, and log workloads).  For every query, an engine with ``CacheConfig()``
 and an engine with ``CacheConfig.disabled()`` over the same corpus must
 return identical ``canonical_rows()`` — in every interleaving order — and
@@ -33,7 +33,7 @@ from repro.workloads.logs import (
 )
 from repro.workloads.sgml import COMPACTION_QUERY, generate_sgml, sgml_schema
 
-# The E1–E7 query suite, grouped by the workload each benchmark runs on.
+# The E1–E7 paper-claim queries, grouped by workload.
 BIBTEX_QUERIES = [
     CHANG_AUTHOR_QUERY,  # E1/E2/E4/E8: indexed exact match
     CHANG_ANY_QUERY,  # E5: path variable (*X) closure

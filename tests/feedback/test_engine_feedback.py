@@ -5,12 +5,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import CacheConfig
 from repro.core.engine import FileQueryEngine
 from repro.feedback import FeedbackConfig, FeedbackHistory, HISTORY_FILENAME
 from repro.shard import ShardedEngine
 from repro.workloads.bibtex import bibtex_schema, generate_bibtex
 
 SELECT = 'SELECT r FROM Reference r WHERE r.Authors.Name.Last_Name = "Chang"'
+CITATION_JOIN = (
+    "SELECT r1.Key, r2.Key FROM Reference r1, Reference r2 "
+    "WHERE r1.Referred.RefKey = r2.Key "
+    'AND r2.Authors.Name.Last_Name = "Chang"'
+)
 QUERIES = [
     SELECT,
     'SELECT r.Title FROM Reference r WHERE r.Key = "Lamp93n"',
@@ -81,6 +87,38 @@ class TestAnalyzeFeedsHistory:
                 engine.query(query).canonical_rows()
                 == plain.query(query).canonical_rows()
             )
+
+
+def _work(engine: FileQueryEngine, query: str) -> tuple[int, set]:
+    """Deterministic work for one run (region comparisons plus bytes
+    parsed) and the canonical answer."""
+    result = engine.query(query)
+    work = result.stats.algebra.comparisons + result.stats.bytes_parsed
+    return work, result.canonical_rows()
+
+
+class TestCalibratedOptimizer:
+    def test_calibrated_optimizer_never_does_more_work(self):
+        """E10's regression, gated on work counters: once analyze runs
+        have calibrated the cost model, the optimizer does no more work
+        than the unoptimized pipeline, and answers the same."""
+        text = generate_bibtex(entries=100, seed=11)
+        no_cache = CacheConfig.disabled()
+        calibrated = FileQueryEngine(
+            bibtex_schema(), text, cache_config=no_cache, feedback=True
+        )
+        unoptimized = FileQueryEngine(
+            bibtex_schema(), text, cache_config=no_cache, optimize_expressions=False
+        )
+        for _ in range(3):
+            for query in (SELECT, CITATION_JOIN):
+                calibrated.analyze(query)
+        assert calibrated.cost_model.calibrated
+        for query in (SELECT, CITATION_JOIN):
+            with_work, with_rows = _work(calibrated, query)
+            without_work, without_rows = _work(unoptimized, query)
+            assert with_work <= without_work, query
+            assert with_rows == without_rows, query
 
 
 class TestPlanCacheInvalidation:

@@ -6,11 +6,19 @@ import importlib.util
 import json
 from pathlib import Path
 
+from repro.core.engine import FileQueryEngine
+from repro.workloads.bibtex import bibtex_schema
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SCHEMA_PATH = REPO_ROOT / "schemas" / "analyze.schema.json"
 CHECKER_PATH = REPO_ROOT / "scripts" / "check_schema.py"
 
 SELECT = 'SELECT r FROM Reference r WHERE r.Authors.Name.Last_Name = "Chang"'
+CITATION_JOIN = (
+    "SELECT r1.Key, r2.Key FROM Reference r1, Reference r2 "
+    "WHERE r1.Referred.RefKey = r2.Key "
+    'AND r2.Authors.Name.Last_Name = "Chang"'
+)
 
 
 def _load_checker():
@@ -25,10 +33,20 @@ def _schema() -> dict:
 
 
 class TestAnalyzeSchema:
-    def test_analyze_output_conforms(self, bibtex_engine):
+    def test_analyze_output_conforms(self, bibtex_engine, bibtex_text):
         checker = _load_checker()
         document = bibtex_engine.analyze(SELECT).to_dict()
         assert checker.validate(document, _schema()) == []
+        # A feedback-calibrated engine's documents conform too, the
+        # citation multi-join's included, and every node carries an estimate.
+        calibrated = FileQueryEngine(bibtex_schema(), bibtex_text, feedback=True)
+        for query in (SELECT, CITATION_JOIN):
+            calibrated.analyze(query)
+        assert calibrated.cost_model.calibrated
+        for query in (SELECT, CITATION_JOIN):
+            document = calibrated.analyze(query).to_dict()
+            assert checker.validate(document, _schema()) == []
+            assert all(node["estimated_rows"] is not None for node in document["nodes"])
 
     def test_empty_plan_output_conforms(self, bibtex_engine):
         checker = _load_checker()
