@@ -27,8 +27,6 @@ Package layout
 - :mod:`repro.workloads` — BibTeX / logs / SGML grammars and generators;
 - :mod:`repro.resilience` — degradation policies, budgets, retry/backoff,
   circuit breakers, fault injectors;
-- :mod:`repro.feedback` — feedback-calibrated cost model and adaptive
-  re-planning (persisted estimate-vs-actual history);
 - :mod:`repro.shard` — sharded corpora: scatter-gather queries over one
   fault-isolated engine + index per corpus file;
 - :mod:`repro.api` — the unified engine API: one request/response
@@ -95,14 +93,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.errors import ShardError, ShardFailedError
-from repro.errors import CalibrationCorruptError, FeedbackError
 from repro.errors import PaginationError, ServerError, ServerOverloadedError
-from repro.feedback import (
-    CalibratedCostModel,
-    FeedbackConfig,
-    FeedbackHistory,
-    ReplanTriggered,
-)
 from repro.resilience import (
     BreakerConfig,
     CircuitBreaker,
@@ -159,11 +150,6 @@ __all__ = [
     "ResourceBudget",
     "RetryPolicy",
     "call_with_retry",
-    # feedback calibration
-    "CalibratedCostModel",
-    "FeedbackConfig",
-    "FeedbackHistory",
-    "ReplanTriggered",
     # sharded execution
     "ShardedEngine",
     "split_corpus",
@@ -197,8 +183,6 @@ __all__ = [
     "IndexCorruptError",
     "IndexStaleError",
     "BudgetExceededError",
-    "FeedbackError",
-    "CalibrationCorruptError",
     "ShardError",
     "ShardFailedError",
     "PaginationError",

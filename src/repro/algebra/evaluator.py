@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.algebra import ops
 from repro.algebra.ast import (
@@ -128,14 +128,6 @@ class Evaluator:
         operator loop aborts with
         :class:`~repro.errors.BudgetExceededError` mid-expression instead
         of after the fact.
-    node_guard:
-        Optional callable ``guard(node, region_count)`` invoked after each
-        *computed* node (cache and memo hits are skipped — they were
-        guarded when first computed).  The evaluator treats it as opaque:
-        whatever it raises propagates.  The feedback subsystem uses this to
-        trigger mid-query adaptive re-planning
-        (:class:`~repro.feedback.ReplanTriggered`) without the algebra
-        layer importing it.
     """
 
     def __init__(
@@ -148,7 +140,6 @@ class Evaluator:
         region_cache: RegionCache | None = None,
         node_log: dict[RegionExpr, NodeRecord] | None = None,
         budget: "BudgetMeter | None" = None,
-        node_guard: "Callable[[RegionExpr, int], None] | None" = None,
     ) -> None:
         self._instance = instance
         self._words: WordLookup = word_lookup if word_lookup is not None else EmptyWordLookup()
@@ -159,7 +150,6 @@ class Evaluator:
         self._region_cache = region_cache
         self._node_log = node_log
         self._budget = budget
-        self._node_guard = node_guard
 
     @property
     def instance(self) -> Instance:
@@ -204,8 +194,6 @@ class Evaluator:
         result = self._evaluate_node(expression)
         if self._budget is not None:
             self._budget.charge_regions(len(result))
-        if self._node_guard is not None:
-            self._node_guard(expression, len(result))
         if self._memoize and not isinstance(expression, Name):
             self._memo[expression] = result
         if cache_key is not None:

@@ -270,13 +270,12 @@ class AnalyzeResponse:
 @dataclass
 class StatsResponse:
     """Backend statistics in wire form: index statistics, cache
-    configuration and lifetime activity, calibration state, and a
-    ``backend`` descriptor saying what kind of engine answered."""
+    configuration and lifetime activity, and a ``backend`` descriptor
+    saying what kind of engine answered."""
 
     index: dict[str, Any]
     cache_config: str
     cache: dict[str, Any]
-    calibration: dict[str, Any]
     backend: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -284,7 +283,6 @@ class StatsResponse:
             "index": self.index,
             "cache_config": self.cache_config,
             "cache": self.cache,
-            "calibration": self.calibration,
             "backend": self.backend,
         }
 
@@ -322,7 +320,7 @@ class QueryBackend(Protocol):
         ...  # pragma: no cover - protocol
 
     def stats(self) -> "StatsResponse":
-        """Index/cache/calibration statistics for this backend."""
+        """Index/cache statistics for this backend."""
         ...  # pragma: no cover - protocol
 
 

@@ -132,21 +132,6 @@ def _budget_from_args(args: argparse.Namespace) -> ResourceBudget | None:
     )
 
 
-def _feedback_from_args(args: argparse.Namespace):
-    """``--feedback`` / ``--feedback-dir`` → a
-    :class:`~repro.feedback.FeedbackConfig`, or ``None`` (= disabled, the
-    default: cold planning is byte-identical to a feedback-free build)."""
-    directory = getattr(args, "feedback_dir", None)
-    if not getattr(args, "feedback", False) and directory is None:
-        return None
-    from repro.feedback import FeedbackConfig
-
-    if directory is None and getattr(args, "index", None):
-        # Persist calibration next to the index it was learned against.
-        directory = args.index
-    return FeedbackConfig(directory=directory)
-
-
 def _backend_from_args(args: argparse.Namespace):
     """The one place a command line becomes a backend, chosen from what can
     be observed: ``--live`` (or a ``live`` subcommand) opens a
@@ -162,7 +147,6 @@ def _backend_from_args(args: argparse.Namespace):
             CacheConfig.disabled() if getattr(args, "no_cache", False) else CacheConfig()
         ),
         "policy": _policy_from_args(args),
-        "feedback": _feedback_from_args(args),
     }
     if getattr(args, "live", False):
         from repro.live import LiveEngine
@@ -389,7 +373,6 @@ def _replicas_from_args(args: argparse.Namespace) -> int | None:
 def _cmd_stats(args: argparse.Namespace) -> int:
     engine = _backend_from_args(args)
     response = engine.stats()
-    calibration = response.calibration
     if getattr(args, "json", False):
         print(json.dumps(response.to_dict(), indent=2))
         return 0
@@ -402,15 +385,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(engine.statistics().summary())
     print(f"cache:                  {response.cache_config}")
     print(CacheStats(**response.cache).summary())
-    if calibration["enabled"]:
-        state = "calibrated" if calibration["calibrated"] else "cold"
-        print(
-            f"feedback:               enabled ({state}: "
-            f"{calibration['observations']} observation(s) over "
-            f"{calibration['keys']} key(s), version {calibration['version']})"
-        )
-    else:
-        print("feedback:               disabled (--feedback to enable)")
     return 0
 
 
@@ -538,22 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_feedback(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--feedback",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help="calibrate the cost model from estimate-vs-actual history "
-            "fed by `analyze` runs (off by default: cold plans match a "
-            "feedback-free build)",
-        )
-        sub.add_argument(
-            "--feedback-dir",
-            dest="feedback_dir",
-            help="directory holding feedback.json (implies --feedback; "
-            "defaults to the --index directory when one is given)",
-        )
-
     def add_common(sub: argparse.ArgumentParser, with_query: bool) -> None:
         sub.add_argument("--workload", required=True, help="bibtex | logs | sgml")
         sub.add_argument("--file", help="corpus file to parse and index")
@@ -600,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="keep answering: full-scan past corrupt/stale indexes and "
             "blown budgets, skip malformed regions (warnings on stderr)",
         )
-        add_feedback(sub)
         if with_query:
             sub.add_argument("query", help="XSQL-subset query text")
 

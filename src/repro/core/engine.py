@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.algebra.counters import OperationCounters
 from repro.algebra.region import Instance, RegionSet
@@ -69,9 +68,6 @@ from repro.resilience.warnings import (
 )
 from repro.schema.structuring import StructuringSchema
 from repro.text.document import Corpus
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.feedback import FeedbackConfig, FeedbackHistory
 
 
 @dataclass
@@ -129,15 +125,9 @@ class EngineBase:
     they run a query (``query``), which loaded single-corpus engines hold
     the indexes (``_engines``) and how they describe themselves
     (``_index_summary``, ``_backend``, ``_roster``); ``explain``,
-    ``analyze``, ``stats`` and feedback persistence — the rest of the
+    ``analyze`` and ``stats`` — the rest of the
     :class:`~repro.api.QueryBackend` surface — derive from those here.
     """
-
-    #: The one corpus this engine answers for (``None`` when it spans
-    #: several shards, each calibrated under its own fingerprint).
-    corpus_fingerprint: str | None = None
-    feedback_config: "FeedbackConfig"
-    feedback_history: "FeedbackHistory"
 
     # -- what a subclass supplies -------------------------------------------------
 
@@ -159,26 +149,6 @@ class EngineBase:
         return []
 
     # -- the shared surface -------------------------------------------------------
-
-    def _open_feedback(
-        self,
-        feedback: "FeedbackConfig | bool | None",
-        feedback_history: "FeedbackHistory | None",
-    ) -> None:
-        """Resolve the feedback configuration and the history it feeds: the
-        one handed in, the one persisted under the configured directory, or
-        a fresh in-memory one."""
-        from repro.feedback import HISTORY_FILENAME, FeedbackConfig, FeedbackHistory
-
-        self.feedback_config = FeedbackConfig.coerce(feedback)
-        if feedback_history is not None:
-            self.feedback_history = feedback_history
-        elif self.feedback_config.enabled and self.feedback_config.directory:
-            self.feedback_history = FeedbackHistory.load_or_fresh(
-                Path(self.feedback_config.directory) / HISTORY_FILENAME
-            )
-        else:
-            self.feedback_history = FeedbackHistory()
 
     def plan(self, query: Query | str) -> Plan:
         """Plan a query without executing it (on the first loadable shard:
@@ -202,11 +172,11 @@ class EngineBase:
         budget: ResourceBudget | None = None,
     ) -> Analysis:
         """EXPLAIN ANALYZE: execute the query under ``budget`` (or reuse an
-        executed result) and pair the static cost-model estimates with
-        measured actuals — per-stage wall-time/bytes from the trace,
-        per-plan-node timing and region counts from an instrumented
-        evaluation on one healthy loaded index, and for sharded engines the
-        per-shard stats.
+        executed result) and pair the static cost-model estimates and cold
+        cardinality estimates (:mod:`repro.core.cost`) with measured
+        actuals — per-stage wall-time/bytes from the trace, per-plan-node
+        timing and region counts from an instrumented evaluation on one
+        healthy loaded index, and for sharded engines the per-shard stats.
         """
         if isinstance(query, (str, Query)):
             result = self.query(query, budget=budget)
@@ -226,20 +196,9 @@ class EngineBase:
             engine.index.run(
                 plan.optimized_expression, node_log=node_log, use_cache=False
             )
-            # Estimates are taken BEFORE feeding this run's actuals into the
-            # feedback history, so the report shows the deltas the planner
-            # actually faced (and calibration never grades its own homework)
-            # — against the instrumented engine's own fingerprint: per-shard
-            # keying is what makes the corrections honest.
             nodes = build_node_table(
-                plan.optimized_expression,
-                node_log,
-                estimator=engine.cost_model.estimate_rows,
+                plan.optimized_expression, node_log, engine.index.instance
             )
-            if engine.feedback_config.enabled and engine.cost_model.observe_tree(
-                plan.optimized_expression, node_log
-            ):
-                engine.save_feedback()
         return Analysis(
             plan=plan,
             stats=result.stats,
@@ -248,33 +207,16 @@ class EngineBase:
             cache=self.cache_description(),
         )
 
-    def save_feedback(self) -> None:
-        """Persist the feedback history when a directory is configured
-        (no-op otherwise — in-memory history lives with the engine)."""
-        if self.feedback_config.enabled and self.feedback_config.directory:
-            from repro.feedback import HISTORY_FILENAME
-
-            self.feedback_history.save(
-                Path(self.feedback_config.directory) / HISTORY_FILENAME
-            )
-
     def stats(self) -> StatsResponse:
         """Index statistics, cache configuration + lifetime activity summed
-        over the engines loaded so far, the feedback-calibration state and
-        the ``backend`` descriptor — one wire-ready object shared by the
-        CLI's ``stats --json`` and the server's ``GET /stats``."""
+        over the engines loaded so far and the ``backend`` descriptor — one
+        wire-ready object shared by the CLI's ``stats --json`` and the
+        server's ``GET /stats``."""
         engines = self._engines()
         return StatsResponse(
             index=self._index_summary(),
             cache_config=self._cache_config(engines),
             cache=self._cache_totals(engines).to_dict(),
-            calibration={
-                "enabled": self.feedback_config.enabled,
-                "calibrated": any(e.cost_model.calibrated for e in engines),
-                "fingerprint": self.corpus_fingerprint,
-                "directory": self.feedback_config.directory,
-                **self.feedback_history.snapshot(self.corpus_fingerprint),
-            },
             backend=self._backend(),
         )
 
@@ -327,8 +269,6 @@ class FileQueryEngine(EngineBase):
         tracing: bool = True,
         policy: DegradationPolicy | None = None,
         budget: ResourceBudget | None = None,
-        feedback: "FeedbackConfig | bool | None" = None,
-        feedback_history: "FeedbackHistory | None" = None,
     ) -> None:
         """Parse and index ``corpus`` under ``config``.  :meth:`from_saved`
         passes an already loaded (or, degraded, an empty)
@@ -362,26 +302,6 @@ class FileQueryEngine(EngineBase):
         self.text = self.index.text
         self.config = self.index.config
 
-        # Feedback calibration is opt-in (``feedback=None`` leaves it
-        # disabled).  The cost model itself is *always* constructed — a cold
-        # model is a pure function of the index (it seeds cardinalities from
-        # the instance) and powers the rows-vs-rows estimates in
-        # :meth:`analyze` — but only an *enabled* engine feeds history,
-        # plans under calibrated costs, or replans mid-query.
-        from repro.feedback import CalibratedCostModel
-        from repro.index.persist import corpus_fingerprint
-
-        self._open_feedback(feedback, feedback_history)
-        self.corpus_fingerprint = corpus_fingerprint(self.text)
-        self.cost_model = CalibratedCostModel(
-            self.index.instance,
-            self.corpus_fingerprint,
-            self.feedback_history,
-            config=self.feedback_config,
-            corpus_bytes=len(self.text),
-        )
-        active_model = self.cost_model if self.feedback_config.enabled else None
-
         # The corpus is immutable once indexed, so every cache layer (region
         # expressions, candidate parses, plans) is sound for the engine's
         # lifetime; ``CacheConfig.disabled()`` turns them all off.
@@ -398,7 +318,6 @@ class FileQueryEngine(EngineBase):
                 else 0
             ),
             cache_stats=self.cache_stats,
-            cost_model=active_model,
         )
         self._executor = PlanExecutor(
             self.schema,
@@ -406,7 +325,6 @@ class FileQueryEngine(EngineBase):
             self.translator,
             cache_config=self.cache_config,
             cache_stats=self.cache_stats,
-            cost_model=active_model,
         )
 
     # -- persistence ------------------------------------------------------------------
@@ -452,8 +370,6 @@ class FileQueryEngine(EngineBase):
         budget: ResourceBudget | None = None,
         source_text: str | None = None,
         source_path: str | os.PathLike[str] | None = None,
-        feedback: "FeedbackConfig | bool | None" = None,
-        feedback_history: "FeedbackHistory | None" = None,
     ) -> "FileQueryEngine":
         """Load a persisted engine, skipping the corpus re-parse.
 
@@ -483,8 +399,6 @@ class FileQueryEngine(EngineBase):
             cache_config=cache_config,
             tracing=tracing,
             budget=budget,
-            feedback=feedback,
-            feedback_history=feedback_history,
         )
         return ReplicaSet.open(directory).load_under(
             policy if policy is not None else DegradationPolicy(),

@@ -34,21 +34,14 @@ from repro.db.model import Database
 from repro.db.query import PathComparison, Query, TrueCondition
 from repro.db.values import ObjectValue, Value
 from repro.errors import CandidateParseError, ParseError, PlanningError
-from repro.feedback.calibrate import ReplanTriggered, make_node_guard
-from repro.feedback.history import ReplanEvent
 from repro.index.engine import IndexEngine
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.resilience.warnings import (
-    REPLANNED,
-    QueryWarning,
-    malformed_region_warning,
-)
+from repro.resilience.warnings import QueryWarning, malformed_region_warning
 from repro.schema.parser import ParseNode
 from repro.schema.pushdown import AnchoredTrie, InstantiationStats, PathTrie
 from repro.schema.structuring import StructuringSchema
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.feedback.calibrate import CalibratedCostModel
     from repro.resilience.budget import BudgetMeter
 
 
@@ -79,16 +72,11 @@ class ExecutionStats:
     #: Candidate regions that failed to re-parse (a subset of
     #: ``objects_filtered_out`` — corruption/staleness signal, not filtering).
     malformed_regions: int = 0
-    #: Mid-query adaptive re-planning decisions (dict records, see
-    #: :class:`~repro.feedback.history.ReplanEvent`): taken when a node's
-    #: actual cardinality blew past its calibrated estimate and the
-    #: executor abandoned the index strategy for a full scan.
-    replans: list[dict] = field(default_factory=list)
 
     def merge(self, other: "ExecutionStats") -> None:
         """Fold another execution's counters into this one — every integer
         field and the algebra tally (the gather sums its sources this way;
-        ``strategy``, ``warnings`` and ``replans`` are the caller's)."""
+        ``strategy`` and ``warnings`` are the caller's)."""
         for spec in fields(self):
             value = getattr(other, spec.name)
             if isinstance(value, int):
@@ -116,8 +104,6 @@ class ExecutionStats:
         ]
         if self.join_bytes_compared:
             lines.append(f"join bytes:        {self.join_bytes_compared}")
-        if self.replans:
-            lines.append(f"replans:           {len(self.replans)}")
         if self.warnings:
             lines.append(f"warnings:          {len(self.warnings)}")
         if self.cache_hits or self.cache_misses:
@@ -151,14 +137,10 @@ class PlanExecutor:
         translator: Translator,
         cache_config: CacheConfig | None = None,
         cache_stats: CacheStats | None = None,
-        cost_model: "CalibratedCostModel | None" = None,
     ) -> None:
         self._schema = schema
         self._engine = index_engine
         self._translator = translator
-        #: Optional feedback-calibrated cost model: enables the mid-query
-        #: replan guard and feeds actual cardinalities back into history.
-        self._cost_model = cost_model
         self._cache_config = cache_config if cache_config is not None else CacheConfig.disabled()
         self._cache_stats = cache_stats if cache_stats is not None else CacheStats()
         self._parse_memo: CandidateParseMemo | None = (
@@ -199,14 +181,7 @@ class PlanExecutor:
         expr_hits = self._cache_stats.expression_hits
         expr_misses = self._cache_stats.expression_misses
         with tracer.span("execute") as span:
-            try:
-                execution = self._dispatch(
-                    plan, use_cache, tracer, meter, skip_malformed
-                )
-            except ReplanTriggered as trigger:
-                execution = self._replan_full_scan(
-                    plan, trigger, use_cache, tracer, meter
-                )
+            execution = self._dispatch(plan, use_cache, tracer, meter, skip_malformed)
             stats = execution.stats
             stats.cache_expression_hits += (
                 self._cache_stats.expression_hits - expr_hits
@@ -245,68 +220,6 @@ class PlanExecutor:
             return self._execute_index(plan, use_cache, tracer, meter, skip_malformed)
         raise PlanningError(f"unknown strategy {plan.strategy!r}")
 
-    def _active_guard(self):
-        """The evaluator's per-node replan guard — armed only when the cost
-        model is calibrated (cold runs behave exactly as without feedback)."""
-        model = self._cost_model
-        if model is None or not model.config.enabled or not model.calibrated:
-            return None
-        return make_node_guard(model)
-
-    def _observe(self, expression, actual: int) -> None:
-        """Feed one actual cardinality back into the feedback history."""
-        model = self._cost_model
-        if model is not None and model.config.enabled:
-            model.observe(expression, actual)
-
-    def _replan_full_scan(
-        self,
-        plan: Plan,
-        trigger: ReplanTriggered,
-        use_cache: bool,
-        tracer: "Tracer | NullTracer",
-        meter: "BudgetMeter | None",
-    ) -> Execution:
-        """Adaptive mid-query re-planning: a node's actual cardinality blew
-        past its calibrated estimate, so the index strategy is abandoned
-        and the query re-runs through the full-scan pipeline (identical
-        rows — Theorem 3.6 equivalence; only costs change).  The blow-up is
-        recorded in history so the *next* plan is chosen under corrected
-        costs, and the decision surfaces as a ``replanned`` span, a
-        structured warning, and a ``stats.replans`` record."""
-        model = self._cost_model
-        assert model is not None  # the guard only exists with a model
-        event = ReplanEvent(
-            node=str(trigger.node),
-            estimated=trigger.estimated,
-            actual=trigger.actual,
-            factor=model.config.replan_factor,
-            from_strategy=plan.strategy,
-            to_strategy="full-scan",
-        )
-        self._observe(trigger.node, trigger.actual)
-        with tracer.span(
-            "replanned",
-            node=str(trigger.node),
-            estimated=trigger.estimated,
-            actual=trigger.actual,
-        ):
-            execution = self._execute_full_scan(plan, use_cache, tracer, meter)
-        stats = execution.stats
-        stats.strategy = "full-scan(replanned)"
-        stats.replans.append(event.to_dict())
-        stats.warnings.insert(
-            0,
-            QueryWarning(
-                REPLANNED,
-                f"node {trigger.node} produced {trigger.actual} regions "
-                f"(estimated {trigger.estimated:.1f}, over "
-                f"{model.config.replan_factor:g}x); replanned to full scan",
-                detail=event.to_dict(),
-            ),
-        )
-        return execution
-
     def _run_indexed(
         self,
         expression,
@@ -318,9 +231,7 @@ class PlanExecutor:
         """Evaluate a region expression under an ``index-eval`` span with
         per-algebra-operator child spans synthesized from the counters."""
         with tracer.span(label, **span_metrics) as span:
-            evaluation = self._engine.run(
-                expression, budget=meter, node_guard=self._active_guard()
-            )
+            evaluation = self._engine.run(expression, budget=meter)
             counters = evaluation.counters
             span.annotate(
                 regions=len(evaluation.result),
@@ -348,7 +259,6 @@ class PlanExecutor:
         stats.algebra = evaluation.counters
         candidates = evaluation.result
         stats.candidate_regions = len(candidates)
-        self._observe(plan.optimized_expression, len(candidates))
         return self._parse_filter_output(
             plan, candidates, stats, exact=plan.exact, use_cache=use_cache,
             tracer=tracer, meter=meter, skip_malformed=skip_malformed,
@@ -566,18 +476,7 @@ class PlanExecutor:
         database = Database()
         extents_by_var: dict[str, tuple[ObjectValue, ...]] = {}
         region_of: dict[int, Region] = {}
-        # Under calibration the planner orders narrowing work by ascending
-        # estimated cardinality (cheapest extents first) so an empty extent
-        # short-circuits the join before the expensive variables are even
-        # parsed.  Row *output* order is untouched: the database join below
-        # always iterates in ``query.sources`` order.
-        sources = list(query.sources)
-        if plan.join_order:
-            by_var = {source.var: source for source in sources}
-            scheduled = [by_var[var] for var in plan.join_order if var in by_var]
-            scheduled += [s for s in sources if s.var not in plan.join_order]
-            sources = scheduled
-        for source in sources:
+        for source in query.sources:
             expression = plan.per_variable.get(source.var)
             if expression is None:
                 candidates = self._engine.instance.get(source.class_name)
@@ -589,16 +488,7 @@ class PlanExecutor:
                 )
                 stats.algebra.merge(evaluation.counters)
                 candidates = evaluation.result
-                self._observe(expression, len(candidates))
             stats.candidate_regions += len(candidates)
-            if plan.join_order and not candidates:
-                # Any empty extent makes the cross product empty; skip the
-                # remaining variables' narrowing and parsing entirely.
-                stats.rows = 0
-                stats.result_regions = 0
-                return Execution(
-                    rows=[], regions=RegionSet.empty(), stats=stats
-                )
             trie = self._translator.needed_paths(query, var=source.var)
             parsed = self._parse_candidates(
                 source.class_name, candidates, trie, stats, use_cache=use_cache,

@@ -24,8 +24,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
-
 from repro.algebra.ast import RegionExpr
 from repro.cache import CacheStats
 from repro.core.optimizer import OptimizationTrace, optimize
@@ -41,9 +39,6 @@ from repro.db.query import (
     split_conjuncts,
 )
 from repro.rig.graph import RegionInclusionGraph
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.feedback.calibrate import CalibratedCostModel
 
 
 @dataclass
@@ -62,17 +57,6 @@ class Plan:
     #: variable (``None`` entry = no narrowing, take the whole extent).
     per_variable: dict[str, RegionExpr | None] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    #: Calibrated estimated output cardinality of ``optimized_expression``
-    #: (``None`` when planned without a cost model).
-    estimated_rows: float | None = None
-    #: Multi-variable plans: estimated candidate cardinality per variable.
-    variable_estimates: dict[str, float] = field(default_factory=dict)
-    #: Multi-variable plans under calibration: the variables ordered by
-    #: ascending estimated cardinality.  The executor *schedules* narrowing
-    #: and parsing in this order (cheap extents first, so an empty one
-    #: short-circuits the join); row output order is unaffected — the
-    #: database join always iterates in ``query.sources`` order.
-    join_order: list[str] = field(default_factory=list)
 
 
 class Planner:
@@ -90,7 +74,6 @@ class Planner:
         optimize_expressions: bool = True,
         plan_cache_size: int = 0,
         cache_stats: CacheStats | None = None,
-        cost_model: "CalibratedCostModel | None" = None,
     ) -> None:
         self._translator = translator
         self._rig = translator.effective_rig()
@@ -103,16 +86,6 @@ class Planner:
         self._plan_cache: OrderedDict[str, Plan] = OrderedDict()
         self._plan_cache_lock = threading.Lock()
         self._cache_stats = cache_stats if cache_stats is not None else CacheStats()
-        #: Optional feedback-calibrated cost model.  With no history for the
-        #: corpus it is inert (:attr:`CalibratedCostModel.calibrated` is
-        #: false), so cold planning matches the static rewrite ordering.
-        self._cost_model = cost_model
-        #: The calibration version the cached plans were chosen under; a
-        #: material history change invalidates them (never serve a plan
-        #: chosen under stale costs).
-        self._calibration_version = (
-            cost_model.history.version if cost_model is not None else 0
-        )
 
     @property
     def translator(self) -> Translator:
@@ -137,21 +110,9 @@ class Planner:
             self._plan_cache.clear()
         return dropped
 
-    def _check_calibration_version(self) -> None:
-        """Invalidate cached plans when the feedback history has moved
-        materially since they were chosen (stale-cost protection)."""
-        if self._cost_model is None:
-            return
-        current = self._cost_model.history.version
-        with self._plan_cache_lock:
-            if current != self._calibration_version:
-                self._calibration_version = current
-                self._plan_cache.clear()
-
     def _plan_traced(self, query: Query | str, tracer, plan_span) -> Plan:
         cache_key: str | None = None
         if isinstance(query, str):
-            self._check_calibration_version()
             if self._plan_cache_size > 0:
                 with self._plan_cache_lock:
                     cached = self._plan_cache.get(query)
@@ -205,9 +166,6 @@ class Planner:
                 span.annotate(rewrites=trace.rewrite_count)
         else:
             optimized = translated.expression
-        optimized, calibration_notes = self._calibrated_expression_choice(
-            translated.expression, optimized
-        )
         if is_trivially_empty(optimized, self._rig):
             return Plan(
                 strategy="empty",
@@ -220,7 +178,6 @@ class Planner:
                 notes=translated.notes
                 + ["expression is trivially empty on every instance (Prop. 3.3)"],
             )
-        estimated_rows = self._estimate(optimized)
         join = self._join_condition(query)
         if join is not None:
             return Plan(
@@ -232,77 +189,18 @@ class Planner:
                 trace=trace,
                 exact=False,  # the executor refines this
                 join_condition=join,
-                notes=translated.notes + calibration_notes,
-                estimated_rows=estimated_rows,
+                notes=list(translated.notes),
             )
-        strategy = "index-exact" if translated.exact else "index-candidates"
-        if strategy == "index-candidates":
-            scan_note = self._calibrated_scan_choice(optimized, query.source_class)
-            if scan_note is not None:
-                return Plan(
-                    strategy="full-scan",
-                    query=query,
-                    translated=translated,
-                    raw_expression=translated.expression,
-                    optimized_expression=optimized,
-                    trace=trace,
-                    notes=translated.notes + calibration_notes + [scan_note],
-                    estimated_rows=estimated_rows,
-                )
         return Plan(
-            strategy=strategy,
+            strategy="index-exact" if translated.exact else "index-candidates",
             query=query,
             translated=translated,
             raw_expression=translated.expression,
             optimized_expression=optimized,
             trace=trace,
             exact=translated.exact,
-            notes=list(translated.notes) + calibration_notes,
-            estimated_rows=estimated_rows,
+            notes=list(translated.notes),
         )
-
-    # -- calibrated decisions (inert until history exists) --------------------
-
-    def _estimate(self, expression: RegionExpr | None) -> float | None:
-        if self._cost_model is None or expression is None:
-            return None
-        return self._cost_model.estimate_rows(expression)
-
-    def _calibrated_expression_choice(
-        self, raw: RegionExpr | None, optimized: RegionExpr
-    ) -> tuple[RegionExpr, list[str]]:
-        """Keep whichever of the translated and the rewrite-optimized form
-        is cheaper under calibrated costs.  Cold (no history) this is a
-        no-op: the rewrite ordering already minimizes calibrated cost on an
-        empty history (property-tested), so the optimized form wins."""
-        model = self._cost_model
-        if model is None or not model.calibrated or raw is None or raw == optimized:
-            return optimized, []
-        winner, winner_cost, loser_cost = model.choose(raw, optimized)
-        if winner == optimized or loser_cost is None:
-            return optimized, []
-        return winner, [
-            "calibrated: kept translated expression "
-            f"(cost {winner_cost:.0f} < rewritten {loser_cost:.0f})"
-        ]
-
-    def _calibrated_scan_choice(
-        self, optimized: RegionExpr, source_class: str
-    ) -> str | None:
-        """Flip index-candidates to full-scan when history says parsing the
-        estimated candidates costs more bytes than parsing the corpus once
-        (answers are identical either way — only cost changes)."""
-        model = self._cost_model
-        if model is None or not model.calibrated or not model.corpus_bytes:
-            return None
-        estimated_bytes = model.estimated_parse_bytes(optimized, source_class)
-        if estimated_bytes > model.corpus_bytes:
-            return (
-                "calibrated: full scan cheaper than candidates "
-                f"(est. {estimated_bytes:.0f} candidate bytes > "
-                f"{model.corpus_bytes} corpus bytes)"
-            )
-        return None
 
     def _plan_multi(
         self, query: Query, tracer: "Tracer | NullTracer" = NULL_TRACER
@@ -356,9 +254,6 @@ class Planner:
                     span.annotate(rewrites=trace.rewrite_count)
             else:
                 optimized = translated.expression
-            optimized, calibration_notes = self._calibrated_expression_choice(
-                translated.expression, optimized
-            )
             if is_trivially_empty(optimized, self._rig):
                 return Plan(
                     strategy="empty",
@@ -368,51 +263,13 @@ class Planner:
                 )
             per_variable[source.var] = optimized
             notes.extend(translated.notes)
-            notes.extend(f"{source.var}: {note}" for note in calibration_notes)
-        variable_estimates, join_order = self._calibrated_join_order(
-            query, per_variable, notes
-        )
         return Plan(
             strategy="index-multi",
             query=query,
             per_variable=per_variable,
             exact=False,
             notes=notes,
-            variable_estimates=variable_estimates,
-            join_order=join_order,
         )
-
-    def _calibrated_join_order(
-        self,
-        query: Query,
-        per_variable: dict[str, RegionExpr | None],
-        notes: list[str],
-    ) -> tuple[dict[str, float], list[str]]:
-        """Estimate each variable's candidate cardinality and, under
-        calibration, order narrowing work by ascending estimate (cheapest
-        extent first — an empty one short-circuits the whole join)."""
-        model = self._cost_model
-        if model is None:
-            return {}, []
-        estimates: dict[str, float] = {}
-        for source in query.sources:
-            expression = per_variable.get(source.var)
-            if expression is not None:
-                estimates[source.var] = model.estimate_rows(expression)
-            else:
-                estimates[source.var] = float(model.region_count(source.class_name))
-        if not model.calibrated:
-            return estimates, []
-        natural = [source.var for source in query.sources]
-        join_order = sorted(natural, key=lambda var: (estimates[var], natural.index(var)))
-        if join_order != natural:
-            notes.append(
-                "calibrated: narrowing order "
-                + " → ".join(
-                    f"{var}~{estimates[var]:.0f}" for var in join_order
-                )
-            )
-        return estimates, join_order
 
     def _join_condition(self, query: Query) -> PathComparison | None:
         """Use the join strategy only for a lone equality path comparison."""

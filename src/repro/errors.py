@@ -326,35 +326,6 @@ class ServerDrainingError(ServerError):
         super().__init__(f"server draining: {reason}")
 
 
-class FeedbackError(ReproError):
-    """Errors in the feedback-calibration subsystem (see
-    :mod:`repro.feedback`)."""
-
-
-class CalibrationCorruptError(FeedbackError):
-    """A persisted calibration history failed its integrity checks.
-
-    Calibration only *steers* plans — answers stay correct either way — so
-    callers may treat this as "start cold" rather than fatal; the error is
-    typed so that choice is explicit, never silent.
-
-    Attributes
-    ----------
-    path:
-        The file that failed to load.
-    reason:
-        What was wrong: bad JSON, checksum mismatch, unsupported format,
-        malformed records.
-    """
-
-    def __init__(self, path: str, reason: str) -> None:
-        self.path = str(path)
-        self.reason = reason
-        super().__init__(
-            f"calibration history at {self.path!r} is corrupt: {reason}"
-        )
-
-
 class BudgetExceededError(ReproError):
     """Query execution exceeded its :class:`~repro.resilience.ResourceBudget`.
 

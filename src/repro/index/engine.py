@@ -9,7 +9,7 @@ times.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.algebra.ast import RegionExpr, parse_expression
 from repro.algebra.counters import OperationCounters
@@ -90,7 +90,6 @@ class IndexEngine:
         node_log: dict[RegionExpr, NodeRecord] | None = None,
         use_cache: bool = True,
         budget: "BudgetMeter | None" = None,
-        node_guard: "Callable[[RegionExpr, int], None] | None" = None,
     ) -> Evaluator:
         return Evaluator(
             self.instance,
@@ -100,7 +99,6 @@ class IndexEngine:
             region_cache=self.region_cache if use_cache else None,
             node_log=node_log,
             budget=budget,
-            node_guard=node_guard,
         )
 
     def evaluate(self, expression: RegionExpr | str) -> RegionSet:
@@ -115,20 +113,16 @@ class IndexEngine:
         node_log: dict[RegionExpr, NodeRecord] | None = None,
         use_cache: bool = True,
         budget: "BudgetMeter | None" = None,
-        node_guard: "Callable[[RegionExpr, int], None] | None" = None,
     ) -> EvalStats:
         """Evaluate with a private counter tally and wall time (for
         measurements).  ``node_log`` additionally collects per-node actuals
         (EXPLAIN ANALYZE); ``use_cache=False`` bypasses the shared result
         cache so every node's cost is actually measured; ``budget`` guards
-        the operator loops (see :class:`~repro.algebra.evaluator.Evaluator`);
-        ``node_guard`` is the evaluator's opaque per-node hook (adaptive
-        re-planning)."""
+        the operator loops (see :class:`~repro.algebra.evaluator.Evaluator`)."""
         if isinstance(expression, str):
             expression = parse_expression(expression)
         return self.evaluator(
-            node_log=node_log, use_cache=use_cache, budget=budget,
-            node_guard=node_guard,
+            node_log=node_log, use_cache=use_cache, budget=budget
         ).run(expression)
 
     # -- PAT search conveniences -----------------------------------------------------

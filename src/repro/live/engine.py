@@ -605,7 +605,6 @@ class LiveEngine(ShardedEngine):
                     _Shard(
                         name=shard_name + DELTA_SUFFIX,
                         text="".join(frame.record for frame in frames),
-                        feedback=False,
                     )
                 ]
             )

@@ -13,7 +13,7 @@ in CI against ``schemas/analyze.schema.json``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.algebra.ast import (
     Inclusion,
@@ -25,11 +25,12 @@ from repro.algebra.ast import (
     SetOp,
 )
 from repro.algebra.evaluator import NodeRecord
-from repro.core.cost import node_weight, static_cost
+from repro.core.cost import estimate_rows, node_weight, static_cost
 from repro.obs.stats import QueryStats
 from repro.obs.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - core imports obs; annotations only
+    from repro.algebra.region import Instance
     from repro.core.planner import Plan
 
 _OP_LABELS = {
@@ -98,14 +99,14 @@ class NodeAnalysis:
 def build_node_table(
     expression: RegionExpr,
     node_log: dict[RegionExpr, NodeRecord] | None,
-    estimator: "Callable[[RegionExpr], float] | None" = None,
+    instance: "Instance | None" = None,
 ) -> list[NodeAnalysis]:
     """Pre-order plan-node rows pairing each node's static estimate with
     its measured record (when the expression was instrumented).
 
-    ``estimator`` maps a node to its estimated output cardinality in
-    regions (the calibrated cost model's ``estimate_rows``); omitted, the
-    rows carry no cardinality estimates.
+    ``instance`` seeds each node's estimated output cardinality in regions
+    (:func:`~repro.core.cost.estimate_rows`); omitted, the rows carry no
+    cardinality estimates.
     """
     rows: list[NodeAnalysis] = []
 
@@ -118,7 +119,9 @@ def build_node_table(
                 expression=str(node),
                 estimated_cost=node_weight(node),
                 estimated_subtree_cost=static_cost(node),
-                estimated_rows=estimator(node) if estimator is not None else None,
+                estimated_rows=(
+                    estimate_rows(node, instance) if instance is not None else None
+                ),
                 actual_seconds=record.elapsed if record is not None else None,
                 actual_regions=record.regions if record is not None else None,
                 cached=record.cached if record is not None else None,

@@ -94,8 +94,8 @@ class QueryStats:
         The underlying :class:`ExecutionStats` (also reachable by attribute
         delegation: ``stats.strategy`` ≡ ``stats.execution.strategy``).  A
         merged answer's is the sum over its healthy sources, with strategy
-        ``"sharded"``, ``rows`` the merged count actually served, the
-        gather's warning stream and each replan tagged with its source.
+        ``"sharded"``, ``rows`` the merged count actually served and the
+        gather's warning stream.
     trace:
         The hierarchical pipeline :class:`Trace`, or ``None`` when the
         engine ran with tracing disabled.
@@ -168,8 +168,9 @@ class QueryStats:
         return sum(record.retries for record in self.shards)
 
     def to_dict(self) -> dict[str, Any]:
-        """The stable JSON shape.  Documented keys (do not remove or rename;
-        additions are allowed):
+        """The stable JSON shape.  Documented keys (additions are allowed;
+        removing or renaming one changes the wire shape, so
+        the JSON schemas under ``schemas/`` change with it):
 
         - ``strategy``, ``rows``, ``candidate_regions``, ``result_regions``
         - ``bytes_parsed``, ``values_built``, ``objects_filtered_out``,
@@ -181,8 +182,6 @@ class QueryStats:
         - ``warnings``: structured non-fatal incidents, each a
           ``{code, message, detail}`` dict (degradations, skipped
           malformed regions)
-        - ``replans``: mid-query adaptive re-planning records (empty when
-          the plan ran to completion as chosen)
         - ``duration_s``: end-to-end seconds (0.0 for an untraced single
           corpus's answer)
         - ``trace``: the span tree (``None`` when untraced)
@@ -201,7 +200,6 @@ class QueryStats:
             "algebra": execution.algebra.snapshot(),
             "cache": self.cache,
             "warnings": [warning.to_dict() for warning in execution.warnings],
-            "replans": [dict(record) for record in execution.replans],
             "duration_s": self.duration_seconds,
             "trace": self.trace.to_dict() if self.trace is not None else None,
         }

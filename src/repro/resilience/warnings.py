@@ -26,7 +26,6 @@ SHARD_SKIPPED_OPEN_BREAKER = "shard-skipped-open-breaker"
 SHARD_HEDGED = "shard-hedged"
 SHARD_TIMEOUT = "shard-timeout"
 PARTIAL_RESULT = "partial-result"
-REPLANNED = "replanned"
 DELTA_REPLAYED = "delta-replayed"
 SHARD_SPLIT = "shard-split"
 STALE_STAGING_REMOVED = "stale-staging-removed"

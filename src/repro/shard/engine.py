@@ -45,7 +45,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Sequence
@@ -58,7 +57,6 @@ from repro.db.parser import parse_query
 from repro.db.query import Query
 from repro.db.values import Value, canonical
 from repro.errors import PlanningError, QueryError, ShardFailedError
-from repro.feedback import HISTORY_FILENAME, FeedbackConfig, FeedbackHistory
 from repro.index.config import IndexConfig
 from repro.index.persist import corpus_fingerprint, schema_fingerprint, source_record
 from repro.obs.stats import FAILED, OK, SKIPPED, QueryStats, ShardExecution
@@ -125,9 +123,6 @@ class _Shard:
     build_lock: threading.Lock = field(default_factory=threading.Lock)
     replica_set: ReplicaSet | None = None
     replica_events: list = field(default_factory=list)
-    #: Whether the shard feeds (and plans by) the engine's shared feedback
-    #: history; a live delta, re-fingerprinted by every append, does not.
-    feedback: bool = True
 
 
 @dataclass
@@ -175,8 +170,6 @@ class ShardedEngine(EngineBase):
         hedge_after_s: float | None = None,
         fault_injector: FaultInjector | None = None,
         retry_sleep: Callable[[float], Any] = time.sleep,
-        feedback: "FeedbackConfig | bool | None" = None,
-        feedback_history: "FeedbackHistory | None" = None,
     ) -> None:
         if not shards:
             raise ValueError("a sharded engine needs at least one shard")
@@ -205,10 +198,6 @@ class ShardedEngine(EngineBase):
         self.hedge_after_s = hedge_after_s
         self.fault_injector = fault_injector
         self._retry_sleep = retry_sleep
-        # One shared history across all shards: keys carry each shard's own
-        # corpus fingerprint, so per-shard calibration is automatic while
-        # persistence stays a single root-level feedback.json.
-        self._open_feedback(feedback, feedback_history)
         self._shards = self._adopt(shards)
         #: Engine-level incidents prepended to every merged result.
         self._load_warnings: list[QueryWarning] = []
@@ -298,12 +287,6 @@ class ShardedEngine(EngineBase):
         corrupt or missing shard costs exactly one shard, not the corpus.
         """
         root = Path(directory)
-        options = dict(options)
-        feedback = FeedbackConfig.coerce(options.get("feedback"))
-        if feedback.enabled and feedback.directory is None:
-            # Default the calibration home to the index root, so history
-            # saved by `save()` is picked up transparently on reopen.
-            options["feedback"] = dataclass_replace(feedback, directory=str(root))
         return cls(schema, cls._saved_shards(root, load_shard_manifest(root)), **options)
 
     @staticmethod
@@ -366,8 +349,6 @@ class ShardedEngine(EngineBase):
                 schema_fingerprint=schema_fingerprint(self.schema),
             ),
         )
-        if self.feedback_config.enabled and len(self.feedback_history):
-            self.feedback_history.save(root / HISTORY_FILENAME)
 
     # -- shard plumbing --------------------------------------------------------
 
@@ -429,8 +410,6 @@ class ShardedEngine(EngineBase):
             cache_config=self.cache_config,
             tracing=self.tracing,
             budget=self.budget,
-            feedback=self.feedback_config if shard.feedback else None,
-            feedback_history=self.feedback_history if shard.feedback else None,
         )
         if shard.directory is None:
             return FileQueryEngine(
@@ -834,17 +813,13 @@ class ShardedEngine(EngineBase):
                 attempts=first.attempts,
                 cause=first.error,
             ) from first.error
-        # The merged execution: the sum over the healthy sources, the
-        # sources' warnings in source order, each replan naming its source.
+        # The merged execution: the sum over the healthy sources and the
+        # sources' warnings in source order.
         execution = ExecutionStats(strategy="sharded", warnings=list(self._load_warnings))
         for outcome in outcomes:
             execution.warnings.extend(outcome.warnings)
             if outcome.result is not None:
                 execution.merge(outcome.result.stats.execution)
-                execution.replans.extend(
-                    {**replan, "shard": outcome.shard}
-                    for replan in outcome.result.stats.replans
-                )
         if unhealthy:
             execution.warnings.append(
                 QueryWarning(

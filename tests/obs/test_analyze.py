@@ -108,7 +108,7 @@ class TestEngineAnalyze:
                 "cached",
             }
             # Rows-vs-rows: the cardinality estimate shares the unit of
-            # actual_regions (satellite 1 of the feedback-calibration PR).
+            # actual_regions.
             assert row["estimated_rows"] is not None
             assert row["estimated_rows"] >= 0.0
         assert data["stages"]["name"] == "query"

@@ -285,7 +285,7 @@ def test_explain_and_analyze_requests_return_wire_dataclasses(engine) -> None:
 STATS_KEYS = {
     "strategy", "rows", "candidate_regions", "result_regions", "bytes_parsed",
     "values_built", "objects_filtered_out", "join_bytes_compared", "algebra",
-    "cache", "warnings", "replans", "duration_s", "trace",
+    "cache", "warnings", "duration_s", "trace",
 }
 
 
@@ -324,7 +324,7 @@ def test_one_answer_shape(backend, tracing, schema, corpus_text, tmp_path) -> No
 
 def test_stats_response_keeps_cli_shape(engine) -> None:
     payload = engine.stats().to_dict()
-    assert set(payload) == {"index", "cache_config", "cache", "calibration", "backend"}
+    assert set(payload) == {"index", "cache_config", "cache", "backend"}
     assert payload["backend"]["type"] == "file"
 
 

@@ -11,8 +11,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.api import render_rows
 from repro.errors import QuerySyntaxError, ShardFailedError
 from repro.resilience import (
     BreakerConfig,
@@ -22,7 +25,7 @@ from repro.resilience import (
     SlowShard,
     TransientIOFault,
 )
-from repro.shard import OK, ShardedEngine
+from repro.shard import OK, ShardedEngine, scrub_index
 
 NO_SLEEP = {"retry_sleep": lambda s: None}
 
@@ -76,6 +79,41 @@ def test_rows_arrive_in_shard_order(sharded_engine, query_text) -> None:
 def test_save_load_round_trip(saved_sharded, schema, query_text, reference_rows) -> None:
     engine = ShardedEngine.from_saved(schema, saved_sharded)
     assert engine.query(query_text).canonical_rows() == reference_rows
+
+
+def test_a_leftover_feedback_file_from_an_older_build_is_ignored(
+    saved_sharded, schema, query_text
+) -> None:
+    # Older builds could save a calibration history as a root-level
+    # feedback.json.  That format is gone: a directory still holding one
+    # opens, answers and scrubs exactly as one without it.
+    before = ShardedEngine.from_saved(schema, saved_sharded).query(query_text)
+    (saved_sharded / "feedback.json").write_text(
+        json.dumps(
+            {
+                "checksum": "sha256:ab6c83d4fae5c7f7ea3e464f8b286d35",
+                "format": 1,
+                "records": [
+                    {
+                        "actual_total": 20.0,
+                        "estimated_total": 10.0,
+                        "fingerprint": "sha256:x",
+                        "kind": "name",
+                        "last_actual": 20.0,
+                        "last_estimated": 10.0,
+                        "observations": 1,
+                        "region": "Reference",
+                    }
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    after = ShardedEngine.from_saved(schema, saved_sharded).query(query_text)
+    assert render_rows(after.rows) == render_rows(before.rows)
+    assert not after.warnings
+    report = scrub_index(schema, saved_sharded)
+    assert report.clean, report.findings
 
 
 def test_stats_to_dict_has_query_stats_shape_plus_shards(

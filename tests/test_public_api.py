@@ -38,16 +38,6 @@ class TestExports:
         assert repro.CircuitBreaker is resilience.CircuitBreaker
         assert repro.BreakerConfig is resilience.BreakerConfig
 
-    def test_feedback_exports(self):
-        from repro import feedback
-
-        assert repro.FeedbackConfig is feedback.FeedbackConfig
-        assert repro.FeedbackHistory is feedback.FeedbackHistory
-        assert repro.CalibratedCostModel is feedback.CalibratedCostModel
-        assert repro.ReplanTriggered is feedback.ReplanTriggered
-        assert issubclass(repro.CalibrationCorruptError, repro.FeedbackError)
-        assert issubclass(repro.FeedbackError, repro.ReproError)
-
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
