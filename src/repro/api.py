@@ -68,7 +68,19 @@ def render_value(value: Any) -> str:
         }
         inner = ", ".join(f"{key}={text!r}" for key, text in sorted(scalars.items()))
         return f"{value.class_name}({inner})"
-    return str(canonical(value))
+    return _display(canonical(value))
+
+
+def _display(form: object) -> str:
+    """``repr`` of a canonical form, but with every set's elements sorted
+    by their own display strings, so that no string depends on the
+    process's hash seed (a cursor may page across servers)."""
+    if isinstance(form, frozenset):
+        return f"frozenset({{{', '.join(sorted(map(_display, form)))}}})" if form else "frozenset()"
+    if isinstance(form, tuple):
+        inner = ", ".join(map(_display, form))
+        return f"({inner},)" if len(form) == 1 else f"({inner})"
+    return repr(form)
 
 
 def render_rows(rows: list[tuple]) -> list[list[str]]:

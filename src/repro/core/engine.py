@@ -38,7 +38,7 @@ from repro.core.translate import Translator
 from repro.db.model import Database
 from repro.db.parser import parse_query
 from repro.db.query import Query
-from repro.db.values import Value, canonical
+from repro.db.values import Value, canonical_row
 from repro.errors import (
     BudgetExceededError,
     IndexCorruptError,
@@ -78,7 +78,7 @@ class QueryResult:
     One corpus's answer also carries its source ``regions``; an answer
     merged over several sources (:class:`~repro.shard.ShardedEngine`)
     holds each source's record in ``stats.shards``.  ``row_hashes`` holds
-    the hash of each row's canonical key, in row order."""
+    each row's digest (:class:`~repro.db.evaluator.Rows`), in row order."""
 
     rows: list[tuple[Value, ...]]
     plan: Plan | None
@@ -111,7 +111,7 @@ class QueryResult:
 
     def canonical_rows(self) -> set[tuple]:
         """Identity-free row representations, for comparing strategies."""
-        return {tuple(canonical(value) for value in row) for row in self.rows}
+        return set(map(canonical_row, self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -119,7 +119,7 @@ class ExecutionStats:
 @dataclass
 class Execution:
     """Rows plus the regions they came from plus the cost tally, and the
-    hash of the evaluator's canonical key for each row."""
+    evaluator's digest of each row."""
 
     rows: list[tuple[Value, ...]]
     regions: RegionSet
@@ -309,13 +309,14 @@ class PlanExecutor:
             rows = evaluator.evaluate(final_query)
             span.annotate(rows=len(rows))
         stats.rows = len(rows)
-        result_regions = RegionSet(region_of[obj.oid] for obj in kept_objects)
         if query.is_identity_select():
             result_regions = RegionSet(
                 region_of[row[0].oid]
                 for row in rows
                 if isinstance(row[0], ObjectValue) and row[0].oid in region_of
             )
+        else:
+            result_regions = RegionSet(region_of[obj.oid] for obj in kept_objects)
         stats.result_regions = len(result_regions)
         return Execution(rows, result_regions, stats, rows.hashes)
 

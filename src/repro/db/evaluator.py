@@ -46,6 +46,9 @@ from repro.db.values import (
     TupleValue,
     Value,
     canonical,
+    canonical_hash,
+    canonical_row,
+    first_distinct,
 )
 from repro.errors import QueryError
 
@@ -83,10 +86,14 @@ class EvaluationReport:
 
 
 class Rows(list):
-    """Output rows that carry, in ``hashes``, the hash of each row's
-    canonical key in row order (what a multi-source merge unions on).
-    Hashes, not the keys: nested key tuples kept alive until the merge
-    measurably load the cyclic garbage collector."""
+    """Output rows that carry, in ``hashes``, each row's digest in row
+    order: the hash of the tuple of its values' ``canonical_hash``, so
+    canonically equal rows share a digest.  A multi-source merge unions on
+    the digests with the evaluator's own rule, ``first_distinct``.
+    Digests, not canonical keys: nested key tuples kept alive until the
+    merge measurably load the cyclic garbage collector, and an object
+    keeps its hash, so a cached object's canonical form is built once,
+    not on every query."""
 
     __slots__ = ("hashes",)
 
@@ -121,16 +128,18 @@ class NaiveEvaluator:
         assignment, output paths range over every value they reach (cross
         product across outputs)."""
         self.report = EvaluationReport()
-        rows: dict[tuple, tuple[Value, ...]] = {}
+        rows, digests = first_distinct(self._digested_rows(query), canonical_row)
+        self.report.rows = len(rows)
+        return Rows(rows, digests)
+
+    def _digested_rows(self, query: Query) -> Iterator[tuple[int, tuple[Value, ...]]]:
+        """Every output row of every satisfying assignment, with its digest."""
+        outputs = [(output, output.has_variables()) for output in query.outputs]
         for assignment in self._assignments(query):
             self.report.objects_scanned += 1
             satisfying = self._condition_bindings(query.where, assignment)
-            if not satisfying:
-                continue
-            for row in self._output_rows(query, assignment, satisfying):
-                rows.setdefault(tuple(canonical(value) for value in row), row)
-        self.report.rows = len(rows)
-        return Rows(rows.values(), [hash(key) for key in rows])
+            if satisfying:
+                yield from self._output_rows(outputs, assignment, satisfying)
 
     def _assignments(self, query: Query) -> Iterator[dict[str, ObjectValue]]:
         """The cartesian product of the declared (possibly narrowed) extents."""
@@ -219,28 +228,32 @@ class NaiveEvaluator:
 
     def _output_rows(
         self,
-        query: Query,
+        outputs: list[tuple[PathExpr, bool]],
         assignment: dict[str, ObjectValue],
         satisfying: list[Bindings],
-    ) -> Iterator[tuple[Value, ...]]:
-        per_output: list[list[Value]] = []
-        for output in query.outputs:
-            values: list[Value] = []
-            seen: set[object] = set()
-            for value, bindings in self._walk_path(output, assignment):
-                if output.has_variables() and not any(
-                    _merge(bindings, sat) is not None for sat in satisfying
-                ):
-                    continue
-                key = canonical(value)
-                if key not in seen:
-                    seen.add(key)
-                    values.append(value)
-            per_output.append(values)
-        rows = [()]
-        for values in per_output:
-            rows = [row + (value,) for row in rows for value in values]
-        yield from rows
+    ) -> Iterator[tuple[int, tuple[Value, ...]]]:
+        """The cross product of each output's distinct reached values, each
+        row with its digest.  An output with variables keeps only the
+        values reached under bindings consistent with the WHERE clause's."""
+        rows: list[tuple[tuple[int, ...], tuple[Value, ...]]] = [((), ())]
+        for output, has_variables in outputs:
+            reached = self._walk_path(output, assignment)
+            if has_variables:
+                reached = (
+                    (value, bindings)
+                    for value, bindings in reached
+                    if any(_merge(bindings, sat) is not None for sat in satisfying)
+                )
+            values, digests = first_distinct(
+                ((canonical_hash(value), value) for value, _ in reached), canonical
+            )
+            rows = [
+                (row_digests + (digest,), row + (value,))
+                for row_digests, row in rows
+                for digest, value in zip(digests, values)
+            ]
+        for row_digests, row in rows:
+            yield hash(row_digests), row
 
     # -- path walking ----------------------------------------------------------------
 

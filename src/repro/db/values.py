@@ -9,14 +9,16 @@ A BibTeX file, for instance, maps to a set of ``Reference`` objects whose
 Values are immutable.  :func:`canonical` converts any value to plain Python
 data (dicts / frozensets / tuples / strings), which is how tests compare
 query results across evaluation strategies (object identity is not part of
-query-answer equality).
+query-answer equality).  :func:`canonical_hash` is that form's hash, kept
+on each object after its first use, and :func:`first_distinct` is the one
+rule by which answers drop canonically equal rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from repro.errors import DatabaseError
 
@@ -115,11 +117,18 @@ class ListValue:
 
 @dataclass(frozen=True, eq=False)
 class ObjectValue:
-    """An object: identity (``oid``) plus named attributes."""
+    """An object: identity (``oid``) plus named attributes.
+
+    ``key_hash`` is ``hash(canonical(self))``, filled in by
+    :func:`canonical_hash` on first use: an object is immutable, and the
+    parse memo hands the same one to every query that reads its region.
+    Two threads racing to fill it write the same value.
+    """
 
     class_name: str
     attributes: Mapping[str, "Value"]
     oid: int = field(default_factory=lambda: next(_OID_COUNTER))
+    key_hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", dict(self.attributes))
@@ -177,6 +186,56 @@ def canonical(value: Value) -> object:
     if isinstance(value, ListValue):
         return tuple(canonical(element) for element in value)
     raise DatabaseError(f"cannot canonicalise {value!r}")
+
+
+def canonical_row(row: Iterable[Value]) -> tuple:
+    """A result row's canonical form: its values' canonical forms."""
+    return tuple(map(canonical, row))
+
+
+def canonical_hash(value: Value) -> int:
+    """``hash(canonical(value))``, computed once per object: an object
+    keeps it in ``key_hash``, an atomic value hashes its text, and any
+    other value hashes its canonical form."""
+    if isinstance(value, AtomicValue):
+        return hash(value.text)
+    if isinstance(value, ObjectValue):
+        if value.key_hash is None:
+            object.__setattr__(value, "key_hash", hash(canonical(value)))
+        return value.key_hash
+    return hash(canonical(value))
+
+
+_T = TypeVar("_T")
+_ABSENT = object()
+
+
+def first_distinct(
+    digested: Iterable[tuple[int, _T]], key: Callable[[_T], object]
+) -> tuple[list[_T], list[int]]:
+    """The first occurrence of each item under ``key`` equality, in order,
+    with its digest.
+
+    ``digested`` pairs each item with the hash of its key.  Items are told
+    apart by digest; keys are built only when two digests agree, to keep
+    a true duplicate out or let a collision in.
+    """
+    kept: dict[int, _T] = {}
+    collided: dict[int, list[_T]] = {}
+    items: list[_T] = []
+    digests: list[int] = []
+    for digest, item in digested:
+        twin = kept.get(digest, _ABSENT)
+        if twin is _ABSENT:
+            kept[digest] = item
+        else:
+            form = key(item)
+            if key(twin) == form or any(key(other) == form for other in collided.get(digest, ())):
+                continue
+            collided.setdefault(digest, []).append(item)
+        items.append(item)
+        digests.append(digest)
+    return items, digests
 
 
 def iter_children(value: Value) -> Iterator[tuple[str | None, Value]]:

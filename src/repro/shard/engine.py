@@ -45,6 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Sequence
@@ -55,7 +56,7 @@ from repro.core.partial import ExecutionStats
 from repro.core.planner import Plan
 from repro.db.parser import parse_query
 from repro.db.query import Query
-from repro.db.values import Value, canonical
+from repro.db.values import canonical_row, first_distinct
 from repro.errors import PlanningError, QueryError, ShardFailedError
 from repro.index.config import IndexConfig
 from repro.index.persist import corpus_fingerprint, schema_fingerprint, source_record
@@ -838,23 +839,17 @@ class ShardedEngine(EngineBase):
 
         # The one merge point.  Answers are sets: each row's first
         # occurrence in source (= document) order under canonical equality
-        # — NaiveEvaluator.evaluate's rule within one corpus — found by the
-        # key hash its evaluator already computed and confirmed on the rows
-        # when two hashes agree.  Nothing to merge unless two sources answered.
+        # — NaiveEvaluator.evaluate's rule within one corpus, applied by the
+        # same helper to the digests each source's evaluator computed.
+        # Nothing to merge unless two sources answered.
         answered = [result for result in results if result.rows]
         if len(answered) > 1:
-            rows, row_hashes = [], []
-            kept: dict[int, list[tuple[Value, ...]]] = {}
-            for result in answered:
-                for digest, row in zip(result.row_hashes, result.rows, strict=True):
-                    twins = kept.setdefault(digest, [])
-                    if twins:
-                        key = tuple(map(canonical, row))
-                        if any(tuple(map(canonical, twin)) == key for twin in twins):
-                            continue
-                    twins.append(row)
-                    rows.append(row)
-                    row_hashes.append(digest)
+            rows, row_hashes = first_distinct(
+                chain.from_iterable(
+                    zip(result.row_hashes, result.rows, strict=True) for result in answered
+                ),
+                canonical_row,
+            )
         else:
             rows = list(answered[0].rows) if answered else []
             row_hashes = answered[0].row_hashes if answered else []

@@ -3,6 +3,11 @@ wire validation, protocol conformance, and the one answer shape."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -21,6 +26,7 @@ from repro.api import (
     render_value,
 )
 from repro.core.engine import FileQueryEngine
+from repro.db.values import AtomicValue, ListValue, SetValue, TupleValue
 from repro.errors import PaginationError
 from repro.live import LiveEngine
 from repro.obs.stats import QueryStats
@@ -30,6 +36,8 @@ from repro.shard import ShardedEngine
 from repro.workloads.bibtex import bibtex_schema, generate_bibtex
 
 from tests.server.conftest import QUERY, SELECT_ALL
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 # -- cursors -------------------------------------------------------------------
@@ -102,6 +110,46 @@ def test_query_response_renders_only_the_page(monkeypatch) -> None:
     last = query_response(result, QueryRequest(query=query, cursor=first.next_cursor))
     assert len(calls) == 10
     assert (last.rows, last.row_start, last.next_cursor) == (everything[10:], 10, None)
+
+
+_RENDER_SET_ROWS = """
+from repro.api import render_rows
+from repro.core.engine import FileQueryEngine
+from repro.workloads.bibtex import bibtex_schema, generate_bibtex
+engine = FileQueryEngine(bibtex_schema(), generate_bibtex(entries=50, seed=1))
+for row in render_rows(engine.query("SELECT r.Authors FROM Reference r").rows):
+    print(row)
+"""
+
+
+def test_set_values_render_the_same_under_every_hash_seed() -> None:
+    """Two servers (or one, restarted) draw different hash seeds, and a
+    stateless cursor may page across them: a set's elements must print in
+    one order."""
+    printed = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+        printed.append(
+            subprocess.run(
+                [sys.executable, "-c", _RENDER_SET_ROWS],
+                env=env, capture_output=True, text=True, check=True, timeout=60,
+            ).stdout  # fmt: skip
+        )
+    assert printed[0] == printed[1]
+    assert printed[0].count("\n") > 1 and "frozenset({(" in printed[0]
+
+
+def test_set_elements_render_sorted() -> None:
+    names = SetValue(
+        TupleValue("Name", {"Last_Name": AtomicValue(last)}) for last in ("Wu", "Chang", "Lee")
+    )
+    assert render_value(names) == (
+        "frozenset({('tuple', 'Name', (('Last_Name', 'Chang'),)), "
+        "('tuple', 'Name', (('Last_Name', 'Lee'),)), "
+        "('tuple', 'Name', (('Last_Name', 'Wu'),))})"
+    )
+    assert render_value(SetValue()) == "frozenset()"
+    assert render_value(ListValue([AtomicValue("b"), AtomicValue("a")])) == "('b', 'a')"
 
 
 # -- request validation --------------------------------------------------------
