@@ -121,8 +121,11 @@ def _run_hang(fx: "Fixtures", rng: random.Random, backend: str, workdir: Path) -
     if backend == "solo":
         # The solo engine has no I/O injector; a zero-width deadline is
         # the equivalent stuck-operator probe — the wall-clock guard must
-        # convert "no progress" into a typed error, instantly.
-        deadline = rng.choice([0.0, 0.001])
+        # convert "no progress" into a typed error, instantly.  The
+        # non-zero choice is 1 µs, which no execution fits in: at 1 ms, a
+        # fast enough engine answers the fixture query before the
+        # deadline and rightly raises nothing.
+        deadline = rng.choice([0.0, 0.000001])
         engine = fx.solo_engine()
         started = perf_counter()
         error: BaseException | None = None

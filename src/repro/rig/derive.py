@@ -23,50 +23,11 @@ from typing import Iterable
 
 from repro.errors import RigError
 from repro.rig.graph import RegionInclusionGraph
-from repro.schema.grammar import (
-    Grammar,
-    Literal,
-    NonTerminal,
-    StarRule,
-    TUntil,
-)
-
-
-def _zero_width_nonterminals(grammar: Grammar) -> frozenset[str]:
-    """Non-terminals that can derive a zero-width region (fixpoint)."""
-
-    def item_can_be_zero(item, nullable: set[str]) -> bool:
-        if isinstance(item, NonTerminal):
-            return item.name in nullable
-        if isinstance(item, Literal):
-            return False
-        if isinstance(item, TUntil):
-            return item.allow_empty
-        return False  # TWord / TQuoted / TNumber always consume
-
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            if rule.lhs in nullable:
-                continue
-            if isinstance(rule, StarRule):
-                if rule.min_count == 0:
-                    nullable.add(rule.lhs)
-                    changed = True
-                elif rule.item.name in nullable and rule.separator is None:
-                    nullable.add(rule.lhs)
-                    changed = True
-            elif all(item_can_be_zero(item, nullable) for item in rule.items):
-                nullable.add(rule.lhs)
-                changed = True
-    return frozenset(nullable)
+from repro.schema.grammar import Grammar, NonTerminal, StarRule
 
 
 def _coincident_edges(grammar: Grammar) -> set[tuple[str, str]]:
     """Edges whose child region can coincide with the parent's extent."""
-    nullable = _zero_width_nonterminals(grammar)
     coincident: set[tuple[str, str]] = set()
     for rule in grammar.rules:
         if isinstance(rule, StarRule):
@@ -77,13 +38,7 @@ def _coincident_edges(grammar: Grammar) -> set[tuple[str, str]]:
             if not isinstance(item, NonTerminal):
                 continue
             others = rule.items[:index] + rule.items[index + 1 :]
-            if all(
-                isinstance(other, NonTerminal)
-                and other.name in nullable
-                or isinstance(other, TUntil)
-                and other.allow_empty
-                for other in others
-            ):
+            if all(grammar.derives_empty(other) for other in others):
                 coincident.add((rule.lhs, item.name))
     return coincident
 

@@ -10,10 +10,12 @@ This package provides:
 - :mod:`repro.schema.types` — database type descriptions for annotations;
 - :mod:`repro.schema.actions` — rule actions (``$$ := ...`` programs),
   including the automatic *natural* actions of Section 4.2;
-- :mod:`repro.schema.parser` — a backtracking recursive-descent parser that
-  captures the region of every non-terminal occurrence (these regions are
-  what the region indexes record), and can re-parse an arbitrary file region
-  starting at any non-terminal (needed for candidate parsing, Section 6.2);
+- :mod:`repro.schema.parser` — a recursive-descent parser, compiled once
+  per grammar, with PEG semantics (ordered alternatives with backtracking,
+  whitespace skipped before every symbol); it captures the region of every
+  non-terminal occurrence (these regions are what the region indexes
+  record), and can re-parse an arbitrary file region starting at any
+  non-terminal (needed for candidate parsing, Section 6.2);
 - :mod:`repro.schema.structuring` — the :class:`StructuringSchema` façade;
 - :mod:`repro.schema.pushdown` — selective instantiation: build only the
   database values a query needs ([ACM93]'s optimization, used in the
@@ -33,7 +35,7 @@ from repro.schema.grammar import (
 )
 from repro.schema.parser import Parser, ParseNode
 from repro.schema.structuring import StructuringSchema
-from repro.schema.pushdown import PathTrie, instantiate
+from repro.schema.pushdown import PathTrie
 
 __all__ = [
     "Grammar",
@@ -49,5 +51,4 @@ __all__ = [
     "ParseNode",
     "StructuringSchema",
     "PathTrie",
-    "instantiate",
 ]

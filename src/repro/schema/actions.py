@@ -12,6 +12,10 @@ grammar shape:
   (``$$ := $1``) — this covers atomic fields like ``Key -> string`` and unit
   rules, whose non-terminals are *transparent* in attribute paths.
 
+The shape facts these actions dispatch on (``captures``, ``passthrough``,
+``passes_nonterminal``) belong to the rule and are computed once per rule
+(:mod:`repro.schema.grammar`).
+
 Custom actions may be supplied per non-terminal to override the natural
 behaviour (the paper's general, non-natural schemas); a custom action is a
 callable ``(node, child_values) -> Value`` where ``child_values`` is the list
@@ -55,8 +59,7 @@ def natural_value(
         # Passthrough is decided by the *rule's* capture arity, not by how
         # many children survived push-down pruning: a two-field tuple pruned
         # to one field must stay a tuple.
-        rule_captures = [item for item in rule.items if not _is_literal(item)]
-        if len(rule_captures) == 1 and rule.lhs not in classes:
+        if rule.passthrough and rule.lhs not in classes:
             if not child_values:
                 raise GrammarError(
                     f"rule for {rule.lhs!r}: its single capture was pruned away"
@@ -68,7 +71,7 @@ def natural_value(
                 # (``r.Keywords.Keyword``).
                 return AtomicValue(text=value.text, type_name=rule.lhs)
             return value
-        if not rule_captures:
+        if not rule.captures:
             raise GrammarError(
                 f"rule for {rule.lhs!r} captures nothing; a natural schema "
                 "cannot assign it a value"
@@ -92,21 +95,3 @@ def terminal_value(node: ParseNode) -> AtomicValue:
     """The value of a terminal capture."""
     assert node.text is not None
     return AtomicValue(node.text)
-
-
-def is_passthrough_rule(rule: object) -> bool:
-    """Does this rule's natural action pass a single child value through?
-
-    Such non-terminals are *transparent* to attribute paths: their name never
-    appears as an attribute in the database image.
-    """
-    if not isinstance(rule, SeqRule):
-        return False
-    capturing = [item for item in rule.items if not _is_literal(item)]
-    return len(capturing) == 1
-
-
-def _is_literal(item: object) -> bool:
-    from repro.schema.grammar import Literal
-
-    return isinstance(item, Literal)

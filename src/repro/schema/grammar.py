@@ -19,12 +19,19 @@ Rules come in two shapes, mirroring the paper's notation:
 
 Footnote 4 of the paper requires every non-terminal name to appear at most
 once on the right-hand side of a rule (attribute names are non-terminal
-names); :meth:`Grammar.validate` enforces this.
+names); :meth:`Grammar.validate` enforces this, and also refuses a
+separator-less star over an item that can match empty text (its repetition
+would never end).
+
+Each rule carries the facts its natural action needs (``captures``,
+``passthrough``, ``passes_nonterminal``), computed once per rule rather than
+at every parse node that rule produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from repro.errors import GrammarError
@@ -111,6 +118,25 @@ class SeqRule:
     def nonterminal_names(self) -> list[str]:
         return [item.name for item in self.items if isinstance(item, NonTerminal)]
 
+    @cached_property
+    def captures(self) -> tuple[Symbol, ...]:
+        """The items that produce values: every item but the literals."""
+        return tuple(item for item in self.items if is_capturing(item))
+
+    @cached_property
+    def passthrough(self) -> bool:
+        """Does the natural action pass its single capture's value through
+        (``$$ := $1``)?  Decided by the rule, not by how many children a
+        parse node kept after push-down pruning."""
+        return len(self.captures) == 1
+
+    @cached_property
+    def passes_nonterminal(self) -> bool:
+        """Is the single capture a non-terminal?  Such a rule's left-hand
+        side is transparent to attribute paths unless the schema makes it
+        a class or gives it a custom action."""
+        return self.passthrough and isinstance(self.captures[0], NonTerminal)
+
 
 @dataclass(frozen=True)
 class StarRule:
@@ -123,6 +149,10 @@ class StarRule:
     item: NonTerminal
     separator: Literal | None = None
     min_count: int = 0
+
+    #: A star builds a collection; it never passes one value through.
+    passthrough = False
+    passes_nonterminal = False
 
     def nonterminal_names(self) -> list[str]:
         return [self.item.name]
@@ -146,6 +176,7 @@ class Grammar:
         self._by_lhs: dict[str, list[Rule]] = {}
         for rule in self._rules:
             self._by_lhs.setdefault(rule.lhs, []).append(rule)
+        self._nullable = self._nullable_nonterminals()
         self.validate()
 
     # -- validation -----------------------------------------------------------
@@ -171,6 +202,44 @@ class Grammar:
                     )
                 if not rule.items:
                     raise GrammarError(f"rule for {rule.lhs!r} has an empty right-hand side")
+            elif rule.separator is None and rule.item.name in self._nullable:
+                raise GrammarError(
+                    f"star rule for {rule.lhs!r} repeats <{rule.item.name}>, which can "
+                    "match empty text, with no separator: its repetition would never end"
+                )
+
+    # -- nullability ----------------------------------------------------------
+
+    def _nullable_nonterminals(self) -> frozenset[str]:
+        """Non-terminals that can derive empty text (fixpoint)."""
+        nullable: set[str] = set()
+        changed = True
+        while changed:
+            changed = False
+            for rule in self._rules:
+                if rule.lhs in nullable:
+                    continue
+                if isinstance(rule, StarRule):
+                    # Zero repetitions, or one empty repetition (a single
+                    # repetition has no separator).
+                    empty = rule.min_count == 0 or rule.item.name in nullable
+                else:
+                    empty = all(_derives_empty(item, nullable) for item in rule.items)
+                if empty:
+                    nullable.add(rule.lhs)
+                    changed = True
+        return frozenset(nullable)
+
+    @property
+    def nullable(self) -> frozenset[str]:
+        """The non-terminals that can derive empty text — a zero-width
+        region.  One analysis serves grammar validation and the RIG's
+        coincidence edges."""
+        return self._nullable
+
+    def derives_empty(self, symbol: Symbol) -> bool:
+        """Can this rule item match empty text?"""
+        return _derives_empty(symbol, self._nullable)
 
     # -- accessors ------------------------------------------------------------
 
@@ -218,3 +287,11 @@ class Grammar:
             elif isinstance(rule, SeqRule):
                 if len(rule.items) == 1 and isinstance(rule.items[0], NonTerminal):
                     yield rule.lhs, rule.items[0].name
+
+
+def _derives_empty(symbol: Symbol, nullable: frozenset[str] | set[str]) -> bool:
+    if isinstance(symbol, NonTerminal):
+        return symbol.name in nullable
+    if isinstance(symbol, TUntil):
+        return symbol.allow_empty
+    return False  # a literal is non-empty; TWord / TQuoted / TNumber always consume

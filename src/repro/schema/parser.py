@@ -1,4 +1,4 @@
-"""Region-capturing recursive-descent parser.
+"""Region-capturing recursive-descent parser, compiled once per grammar.
 
 This is the Yacc stand-in of the reproduction.  Beyond ordinary parsing, it
 does the two extra things the paper needs:
@@ -12,25 +12,32 @@ does the two extra things the paper needs:
    non-terminal, which is how candidate regions are filtered under partial
    indexing (Section 6.2: "we parse the regions in the superset").
 
-The parser is PEG-style: ordered alternatives with backtracking, whitespace
-skipped before every symbol.  Grammars used by structuring schemas are
-near-deterministic, so backtracking is shallow in practice.
+The parser is PEG-style: ordered alternatives with backtracking, committing
+to the first alternative that succeeds, whitespace skipped before every
+symbol.  Grammars used by structuring schemas are near-deterministic, so
+backtracking is shallow in practice.
+
+Candidate parsing is the inner loop of every query that misses the caches,
+so :class:`Parser` compiles the grammar when it is built: each
+non-terminal's alternatives become a tuple of *steps*, each a kind code plus
+a precompiled matcher.  A literal and the whitespace before it are one
+``re`` match, and so is a word terminal; parsing re-derives no grammar fact
+at any parse node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Iterator
 
 from repro.algebra.counters import OperationCounters
-from repro.errors import ParseError
+from repro.errors import GrammarError, ParseError
 from repro.schema.grammar import (
     Grammar,
     Literal,
     NonTerminal,
     Rule,
     SeqRule,
-    StarRule,
     Symbol,
     TNumber,
     TQuoted,
@@ -39,9 +46,13 @@ from repro.schema.grammar import (
 )
 
 _WHITESPACE = " \t\r\n"
+_WHITESPACE_RE = "[ \\t\\r\\n]*+"
+_skip = re.compile(_WHITESPACE_RE).match
+
+# Step kinds.
+_NONTERMINAL, _LITERAL, _WORD, _NUMBER, _QUOTED, _UNTIL = range(6)
 
 
-@dataclass(frozen=True)
 class ParseNode:
     """A node of the parse tree.
 
@@ -49,20 +60,33 @@ class ParseNode:
     ``"#string"`` / ``"#text"`` / ``"#number"`` for terminal captures.
     ``start``/``end`` is the node's region (half-open offsets into the parsed
     text).  ``text`` is the captured value for terminal nodes, ``None``
-    otherwise.  ``rule`` records which grammar rule produced an inner node
-    (actions dispatch on it).
+    otherwise — which is what ``is_terminal`` records.  ``rule`` records
+    which grammar rule produced an inner node (actions dispatch on it).
+    Nodes are never modified after the parser builds them.
     """
 
-    symbol: str
-    start: int
-    end: int
-    children: tuple["ParseNode", ...] = ()
-    text: str | None = None
-    rule: Rule | None = None
+    __slots__ = ("symbol", "start", "end", "children", "text", "rule", "is_terminal")
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.symbol.startswith("#")
+    def __init__(
+        self,
+        symbol: str,
+        start: int,
+        end: int,
+        children: tuple["ParseNode", ...] = (),
+        text: str | None = None,
+        rule: Rule | None = None,
+    ) -> None:
+        self.symbol = symbol
+        self.start = start
+        self.end = end
+        self.children = children
+        self.text = text
+        self.rule = rule
+        self.is_terminal = text is not None
+
+    def __repr__(self) -> str:
+        detail = repr(self.text) if self.is_terminal else f"{len(self.children)} children"
+        return f"ParseNode({self.symbol!r}, {self.start}, {self.end}, {detail})"
 
     def walk(self) -> Iterator["ParseNode"]:
         """Pre-order traversal."""
@@ -84,10 +108,57 @@ class ParseNode:
 
 
 class Parser:
-    """Parse text (or a slice of it) according to a grammar."""
+    """Parse text (or a slice of it) according to a grammar.
+
+    The constructor compiles the grammar into one program per non-terminal:
+    a list of alternatives ``(rule, lhs, steps, star)`` in declaration
+    order.  A sequence alternative has ``steps``, a tuple of ``(kind,
+    matcher, detail)``; a star alternative has ``star``, ``(item program,
+    separator matcher, separator text, min_count)``.  A non-terminal step's
+    matcher is the referenced non-terminal's program itself, so parsing
+    follows references without a lookup.
+    """
 
     def __init__(self, grammar: Grammar) -> None:
         self._grammar = grammar
+        self._programs: dict[str, list[tuple]] = {name: [] for name in grammar.nonterminals}
+        for rule in grammar.rules:
+            if isinstance(rule, SeqRule):
+                alternative = (rule, rule.lhs, self._compile_steps(rule.items), None)
+            else:
+                separator = rule.separator
+                star = (
+                    self._programs[rule.item.name],
+                    _optional_literal(separator.text) if separator is not None else None,
+                    separator.text if separator is not None else None,
+                    rule.min_count,
+                )
+                alternative = (rule, rule.lhs, (), star)
+            self._programs[rule.lhs].append(alternative)
+
+    def _compile_steps(self, items: tuple[Symbol, ...]) -> tuple:
+        steps: list[tuple] = []
+        for item in items:
+            if isinstance(item, Literal):
+                steps.append((_LITERAL, _optional_literal(item.text), item.text))
+            elif isinstance(item, NonTerminal):
+                steps.append((_NONTERMINAL, self._programs[item.name], None))
+            elif isinstance(item, TWord):
+                extra = "".join(re.escape(char) for char in item.extra)
+                # A maximal run of characters that are ``str.isalnum()``
+                # (``[^\W_]``, on every code point) or in ``extra``.
+                word = f"[^\\W_]*+(?:[{extra}][^\\W_]*+)*+" if extra else "[^\\W_]*+"
+                steps.append((_WORD, re.compile(f"{_WHITESPACE_RE}({word})").match, None))
+            elif isinstance(item, TNumber):
+                steps.append((_NUMBER, None, None))
+            elif isinstance(item, TQuoted):
+                steps.append((_QUOTED, item.quote, None))
+            elif isinstance(item, TUntil):
+                expected = None if item.allow_empty else f"text before {item.stop!r}"
+                steps.append((_UNTIL, item.stops, expected))
+            else:
+                raise GrammarError(f"unknown symbol {item!r}")
+        return tuple(steps)
 
     @property
     def grammar(self) -> Grammar:
@@ -120,8 +191,19 @@ class Parser:
             we touch" measurable in the benchmarks.
         """
         target = symbol if symbol is not None else self._grammar.start
-        state = _State(text=text, limit=end if end is not None else len(text))
-        node = self._parse_nonterminal(state, target, start)
+        program = self._programs.get(target)
+        if program is None:
+            self._grammar.rules_for(target)  # raises the GrammarError
+        limit = end if end is not None else len(text)
+        if start > min(limit, len(text)):
+            raise ParseError(
+                f"cannot parse as <{target}>: slice [{start}, {limit}) starts past "
+                "its own end or the end of the text",
+                position=start,
+                symbol=target,
+            )
+        state = _State(text, limit)
+        node = _parse_nonterminal(state, program, start)
         if node is None:
             raise ParseError(
                 f"cannot parse as <{target}>; furthest failure expecting "
@@ -129,8 +211,8 @@ class Parser:
                 position=state.furthest,
                 symbol=target,
             )
-        position = self._skip_whitespace(state, node.end)
-        if require_all and position < state.limit:
+        position = _skip(text, node.end, limit).end()
+        if require_all and position < limit:
             raise ParseError(
                 f"trailing input after <{target}>: "
                 f"{text[position:position + 30]!r}",
@@ -141,158 +223,102 @@ class Parser:
             counters.scan(node.end - start)
         return node
 
-    # -- internals -------------------------------------------------------------
 
-    def _skip_whitespace(self, state: "_State", position: int) -> int:
-        text, limit = state.text, state.limit
-        while position < limit and text[position] in _WHITESPACE:
-            position += 1
-        return position
+def _optional_literal(text: str):
+    """A matcher that always succeeds: whitespace, then ``text`` as group 1
+    if it is there (else where it was expected is ``match.end()``).  The
+    whitespace is possessive: as when whitespace is skipped first, a
+    literal never starts inside the whitespace before it."""
+    return re.compile(f"{_WHITESPACE_RE}({re.escape(text)})?").match
 
-    def _parse_nonterminal(self, state: "_State", name: str, position: int) -> ParseNode | None:
-        for rule in self._grammar.rules_for(name):
-            node = self._parse_rule(state, rule, position)
-            if node is not None:
-                return node
-        return None
 
-    def _parse_rule(self, state: "_State", rule: Rule, position: int) -> ParseNode | None:
-        if isinstance(rule, SeqRule):
-            return self._parse_sequence(state, rule, position)
-        return self._parse_star(state, rule, position)
-
-    def _parse_sequence(self, state: "_State", rule: SeqRule, position: int) -> ParseNode | None:
-        start = self._skip_whitespace(state, position)
+def _parse_nonterminal(state: "_State", program: list[tuple], position: int) -> ParseNode | None:
+    """Parse one non-terminal at ``position``: the first alternative of its
+    program that succeeds, or ``None`` (the failure is noted on ``state``)."""
+    text = state.text
+    limit = state.limit
+    start = _skip(text, position, limit).end()
+    for rule, lhs, steps, star in program:
         children: list[ParseNode] = []
         cursor = start
-        content_end = start
-        for item in rule.items:
-            result = self._parse_symbol(state, item, cursor)
-            if result is None:
-                return None
-            node, cursor = result
-            if node is not None:
-                children.append(node)
-            content_end = cursor
-        return ParseNode(
-            symbol=rule.lhs,
-            start=start,
-            end=content_end,
-            children=tuple(children),
-            rule=rule,
-        )
-
-    def _parse_star(self, state: "_State", rule: StarRule, position: int) -> ParseNode | None:
-        start = self._skip_whitespace(state, position)
-        children: list[ParseNode] = []
-        cursor = start
-        content_end = start
-        while True:
-            attempt_from = cursor
-            if children and rule.separator is not None:
-                after_sep = self._match_literal(state, rule.separator, cursor)
-                if after_sep is None:
+        if star is not None:
+            item, separator, separator_text, min_count = star
+            while True:
+                attempt_from = cursor
+                if children and separator is not None:
+                    matched = separator(text, cursor, limit)
+                    if matched.lastindex is None:
+                        state.note_failure(matched.end(), separator_text)
+                        break
+                    attempt_from = matched.end()
+                node = _parse_nonterminal(state, item, attempt_from)
+                if node is None:
                     break
-                attempt_from = after_sep
-            child = self._parse_nonterminal(state, rule.item.name, attempt_from)
-            if child is None:
-                break
-            children.append(child)
-            cursor = child.end
-            content_end = child.end
-        if len(children) < rule.min_count:
-            return None
-        return ParseNode(
-            symbol=rule.lhs,
-            start=start if children else start,
-            end=content_end if children else start,
-            children=tuple(children),
-            rule=rule,
-        )
-
-    def _parse_symbol(
-        self, state: "_State", symbol: Symbol, position: int
-    ) -> tuple[ParseNode | None, int] | None:
-        """Parse one rule item.  Returns ``(node_or_None, new_position)`` on
-        success (literals produce no node), or ``None`` on failure."""
-        if isinstance(symbol, NonTerminal):
-            node = self._parse_nonterminal(state, symbol.name, position)
-            if node is None:
-                return None
-            return node, node.end
-        if isinstance(symbol, Literal):
-            after = self._match_literal(state, symbol, position)
-            if after is None:
-                return None
-            return None, after
-        return self._parse_terminal(state, symbol, position)
-
-    def _match_literal(self, state: "_State", literal: Literal, position: int) -> int | None:
-        position = self._skip_whitespace(state, position)
-        end = position + len(literal.text)
-        if end <= state.limit and state.text.startswith(literal.text, position):
-            return end
-        state.note_failure(position, literal.text)
-        return None
-
-    def _parse_terminal(
-        self, state: "_State", symbol: Symbol, position: int
-    ) -> tuple[ParseNode, int] | None:
-        text, limit = state.text, state.limit
-        position = self._skip_whitespace(state, position)
-
-        if isinstance(symbol, TWord):
-            cursor = position
-            while cursor < limit and (text[cursor].isalnum() or text[cursor] in symbol.extra):
-                cursor += 1
-            if cursor == position:
-                state.note_failure(position, "<word>")
-                return None
-            node = ParseNode("#word", position, cursor, text=text[position:cursor])
-            return node, cursor
-
-        if isinstance(symbol, TNumber):
-            cursor = position
-            while cursor < limit and text[cursor].isdigit():
-                cursor += 1
-            if cursor == position:
-                state.note_failure(position, "<number>")
-                return None
-            node = ParseNode("#number", position, cursor, text=text[position:cursor])
-            return node, cursor
-
-        if isinstance(symbol, TQuoted):
-            if position >= limit or text[position] != symbol.quote:
-                state.note_failure(position, symbol.quote)
-                return None
-            closing = text.find(symbol.quote, position + 1, limit)
-            if closing < 0:
-                state.note_failure(position, f"closing {symbol.quote}")
-                return None
-            inner_start, inner_end = position + 1, closing
-            node = ParseNode("#string", inner_start, inner_end, text=text[inner_start:inner_end])
-            return node, closing + 1
-
-        if isinstance(symbol, TUntil):
-            raw_end = limit
-            for stop in symbol.stops:
-                stop_at = text.find(stop, position, limit)
-                if 0 <= stop_at < raw_end:
-                    raw_end = stop_at
-            captured_start, captured_end = position, raw_end
-            while captured_start < captured_end and text[captured_start] in _WHITESPACE:
-                captured_start += 1
-            while captured_end > captured_start and text[captured_end - 1] in _WHITESPACE:
-                captured_end -= 1
-            if captured_end == captured_start and not symbol.allow_empty:
-                state.note_failure(position, f"text before {symbol.stop!r}")
-                return None
-            node = ParseNode(
-                "#text", captured_start, captured_end, text=text[captured_start:captured_end]
-            )
-            return node, raw_end
-
-        raise ParseError(f"unknown symbol {symbol!r}", position=position)
+                children.append(node)
+                cursor = node.end
+            if len(children) >= min_count:
+                return ParseNode(lhs, start, cursor, tuple(children), None, rule)
+            continue
+        for kind, matcher, detail in steps:
+            if kind == _NONTERMINAL:
+                node = _parse_nonterminal(state, matcher, cursor)
+                if node is None:
+                    break
+                children.append(node)
+                cursor = node.end
+                continue
+            if kind == _LITERAL:
+                matched = matcher(text, cursor, limit)
+                if matched.lastindex is None:
+                    state.note_failure(matched.end(), detail)
+                    break
+                cursor = matched.end()
+                continue
+            # A terminal: it starts at ``begin``, after whitespace; the next
+            # item starts at ``cursor``.
+            if kind == _WORD:
+                begin, cursor = matcher(text, cursor, limit).span(1)
+                if begin == cursor:
+                    state.note_failure(begin, "<word>")
+                    break
+                node = ParseNode("#word", begin, cursor, (), text[begin:cursor])
+            elif kind == _UNTIL:
+                # ``matcher`` is the stop strings, ``detail`` the failure
+                # message (``None`` when an empty capture is allowed).
+                begin = _skip(text, cursor, limit).end()
+                cursor = limit
+                for stop in matcher:
+                    stop_at = text.find(stop, begin, limit)
+                    if 0 <= stop_at < cursor:
+                        cursor = stop_at
+                captured = text[begin:cursor].rstrip(_WHITESPACE)
+                if not captured and detail is not None:
+                    state.note_failure(begin, detail)
+                    break
+                node = ParseNode("#text", begin, begin + len(captured), (), captured)
+            elif kind == _QUOTED:
+                begin = _skip(text, cursor, limit).end()
+                if begin >= limit or text[begin] != matcher:
+                    state.note_failure(begin, matcher)
+                    break
+                closing = text.find(matcher, begin + 1, limit)
+                if closing < 0:
+                    state.note_failure(begin, f"closing {matcher}")
+                    break
+                node = ParseNode("#string", begin + 1, closing, (), text[begin + 1 : closing])
+                cursor = closing + 1
+            else:  # _NUMBER
+                begin = cursor = _skip(text, cursor, limit).end()
+                while cursor < limit and text[cursor].isdigit():
+                    cursor += 1
+                if cursor == begin:
+                    state.note_failure(begin, "<number>")
+                    break
+                node = ParseNode("#number", begin, cursor, (), text[begin:cursor])
+            children.append(node)
+        else:
+            return ParseNode(lhs, start, cursor, tuple(children), None, rule)
+    return None
 
 
 class _State:

@@ -118,11 +118,3 @@ class InstantiationStats:
     values_skipped: int = 0
     nodes_visited: int = 0
 
-
-def instantiate(schema, node, needed: PathTrie | None = None, stats: InstantiationStats | None = None):
-    """Build the database value for a parse node, restricted to ``needed``.
-
-    Thin wrapper over :meth:`StructuringSchema.instantiate` kept here so the
-    push-down machinery has a single import point.
-    """
-    return schema.instantiate(node, needed=needed, stats=stats)

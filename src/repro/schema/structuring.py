@@ -18,20 +18,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.algebra.counters import OperationCounters
-from repro.db.values import ObjectValue, Value
+from repro.db.values import AtomicValue, ObjectValue, Value
 from repro.errors import GrammarError
-from repro.schema.actions import (
-    CustomAction,
-    is_passthrough_rule,
-    natural_value,
-    terminal_value,
-)
-from repro.schema.grammar import (
-    Grammar,
-    NonTerminal,
-    StarRule,
-    is_capturing,
-)
+from repro.schema.actions import CustomAction, natural_value, terminal_value
+from repro.schema.grammar import Grammar, NonTerminal, StarRule
 from repro.schema.parser import ParseNode, Parser
 from repro.schema.pushdown import InstantiationStats, PathTrie
 from repro.schema.types import (
@@ -42,6 +32,8 @@ from repro.schema.types import (
     TupleTypeDesc,
     TypeDesc,
 )
+
+_EVERYTHING = PathTrie.everything()
 
 
 @dataclass(frozen=True)
@@ -90,6 +82,9 @@ class StructuringSchema:
         )
         if unknown:
             raise GrammarError(f"schema annotates unknown non-terminals: {sorted(unknown)}")
+        # Non-terminals whose value the schema, not the grammar shape,
+        # decides: they are never transparent.
+        self._opaque = self.classes | frozenset(self.custom_actions)
         self._parser = Parser(grammar)
 
     # -- parsing ----------------------------------------------------------------
@@ -135,7 +130,7 @@ class StructuringSchema:
         answers back to file regions use this instead of assuming any
         correspondence between traversal orders.
         """
-        trie = needed if needed is not None else PathTrie.everything()
+        trie = needed if needed is not None else _EVERYTHING
         return self._instantiate(node, trie, stats, spans)
 
     def _instantiate(
@@ -152,23 +147,24 @@ class StructuringSchema:
                 stats.values_built += 1
             return terminal_value(node)
         child_values: list[tuple[str, Value]] = []
-        passthrough = self._node_is_passthrough(node)
+        passthrough = self._passes_through(node)
         for child in node.children:
             if child.is_terminal:
-                step_name = child.symbol
-            else:
-                step_name = self._step_name(child)
+                # A terminal capture is always built, whole.
+                if stats is not None:
+                    stats.nodes_visited += 1
+                    stats.values_built += 1
+                child_values.append((child.symbol, AtomicValue(child.text)))
+                continue
+            step_name = self._step_name(child)
             if passthrough:
                 child_needed = needed  # transparent: same trie applies below
-            elif child.is_terminal:
-                child_needed = PathTrie.everything()
             else:
-                branch = needed.child(step_name)
-                if branch is None:
+                child_needed = needed.child(step_name)
+                if child_needed is None:
                     if stats is not None:
                         stats.values_skipped += 1
                     continue
-                child_needed = branch
             child_values.append(
                 (step_name, self._instantiate(child, child_needed, stats, spans))
             )
@@ -194,6 +190,20 @@ class StructuringSchema:
             node, child_values, classes=self.classes, list_valued=self.list_valued
         )
 
+    def _passes_through(self, node: ParseNode) -> bool:
+        """Does *this parse node's* matched rule pass one non-terminal
+        child's value through?  (Per-node variant of transparency: for a
+        disjunctive wrapper each node matched exactly one alternative.)"""
+        return node.rule.passes_nonterminal and node.symbol not in self._opaque
+
+    def _step_name(self, node: ParseNode) -> str:
+        """The attribute/type name a non-terminal child exposes: follow
+        passthrough wrappers down to the innermost visible node.  (A
+        passthrough node's only child is the non-terminal it passes.)"""
+        while self._passes_through(node):
+            node = node.children[0]
+        return node.symbol
+
     # -- structural analyses -------------------------------------------------------
 
     def is_transparent(self, nonterminal: str) -> bool:
@@ -211,39 +221,9 @@ class StructuringSchema:
         but terminal-backed, so ``Key`` itself is the innermost name and
         stays visible.)
         """
-        if nonterminal in self.classes or nonterminal in self.custom_actions:
+        if nonterminal in self._opaque:
             return False
-        rules = self.grammar.rules_for(nonterminal)
-        for rule in rules:
-            if not is_passthrough_rule(rule):
-                return False
-            capturing = [item for item in rule.items if is_capturing(item)]  # type: ignore[union-attr]
-            if not isinstance(capturing[0], NonTerminal):
-                return False
-        return True
-
-    def _node_is_passthrough(self, node: ParseNode) -> bool:
-        """Does *this parse node's* matched rule pass one non-terminal
-        child's value through?  (Per-node variant of transparency: for a
-        disjunctive wrapper each node matched exactly one alternative.)"""
-        if node.symbol in self.classes or node.symbol in self.custom_actions:
-            return False
-        rule = node.rule
-        if not is_passthrough_rule(rule):
-            return False
-        capturing = [item for item in rule.items if is_capturing(item)]  # type: ignore[union-attr]
-        return isinstance(capturing[0], NonTerminal)
-
-    def _step_name(self, node: ParseNode) -> str:
-        """The attribute/type name a child node exposes: follow passthrough
-        wrappers down to the innermost visible node."""
-        current = node
-        while not current.is_terminal and self._node_is_passthrough(current):
-            inner = [child for child in current.children if not child.is_terminal]
-            if len(inner) != 1:
-                break
-            current = inner[0]
-        return current.symbol
+        return all(rule.passes_nonterminal for rule in self.grammar.rules_for(nonterminal))
 
     def resolved_name(self, nonterminal: str) -> str:
         """Follow transparent unit rules down to the innermost visible name."""
@@ -251,8 +231,7 @@ class StructuringSchema:
         current = nonterminal
         while self.is_transparent(current):
             rule = self.grammar.rules_for(current)[0]
-            capturing = [item for item in rule.items if is_capturing(item)]
-            current = capturing[0].name  # type: ignore[union-attr]
+            current = rule.captures[0].name  # type: ignore[union-attr]
             if current in seen:
                 break
             seen.add(current)
@@ -286,8 +265,8 @@ class StructuringSchema:
             if nonterminal in self.list_valued:
                 return ListTypeDesc(element=element)
             return SetTypeDesc(element=element)
-        capturing = [item for item in first.items if is_capturing(item)]
-        if len(capturing) == 1 and nonterminal not in self.classes:
+        capturing = first.captures
+        if first.passthrough and nonterminal not in self.classes:
             item = capturing[0]
             if isinstance(item, NonTerminal):
                 return self._type_of(item.name, visiting)

@@ -94,6 +94,73 @@ class TestAccessors:
         assert len(grammar.rules_for("A")) == 2
 
 
+class TestNullability:
+    def test_separatorless_star_over_nullable_item_is_rejected(self):
+        # Accepted before, and ``Parser(g).parse("abc")`` never returned: the
+        # star matched the empty ``A`` at the same offset forever.
+        with pytest.raises(GrammarError, match="star rule for 'S' repeats <A>"):
+            Grammar(
+                [StarRule("S", NonTerminal("A")), SeqRule("A", [TUntil(";", allow_empty=True)])],
+                start="S",
+            )
+
+    def test_one_empty_repetition_makes_a_separated_plus_nullable(self):
+        # A single repetition has no separator, so ``L`` can match empty.
+        with pytest.raises(GrammarError, match="<L>"):
+            Grammar(
+                [
+                    StarRule("S", NonTerminal("L")),
+                    StarRule("L", NonTerminal("A"), separator=Literal(","), min_count=1),
+                    SeqRule("A", [TUntil(";", allow_empty=True)]),
+                ],
+                start="S",
+            )
+
+    def test_separated_star_over_nullable_item_terminates(self):
+        grammar = Grammar(
+            [
+                StarRule("S", NonTerminal("A"), separator=Literal(";")),
+                SeqRule("A", [TUntil(";", allow_empty=True)]),
+            ],
+            start="S",
+        )
+        from repro.schema.parser import Parser
+
+        tree = Parser(grammar).parse("a;;b")
+        assert [child.children[0].text for child in tree.children] == ["a", "", "b"]
+
+    def test_nullable_nonterminals(self):
+        grammar = Grammar(
+            [
+                SeqRule("S", [NonTerminal("L"), NonTerminal("E"), Literal("!")]),
+                StarRule("L", NonTerminal("W"), min_count=1),
+                SeqRule("W", [TWord()]),
+                SeqRule("E", [NonTerminal("M"), TUntil(";", allow_empty=True)]),
+                StarRule("M", NonTerminal("W"), separator=Literal(",")),
+            ],
+            start="S",
+        )
+        assert grammar.nullable == {"E", "M"}
+        assert grammar.derives_empty(NonTerminal("E"))
+        assert grammar.derives_empty(TUntil(";", allow_empty=True))
+        assert not grammar.derives_empty(NonTerminal("L"))
+        assert not grammar.derives_empty(Literal("!"))
+        assert not grammar.derives_empty(TWord())
+
+    def test_workload_grammars_validate(self):
+        from repro.workloads.bibtex import bibtex_grammar
+        from repro.workloads.logs import log_grammar
+        from repro.workloads.sgml import sgml_grammar
+        from repro.workloads.source import source_grammar
+
+        assert bibtex_grammar().nullable == {
+            "Ref_Set", "Authors", "Editors", "Referred", "Keywords"
+        }
+        assert log_grammar().nullable == {"Log", "Requests"}
+        assert sgml_grammar().nullable == {"Collection", "Sections", "Paragraphs", "Subsections"}
+        assert source_grammar().nullable == {"Program", "Params", "Body", "Args"}
+
+
 class TestCoincidence:
     def test_star_rule_is_coincidence_capable(self):
         grammar = tiny_grammar()

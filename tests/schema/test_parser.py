@@ -90,6 +90,12 @@ class TestRegionSliceParsing:
         with pytest.raises(ParseError):
             parser.parse("[abc] [def]", symbol="A", start=0, end=11)
 
+    def test_slice_starting_past_its_end_raises(self):
+        parser = Parser(bracket_grammar())
+        with pytest.raises(ParseError) as excinfo:
+            parser.parse("[abc] [def]", symbol="A", start=6, end=5)
+        assert excinfo.value.position == 6
+
 
 class TestTerminals:
     def test_quoted(self):
@@ -132,6 +138,24 @@ class TestTerminals:
         lenient = Grammar([SeqRule("T", [TUntil(";", allow_empty=True)])], start="T")
         node = Parser(lenient).parse(";", require_all=False)
         assert node.children[0].text == ""
+
+    def test_literal_never_starts_inside_the_whitespace_before_it(self):
+        # Whitespace is skipped before every symbol, all of it: a literal
+        # that itself starts with a space cannot match after whitespace.
+        grammar = Grammar([SeqRule("A", [TWord(), Literal(" x")])], start="A")
+        with pytest.raises(ParseError) as excinfo:
+            Parser(grammar).parse("a  x")
+        assert excinfo.value.position == 3
+
+    def test_failure_names_the_literal_that_did_not_match(self):
+        grammar = Grammar(
+            [SeqRule("A", [Literal("("), Literal("key"), Literal("="), TWord(), Literal(")")])],
+            start="A",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            Parser(grammar).parse("( key : v )")
+        assert excinfo.value.position == 6
+        assert "expecting '='" in str(excinfo.value)
 
     def test_word_custom_extra(self):
         grammar = Grammar([SeqRule("W", [TWord(extra=":")])], start="W")
