@@ -9,14 +9,23 @@ durability guarantees.  The moving parts:
   live under ``<root>/wal/`` — *outside* the shard directories — because
   compaction replaces a shard directory wholesale and must never take
   unfolded journal frames down with it.
-- **Delta segment**: acked records accumulate in memory per shard.  A
+- **Delta segments**: acked records accumulate in memory per shard.  A
   :class:`LiveEngine` *is* a :class:`~repro.shard.ShardedEngine` whose
-  scatter has one more source per dirty shard: the shard's pending
-  records as a text source named ``<shard>+delta``, placed right after
-  its base shard and running the plan made on a base shard.  The
-  gather's set union — the one merge point — then serves exactly the rows
-  of a full rebuild of the logical corpus (base text + acked appends), and
-  a failing delta is a failed source, flagged like any shard.
+  scatter has more sources per dirty shard: its pending records as
+  immutable text segments, oldest first, each named
+  ``<shard>+delta:<first_seq>-<last_seq>``, placed right after the base
+  shard and running the plan made on a base shard.  A query turns the
+  records no segment covers yet into one new segment; then, while the
+  second-newest segment holds at most twice the records of the newest,
+  the two merge into one.  Every adjacent pair thus has older > 2 x newer,
+  so n pending records take at most floor(log2 n) + 1 segments; a built
+  segment only ever merges as the older partner, so each rebuild puts its
+  records in a segment at least 1.5x larger and a record is re-indexed
+  O(log n) times, not once per later append.  Each segment's engine is
+  built once, lazily, in its scatter task.  The gather's set union in
+  source order — the one merge point — then serves exactly the rows of a
+  full rebuild of the logical corpus (base text + acked appends), and a
+  failing segment is a failed source, flagged like any shard.
 - **Compaction**: folds each dirty shard's delta into its base index via
   the existing staging-sibling + rename-swap save.  The journal
   checkpoint (``applied_seq``) rides *in the shard's own manifest*, so
@@ -29,7 +38,7 @@ durability guarantees.  The moving parts:
   an uncommitted split are swept; a shard whose own manifest ran ahead of
   the root manifest (crash between a compaction's swap and the root
   rewrite) refreshes the root entry; journal frames above each shard's
-  ``applied_seq`` are replayed into the delta segment with a
+  ``applied_seq`` are replayed as pending records with a
   ``delta-replayed`` warning; torn journal tails are truncated.  Every
   acked append survives, every unacked one vanishes.
 
@@ -78,6 +87,7 @@ import hashlib
 import os
 import shutil
 import threading
+from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from typing import Any
@@ -122,13 +132,29 @@ from repro.shard.split import split_corpus
 
 WAL_SUBDIR = "wal"
 
-#: Suffix naming a dirty shard's delta source (``shard3+delta``); no base
-#: shard of a live engine may carry it, so the names never collide.
+#: Marker naming a dirty shard's delta segments (``shard3+delta:1-12``); no
+#: base shard name of a live engine may contain it, so names never collide.
 DELTA_SUFFIX = "+delta"
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """An immutable run of one dirty shard's pending records, seqs
+    ``first_seq``..``last_seq``, served as one more text source."""
+
+    first_seq: int
+    last_seq: int
+    records: int
+    source: _Shard
 
 
 def _record_digest(record: str) -> str:
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
+
+
+def _entry_key(entry: ShardEntry) -> tuple[str, str, str]:
+    """What identifies a shard's saved contents: same key, same shard."""
+    return (entry.name, entry.directory, entry.corpus_fingerprint)
 
 
 class LiveEngine(ShardedEngine):
@@ -136,8 +162,8 @@ class LiveEngine(ShardedEngine):
 
     Construct via :meth:`open` on a directory produced by
     :meth:`~repro.shard.ShardedEngine.save` (``repro shard build``).  It
-    is the sharded engine over the saved shards, plus one delta source per
-    dirty shard, so ``query``/``explain``/``analyze``/``stats`` and the
+    is the sharded engine over the saved shards, plus the delta segments of
+    every dirty shard, so ``query``/``explain``/``analyze``/``stats`` and the
     :class:`~repro.api.QueryBackend` surface are the sharded engine's;
     ``repro serve`` puts ``POST /append`` next to ``/query``.
 
@@ -166,8 +192,8 @@ class LiveEngine(ShardedEngine):
         **options: Any,
     ) -> None:
         super().__init__(schema, shards, **options)
-        if any(shard.name.endswith(DELTA_SUFFIX) for shard in self._shards):
-            raise ValueError(f"live shard names must not end with {DELTA_SUFFIX!r}")
+        if any(DELTA_SUFFIX in shard.name for shard in self._shards):
+            raise ValueError(f"live shard names must not contain {DELTA_SUFFIX!r}")
         self.root = root
         self._wal_dir = root / WAL_SUBDIR
         self.max_shard_bytes = max_shard_bytes
@@ -177,7 +203,7 @@ class LiveEngine(ShardedEngine):
         self._pending = pending
         self._next_seq = next_seq
         self._load_warnings = load_warnings
-        self._delta: dict[str, tuple[int, _Shard]] = {}
+        self._segments: dict[str, list[_Segment]] = {}
         self._writers: dict[str, JournalWriter] = {}
         self._request_seqs: dict[str, tuple[int, str]] = dict(request_seqs or {})
         self._quorum_warned: set[tuple[str, tuple[str, ...]]] = set()
@@ -578,12 +604,12 @@ class LiveEngine(ShardedEngine):
         self, query: Query | str, budget: ResourceBudget | None = None
     ) -> QueryResult:
         """The sharded scatter-gather over the base shards and every dirty
-        shard's delta source — the merged rows are those of a full rebuild
+        shard's delta segments — the merged rows are those of a full rebuild
         of the logical corpus."""
         return super().query(query, budget=budget)
 
     def _sources(self) -> list[_Shard]:
-        """The base shards, each dirty one followed by its delta source:
+        """The base shards, each dirty one followed by its delta segments:
         one snapshot per query, taken under the append lock."""
         with self._lock:
             sources = []
@@ -591,25 +617,37 @@ class LiveEngine(ShardedEngine):
                 sources.append(shard)
                 frames = self._pending.get(shard.name)
                 if frames:
-                    sources.append(self._delta_source(shard.name, frames))
+                    sources.extend(
+                        segment.source
+                        for segment in self._segments_for(shard.name, frames)
+                    )
             return sources
 
-    def _delta_source(self, shard_name: str, frames: list[Frame]) -> _Shard:
-        """One dirty shard's pending records as a text source, replaced
-        whenever the shard's pending tail advances (keyed by last seq); its
-        engine is built in its scatter task like any text shard's."""
-        cached = self._delta.get(shard_name)
-        if cached is None or cached[0] != frames[-1].seq:
-            (source,) = self._adopt(
-                [
-                    _Shard(
-                        name=shard_name + DELTA_SUFFIX,
-                        text="".join(frame.record for frame in frames),
-                    )
-                ]
-            )
-            cached = self._delta[shard_name] = (frames[-1].seq, source)
-        return cached[1]
+    def _segments_for(self, shard_name: str, frames: list[Frame]) -> list[_Segment]:
+        """The dirty shard's segments, oldest first, once the frames no
+        segment covers yet became one new segment and the size-tiered merge
+        ran.  A merge always takes the newest two, so its frames are the
+        pending tail."""
+        segments = self._segments.setdefault(shard_name, [])
+        covered = sum(segment.records for segment in segments)
+        if covered < len(frames):
+            segments.append(self._segment(shard_name, frames[covered:]))
+        while len(segments) > 1 and segments[-2].records <= 2 * segments[-1].records:
+            merged = segments.pop().records + segments.pop().records
+            segments.append(self._segment(shard_name, frames[-merged:]))
+        return segments
+
+    def _segment(self, shard_name: str, frames: list[Frame]) -> _Segment:
+        first, last = frames[0].seq, frames[-1].seq
+        (source,) = self._adopt(
+            [
+                _Shard(
+                    name=f"{shard_name}{DELTA_SUFFIX}:{first}-{last}",
+                    text="".join(frame.record for frame in frames),
+                )
+            ]
+        )
+        return _Segment(first, last, len(frames), source)
 
     # -- compaction and the shard lifecycle -------------------------------------
 
@@ -628,6 +666,10 @@ class LiveEngine(ShardedEngine):
         """
         with self._lock:
             self._close_writers()
+            unchanged = {
+                _entry_key(entry): shard
+                for entry, shard in zip(self._manifest.shards, self._shards)
+            }
             folded: dict[str, int] = {}
             for entry in list(self._manifest.shards):
                 frames = self._pending.get(entry.name)
@@ -651,7 +693,7 @@ class LiveEngine(ShardedEngine):
                 for path in copies.journal_paths(self._wal_dir):
                     trim_journal(path, applied)
                 self._pending.pop(entry.name, None)
-                self._delta.pop(entry.name, None)
+                self._segments.pop(entry.name, None)
                 for frame in frames:
                     # Folded frames leave the journal, and their request
                     # ids leave the dedupe window with them.
@@ -659,7 +701,14 @@ class LiveEngine(ShardedEngine):
                         self._request_seqs.pop(frame.request_id, None)
                 folded[entry.name] = len(frames)
             split = self._maybe_split() if self.max_shard_bytes is not None else None
-            self._shards = self._adopt(self._saved_shards(self.root, self._manifest))
+            # Only folded shards and split children start cold: every other
+            # shard keeps its loaded engine, caches, breaker and copies.
+            self._shards = [
+                unchanged.get(_entry_key(entry)) or self._adopt([shard])[0]
+                for entry, shard in zip(
+                    self._manifest.shards, self._saved_shards(self.root, self._manifest)
+                )
+            ]
             return {"folded": folded, "split": split}
 
     def _replace_entry(self, old: ShardEntry, new: ShardEntry) -> None:
@@ -794,6 +843,10 @@ class LiveEngine(ShardedEngine):
                 "next_seq": self._next_seq,
                 "tail": self._manifest.shards[-1].name,
                 "ack_quorum": self.ack_quorum,
+                "delta_segments": {
+                    name: [segment.records for segment in segments]
+                    for name, segments in self._segments.items()
+                },
             }
 
     def close(self) -> None:

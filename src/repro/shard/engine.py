@@ -383,8 +383,8 @@ class ShardedEngine(EngineBase):
 
         Primary attempts build one at a time under the shard's build lock:
         a query that finds another mid-build waits and reuses its engine,
-        so concurrent queries on a cold shard — a live delta that an append
-        just replaced — pay for one build, not one each.  A hedge attempt
+        so concurrent queries on a cold shard — a live delta segment an
+        append just formed — pay for one build, not one each.  A hedge attempt
         (``attempt_offset`` > 0) skips that queue, so it can race the
         primary onto a different replica instead of waiting behind a stuck
         load.  Failures leave ``shard.engine`` unset so the next attempt —

@@ -163,6 +163,26 @@ def test_live_equals_rebuild_before_and_after_compaction(
         live.close()
 
 
+@pytest.mark.parametrize("shards, replicas", layouts(1, 3))
+def test_live_equals_rebuild_across_segment_merges(
+    workload, shards, replicas, tmp_path
+) -> None:
+    _, schema, text, records, texts, join = workload
+    ShardedEngine.split(schema, text, shards).save(tmp_path / "lidx", replicas=replicas)
+    live = LiveEngine.open(schema, tmp_path / "lidx")
+    try:
+        # A query after every append: each append forms a delta segment,
+        # and the newest two merge whenever the older is within 2x.
+        for n, record in enumerate(records, start=1):
+            live.append(record)
+            rebuild = FileQueryEngine(schema, text + "".join(records[:n]))
+            _assert_equivalent(live, rebuild, texts, join, sources=shards + 1)
+        live.compact()
+        _assert_equivalent(live, rebuild, texts, join, sources=shards)
+    finally:
+        live.close()
+
+
 def test_partial_index_build_equals_solo(tmp_path) -> None:
     schema, text, records, texts, join = WORKLOADS["bibtex"]()
     solo = FileQueryEngine(schema, text, PARTIAL)

@@ -49,7 +49,7 @@ def test_concurrent_queries_after_an_append_build_the_delta_once(
     from repro.live.engine import DELTA_SUFFIX
     from repro.shard import ShardedEngine
 
-    # Every query after an append finds a fresh delta source with no
+    # Every query after an append finds a fresh delta segment with no
     # engine.  Two queries that meet it together must share one build:
     # building it once per query doubles the work of exactly the requests
     # that happen to overlap.
@@ -58,7 +58,7 @@ def test_concurrent_queries_after_an_append_build_the_delta_once(
     both_waiting = threading.Barrier(2)
 
     def counting_load(self, shard, attempt_offset=0):
-        if shard.name.endswith(DELTA_SUFFIX):
+        if DELTA_SUFFIX in shard.name:
             builds.append(shard.name)
             time.sleep(0.2)  # a slow build: the other query arrives mid-build
         return load(self, shard, attempt_offset)
@@ -80,7 +80,7 @@ def test_concurrent_queries_after_an_append_build_the_delta_once(
         for thread in threads:
             thread.join()
         assert answers == [expected, expected]
-        assert len(builds) == 1
+        assert builds == [f"{live.status()['tail']}+delta:1-1"]
     finally:
         live.close()
 
@@ -104,32 +104,42 @@ def test_delta_segment_runs_under_the_request_budget(schema, saved_index, corpus
     from repro.resilience import DegradationPolicy, ResourceBudget
     from repro.workloads.bibtex import generate_bibtex
 
-    # Each base shard holds 6 of the 24 references, the delta 12: a cap of
-    # 9 regions is blown only inside the delta segment — which used to run
-    # with no budget at all, so the cap was silently ignored.  The delta is
-    # a source like any shard, so it fails like one: flagged, or typed
-    # under fail_fast.
-    text = generate_bibtex(entries=12, seed=99)
+    # Each base shard holds 6 of the 24 references, the first delta
+    # segment 12: a cap of 9 regions is blown only inside that segment —
+    # which used to run with no budget at all, so the cap was silently
+    # ignored.  A segment is a source like any shard, so it fails like one:
+    # flagged, or typed under fail_fast.  A later append forms a segment of
+    # its own, which answers beside the failing one.
+    text = generate_bibtex(entries=13, seed=99)
     appended = [
         text[child.start : child.end] + "\n\n" for child in schema.parse(text).children
     ]
     budget = ResourceBudget(max_regions=9)
     live = open_live(schema, saved_index)
     try:
-        for record in appended:
+        for record in appended[:12]:
             live.append(record)
-        delta = live.status()["tail"] + DELTA_SUFFIX
+        tail = live.status()["tail"]
+        blown = f"{tail}+delta:1-12"
         partial = live.query(QUERY, budget=budget)
         assert partial.canonical_rows() == rebuild_rows(schema, corpus_text)
         codes = [w.code for w in partial.warnings]
         assert "shard-failed" in codes and "partial-result" in codes
         (failed,) = [r for r in partial.stats.shards if r.status == "failed"]
-        assert failed.shard == delta
+        assert failed.shard == blown
+
+        live.append(appended[12])
+        partial = live.query(QUERY, budget=budget)
+        assert partial.canonical_rows() == rebuild_rows(schema, corpus_text + appended[12])
+        assert [
+            (r.shard, r.status) for r in partial.stats.shards if DELTA_SUFFIX in r.shard
+        ] == [(blown, "failed"), (f"{tail}+delta:13-13", "ok")]
         live.fail_fast = True
         with pytest.raises(ShardFailedError):
             live.query(QUERY, budget=budget)
     finally:
         live.close()
+    # Reopening replays all 13 frames as one segment, which degrades.
     live = open_live(schema, saved_index, policy=DegradationPolicy.degrade())
     try:
         result = live.query(QUERY, budget=budget)
@@ -137,7 +147,7 @@ def test_delta_segment_runs_under_the_request_budget(schema, saved_index, corpus
             schema, corpus_text + "".join(appended)
         )
         degraded = [w for w in result.warnings if w.code == "budget-degraded"]
-        assert [w.detail["shard"] for w in degraded] == [delta]
+        assert [w.detail["shard"] for w in degraded] == [f"{tail}+delta:1-13"]
     finally:
         live.close()
 
@@ -256,6 +266,42 @@ def test_compact_is_idempotent_when_clean(schema, saved_index):
     live = open_live(schema, saved_index)
     try:
         assert live.compact()["folded"] == {}
+    finally:
+        live.close()
+
+
+def test_compact_reloads_only_the_shards_it_folded(
+    schema, saved_index, corpus_text, records, monkeypatch
+):
+    from repro.shard import ShardedEngine
+
+    # Folding the tail rewrites the tail's index and nothing else: every
+    # other shard keeps its loaded engine (and with it its caches, breaker
+    # and copies), so the next query loads the tail alone.
+    live = open_live(schema, saved_index)
+    try:
+        live.query(QUERY)
+        engines = {shard.name: shard.engine for shard in live._shards}
+        for record in records:
+            live.append(record)
+        live.query(QUERY)
+        live.compact()
+        tail = live.status()["tail"]
+        load = ShardedEngine._load_shard_engine
+        loads: list[str] = []
+
+        def counting_load(self, shard, attempt_offset=0):
+            loads.append(shard.name)
+            return load(self, shard, attempt_offset)
+
+        monkeypatch.setattr(ShardedEngine, "_load_shard_engine", counting_load)
+        assert live.query(QUERY).canonical_rows() == rebuild_rows(
+            schema, corpus_text + "".join(records)
+        )
+        assert loads == [tail]
+        for shard in live._shards:
+            if shard.name != tail:
+                assert shard.engine is engines[shard.name]
     finally:
         live.close()
 
@@ -435,6 +481,18 @@ def test_save_and_split_refuse_a_live_engine(schema, saved_index, corpus_text, t
         LiveEngine.split(schema, corpus_text, 2)
 
 
+def test_base_shard_names_must_not_contain_the_delta_marker(
+    schema, corpus_text, tmp_path
+):
+    from repro.shard import ShardedEngine
+
+    ShardedEngine.from_texts(
+        schema, [corpus_text], names=["logs+delta:1-1/0"]
+    ).save(tmp_path / "idx")
+    with pytest.raises(ValueError, match="must not contain"):
+        open_live(schema, tmp_path / "idx")
+
+
 def test_projection_repeating_in_the_delta_is_served_once(tmp_path) -> None:
     from repro.core.engine import FileQueryEngine
     from repro.shard import ShardedEngine
@@ -454,5 +512,59 @@ def test_projection_repeating_in_the_delta_is_served_once(tmp_path) -> None:
         assert len(merged.rows) == len(solo.rows) == 5
         assert merged.rows == solo.rows
         assert merged.stats.rows == 5
+    finally:
+        live.close()
+
+
+# -- delta segments -------------------------------------------------------------
+
+
+def test_segments_stay_logarithmic_and_bound_reindexing(tmp_path, monkeypatch):
+    from repro.live.engine import DELTA_SUFFIX
+    from repro.shard import ShardedEngine
+    from repro.workloads.logs import generate_log, log_schema, tail_entries
+
+    # n one-record appends, each followed by a query.  The size-tiered
+    # merge keeps every adjacent pair at older > 2 x newer, so the tail
+    # carries at most floor(log2 n) + 1 segments, and a record is
+    # re-indexed once per segment it lands in: n * (floor(log2 n) + 1)
+    # records built in all, against n * (n + 1) / 2 for a delta rebuilt
+    # whole after every append.
+    schema = log_schema()
+    text = generate_log(40, seed=3)
+    ShardedEngine.split(schema, text, 2).save(tmp_path / "lidx")
+    load = ShardedEngine._load_shard_engine
+    built: list[int] = []
+
+    def counting_load(self, shard, attempt_offset=0):
+        if DELTA_SUFFIX in shard.name:
+            built.append(len(schema.parse(shard.text).children))
+        return load(self, shard, attempt_offset)
+
+    monkeypatch.setattr(ShardedEngine, "_load_shard_engine", counting_load)
+    live = open_live(schema, tmp_path / "lidx")
+    try:
+        tail = live.status()["tail"]
+        for n, record in enumerate(tail_entries(entries=70, seed=5, start=40), start=1):
+            live.append(record)
+            live.query("SELECT e.Level FROM Entry e")
+            segments = live._segments[tail]
+            covered = [
+                seq for seg in segments for seq in range(seg.first_seq, seg.last_seq + 1)
+            ]
+            assert covered == list(range(1, n + 1))
+            assert [seg.records for seg in segments] == [
+                seg.last_seq - seg.first_seq + 1 for seg in segments
+            ]
+            assert all(
+                older.records > 2 * newer.records
+                for older, newer in zip(segments, segments[1:])
+            )
+            tiers = n.bit_length()  # floor(log2 n) + 1
+            assert len(segments) <= tiers
+            assert sum(built) <= n * tiers
+            assert live.stats().backend["delta_segments"] == {
+                tail: [seg.records for seg in segments]
+            }
     finally:
         live.close()
