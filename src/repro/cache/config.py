@@ -9,72 +9,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import IndexConfigError
+#: LRU entry bound for the region-expression result cache.
+EXPRESSION_CACHE_SIZE = 256
+#: LRU entry bound for the candidate-parse memo.
+PARSE_MEMO_SIZE = 4096
+#: LRU entry bound for the planner's text-query plan cache.
+PLAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """What the engine may memoize, and how much of it.
+    """Whether the engine may memoize.
 
     Attributes
     ----------
     enabled:
-        Master switch.  ``CacheConfig.disabled()`` turns every cache off;
-        query results are byte-identical either way.
-    expression_cache_size:
-        LRU entry bound for the region-expression result cache
-        (``0`` disables that cache only).
-    parse_memo_size:
-        LRU entry bound for the candidate-parse memo (``0`` disables it).
-    plan_cache_size:
-        LRU entry bound for the planner's text-query plan cache
-        (``0`` disables it).
-    full_scan_tree:
-        Whether the executor may keep the corpus parse tree produced by a
-        planner-chosen full scan and reuse it for later full scans.
-        (The forced baseline pipeline never uses it, so benchmark baselines
-        stay honest.)
+        Master switch.  On, the engine keeps a region-expression result
+        cache, a candidate-parse memo and a plan cache (bounded by the
+        module constants), plus the corpus parse tree of a planner-chosen
+        full scan for later full scans (the forced baseline pipeline never
+        uses it, so benchmark baselines stay honest).
+        ``CacheConfig.disabled()`` turns every cache off; query results
+        are byte-identical either way.
     """
 
     enabled: bool = True
-    expression_cache_size: int = 256
-    parse_memo_size: int = 4096
-    plan_cache_size: int = 64
-    full_scan_tree: bool = True
-
-    def __post_init__(self) -> None:
-        for attribute in ("expression_cache_size", "parse_memo_size", "plan_cache_size"):
-            if getattr(self, attribute) < 0:
-                raise IndexConfigError(f"{attribute} must be >= 0")
 
     @classmethod
     def disabled(cls) -> "CacheConfig":
         """The escape hatch: no caching anywhere."""
         return cls(enabled=False)
 
-    @property
-    def caches_expressions(self) -> bool:
-        return self.enabled and self.expression_cache_size > 0
-
-    @property
-    def caches_parses(self) -> bool:
-        return self.enabled and self.parse_memo_size > 0
-
-    @property
-    def caches_plans(self) -> bool:
-        return self.enabled and self.plan_cache_size > 0
-
-    @property
-    def caches_full_scan_tree(self) -> bool:
-        return self.enabled and self.full_scan_tree
-
     def describe(self) -> str:
         if not self.enabled:
             return "disabled"
-        parts = [
-            f"expressions≤{self.expression_cache_size}",
-            f"parses≤{self.parse_memo_size}",
-            f"plans≤{self.plan_cache_size}",
-            f"full-scan-tree={'on' if self.full_scan_tree else 'off'}",
-        ]
-        return "enabled (" + ", ".join(parts) + ")"
+        return (
+            f"enabled (expressions≤{EXPRESSION_CACHE_SIZE}, "
+            f"parses≤{PARSE_MEMO_SIZE}, plans≤{PLAN_CACHE_SIZE}, full-scan-tree=on)"
+        )

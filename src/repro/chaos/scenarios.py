@@ -20,8 +20,7 @@ scenario        injection point                                backends
 ==============  =============================================  ==================
 hang            shard fault injector (``HungShard``) /         solo, sharded
                 zero-width deadline (solo)
-slow            shard fault injector (``SlowShard``),          sharded
-                hedged re-dispatch
+slow            shard fault injector (``SlowShard``)           sharded
 transient-io    shard fault injector (``TransientIOFault``)    sharded
 corrupt         on-disk index damage (``corrupt_index_file``)  solo, sharded
 stale           source rewritten after indexing                solo, sharded
@@ -165,17 +164,13 @@ def _run_slow(fx: "Fixtures", rng: random.Random, backend: str, workdir: Path) -
     verdict = Verdict()
     victim = f"shard{rng.randrange(N_SHARDS)}"
     delay = rng.uniform(0.08, 0.15)
-    hedged = rng.random() < 0.5
-    engine = fx.sharded_engine(
-        fault_injector=SlowShard(delay_s=delay, shard=victim),
-        hedge_after_s=0.02 if hedged else None,
-    )
+    engine = fx.sharded_engine(fault_injector=SlowShard(delay_s=delay, shard=victim))
     started = perf_counter()
     result = engine.query(fx.query)
     verdict.bounded(perf_counter() - started, 10.0)
     codes = [w.code for w in result.warnings]
     verdict.rows_identical_or_flagged(result.canonical_rows(), fx.reference, codes)
-    verdict.codes_within(codes, {"shard-hedged"} if hedged else set())
+    verdict.codes_within(codes, set())
     return verdict
 
 
@@ -1048,9 +1043,9 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "slow",
-            "one shard is slow; with hedging enabled a duplicate attempt "
-            "races it and the first answer wins",
-            "shard fault injector (SlowShard) + hedged dispatch",
+            "one shard is slow; the scatter waits for it and the answer "
+            "is whole, with no warning",
+            "shard fault injector (SlowShard)",
             ("sharded",),
             _run_slow,
         ),

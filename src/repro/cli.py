@@ -105,6 +105,26 @@ def _schema_for(name: str):
         )
 
 
+def _at_least(kind: Callable[[str], float], minimum: int) -> Callable[[str], float]:
+    """An argparse ``type=`` that parses with ``kind`` and refuses a value
+    below ``minimum`` (or NaN) as a usage error, before any engine or
+    server sees it."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+POSITIVE_INT = _at_least(int, 1)
+NON_NEGATIVE_INT = _at_least(int, 0)
+NON_NEGATIVE_FLOAT = _at_least(float, 0)
+
+
 def _policy_from_args(args: argparse.Namespace) -> DegradationPolicy | None:
     if getattr(args, "strict", False):
         return DegradationPolicy.strict()
@@ -163,7 +183,7 @@ def _backend_from_args(args: argparse.Namespace):
     if index and (getattr(args, "sharded", False) or is_sharded_index(index)):
         from repro.shard import ShardedEngine
 
-        if getattr(args, "max_parallel", None):
+        if getattr(args, "max_parallel", None) is not None:
             options["max_parallel"] = args.max_parallel
         return ShardedEngine.from_saved(
             schema, index, fail_fast=getattr(args, "fail_fast", False), **options
@@ -539,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--max-parallel",
-            type=int,
+            type=POSITIVE_INT,
             dest="max_parallel",
             help="sharded --index: cap on concurrently evaluating shards "
             "(default 8)",
@@ -580,19 +600,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(sub: argparse.ArgumentParser, scope: str) -> None:
         sub.add_argument(
             "--budget-ms",
-            type=float,
+            type=NON_NEGATIVE_FLOAT,
             dest="budget_ms",
             help=f"{scope} wall-clock budget, in milliseconds",
         )
         sub.add_argument(
             "--budget-regions",
-            type=int,
+            type=NON_NEGATIVE_INT,
             dest="budget_regions",
             help=f"{scope} cap on regions materialized by the algebra evaluator",
         )
         sub.add_argument(
             "--budget-bytes",
-            type=int,
+            type=NON_NEGATIVE_INT,
             dest="budget_bytes",
             help=f"{scope} cap on file bytes (re-)parsed",
         )
@@ -680,13 +700,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=POSITIVE_INT,
         default=4,
         help="concurrently executing requests (the worker pool size)",
     )
     serve.add_argument(
         "--queue-depth",
-        type=int,
+        type=NON_NEGATIVE_INT,
         dest="queue_depth",
         default=16,
         help="requests allowed to wait past the workers; anything more "
@@ -694,13 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--page-size",
-        type=int,
+        type=POSITIVE_INT,
         dest="page_size",
         help="default rows per response page (unset = everything at once)",
     )
     serve.add_argument(
         "--max-page-size",
-        type=int,
+        type=POSITIVE_INT,
         dest="max_page_size",
         default=10_000,
         help="largest page a client may request",
@@ -712,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--drain-s",
-        type=float,
+        type=NON_NEGATIVE_FLOAT,
         dest="drain_s",
         default=5.0,
         help="graceful-shutdown window: how long SIGTERM waits for "

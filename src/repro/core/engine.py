@@ -32,6 +32,7 @@ from repro.algebra.counters import OperationCounters
 from repro.algebra.region import Instance, RegionSet
 from repro.api import StatsResponse
 from repro.cache import CacheConfig, CacheStats
+from repro.cache.config import PLAN_CACHE_SIZE
 from repro.core.partial import Execution, ExecutionStats, PlanExecutor
 from repro.core.planner import Plan, Planner
 from repro.core.translate import Translator
@@ -312,11 +313,7 @@ class FileQueryEngine(EngineBase):
         self.planner = Planner(
             self.translator,
             optimize_expressions=optimize_expressions,
-            plan_cache_size=(
-                self.cache_config.plan_cache_size
-                if self.cache_config.caches_plans
-                else 0
-            ),
+            plan_cache_size=PLAN_CACHE_SIZE if self.cache_config.enabled else 0,
             cache_stats=self.cache_stats,
         )
         self._executor = PlanExecutor(

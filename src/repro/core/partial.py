@@ -27,6 +27,7 @@ from repro.cache import (
     ParseFailure,
     ParseOutcome,
 )
+from repro.cache.config import PARSE_MEMO_SIZE
 from repro.core.planner import Plan
 from repro.core.translate import Translator
 from repro.db.evaluator import NaiveEvaluator
@@ -144,10 +145,8 @@ class PlanExecutor:
         self._cache_config = cache_config if cache_config is not None else CacheConfig.disabled()
         self._cache_stats = cache_stats if cache_stats is not None else CacheStats()
         self._parse_memo: CandidateParseMemo | None = (
-            CandidateParseMemo(
-                max_entries=self._cache_config.parse_memo_size, stats=self._cache_stats
-            )
-            if self._cache_config.caches_parses
+            CandidateParseMemo(max_entries=PARSE_MEMO_SIZE, stats=self._cache_stats)
+            if self._cache_config.enabled
             else None
         )
         #: The parse tree (and its byte cost) of the last planner-chosen
@@ -691,7 +690,7 @@ class PlanExecutor:
         Concurrent queries serialize on the memo lock so the expensive parse
         happens once and a half-assigned tuple is never observed.
         """
-        cache_tree = use_cache and self._cache_config.caches_full_scan_tree
+        cache_tree = use_cache and self._cache_config.enabled
         with self._full_scan_lock:
             if cache_tree and self._full_scan_tree is not None:
                 tree, byte_cost = self._full_scan_tree

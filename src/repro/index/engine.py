@@ -16,6 +16,7 @@ from repro.algebra.counters import OperationCounters
 from repro.algebra.evaluator import EvalStats, Evaluator, NodeRecord
 from repro.algebra.region import Instance, Region, RegionSet
 from repro.cache import CacheConfig, CacheStats, RegionCache
+from repro.cache.config import EXPRESSION_CACHE_SIZE
 from repro.errors import RegionIndexError
 from repro.index.config import IndexConfig
 from repro.index.stats import IndexStatistics
@@ -58,10 +59,8 @@ class IndexEngine:
         simply empty.  Passing ``CacheConfig.disabled()`` removes caching.
         """
         self.cache_config = cache_config
-        if cache_config.caches_expressions:
-            self.region_cache = RegionCache(
-                max_entries=cache_config.expression_cache_size, stats=stats
-            )
+        if cache_config.enabled:
+            self.region_cache = RegionCache(max_entries=EXPRESSION_CACHE_SIZE, stats=stats)
         else:
             self.region_cache = None
 

@@ -49,12 +49,9 @@ class ShardExecution:
     started_at: float = 0.0
     ended_at: float = 0.0
     breaker: dict[str, Any] = field(default_factory=dict)
-    #: Source-level incidents (hedged, retried, failed, skipped, timed
-    #: out), then the source's own warnings tagged with its name.
+    #: Source-level incidents (retried, failed, skipped, timed out), then
+    #: the source's own warnings tagged with its name.
     warnings: "list[QueryWarning]" = field(default_factory=list)
-    hedged: bool = False
-    #: Which attempt answered a hedged source: ``"primary"`` or ``"hedge"``.
-    winner: str | None = None
 
     @property
     def duration_s(self) -> float:

@@ -63,7 +63,6 @@ from repro.resilience.warnings import (
     MALFORMED_REGION,
     PARTIAL_RESULT,
     SHARD_FAILED,
-    SHARD_HEDGED,
     SHARD_RETRIED,
     SHARD_SKIPPED_OPEN_BREAKER,
     SHARD_SPLIT,
@@ -104,7 +103,6 @@ __all__ = [
     "BUDGET_DEGRADED",
     "MALFORMED_REGION",
     "SHARD_FAILED",
-    "SHARD_HEDGED",
     "SHARD_RETRIED",
     "SHARD_SKIPPED_OPEN_BREAKER",
     "SHARD_TIMEOUT",

@@ -18,8 +18,8 @@ theoretically reachable.  This module provides the levers:
   :class:`~repro.shard.ShardedEngine` as its ``fault_injector`` hook: the
   first fails the first *K* shard-open attempts with :class:`OSError`
   (exercising retry/backoff), the second adds fixed latency per shard
-  attempt (exercising scatter-gather under slow shards, deadline budgets,
-  and hedged reads), the third hangs an attempt until released or a
+  attempt (exercising scatter-gather under slow shards and deadline
+  budgets), the third hangs an attempt until released or a
   ceiling elapses (exercising deadline-bounded abandonment of a hung
   shard);
 - :class:`WorkerStall` — a server-layer injector plugged into

@@ -23,7 +23,6 @@ MALFORMED_REGION = "malformed-region"
 SHARD_FAILED = "shard-failed"
 SHARD_RETRIED = "shard-retried"
 SHARD_SKIPPED_OPEN_BREAKER = "shard-skipped-open-breaker"
-SHARD_HEDGED = "shard-hedged"
 SHARD_TIMEOUT = "shard-timeout"
 PARTIAL_RESULT = "partial-result"
 DELTA_REPLAYED = "delta-replayed"

@@ -41,9 +41,8 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -69,7 +68,6 @@ from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.resilience.warnings import (
     PARTIAL_RESULT,
     SHARD_FAILED,
-    SHARD_HEDGED,
     SHARD_RETRIED,
     SHARD_SKIPPED_OPEN_BREAKER,
     SHARD_TIMEOUT,
@@ -97,7 +95,7 @@ DEFAULT_MAX_PARALLEL = 8
 #: :class:`~repro.resilience.faults.HungShard`).
 FaultInjector = Callable[[str], None]
 
-#: How long past an absolute request deadline the gather loop waits for
+#: How long past an absolute request deadline the scatter waits for
 #: per-shard budget meters to fire on their own before abandoning the
 #: stragglers outright: ``fraction * deadline_s`` clamped to the bounds.
 #: Keeps the worst case comfortably under 2x the deadline while giving a
@@ -119,27 +117,11 @@ class _Shard:
     engine: FileQueryEngine | None = None
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Held across a primary engine build, so that concurrent queries on a
+    #: Held across an engine build, so that concurrent queries on a
     #: cold shard build its engine once between them.
     build_lock: threading.Lock = field(default_factory=threading.Lock)
     replica_set: ReplicaSet | None = None
     replica_events: list = field(default_factory=list)
-
-
-@dataclass
-class _ShardTask:
-    """One shard's in-flight scatter state: the primary attempt and, when
-    hedging kicked in, its racing duplicate."""
-
-    number: int
-    shard: _Shard
-    primary: "Future[ShardExecution]"
-    dispatched_at: float
-    hedge: "Future[ShardExecution] | None" = None
-    hedged_at: float | None = None
-
-    def futures(self) -> list["Future[ShardExecution]"]:
-        return [self.primary] if self.hedge is None else [self.primary, self.hedge]
 
 
 class ShardedEngine(EngineBase):
@@ -168,7 +150,6 @@ class ShardedEngine(EngineBase):
         breaker_config: BreakerConfig | None = None,
         max_parallel: int | None = None,
         fail_fast: bool = False,
-        hedge_after_s: float | None = None,
         fault_injector: FaultInjector | None = None,
         retry_sleep: Callable[[float], Any] = time.sleep,
     ) -> None:
@@ -194,9 +175,6 @@ class ShardedEngine(EngineBase):
         if self.max_parallel < 1:
             raise ValueError(f"max_parallel must be >= 1, got {self.max_parallel!r}")
         self.fail_fast = fail_fast
-        if hedge_after_s is not None and hedge_after_s < 0:
-            raise ValueError(f"hedge_after_s must be non-negative, got {hedge_after_s!r}")
-        self.hedge_after_s = hedge_after_s
         self.fault_injector = fault_injector
         self._retry_sleep = retry_sleep
         self._shards = self._adopt(shards)
@@ -378,34 +356,30 @@ class ShardedEngine(EngineBase):
                 )
             return shard.replica_set
 
-    def _ensure_engine(self, shard: _Shard, attempt_offset: int = 0) -> FileQueryEngine:
+    def _ensure_engine(self, shard: _Shard) -> FileQueryEngine:
         """Build or load the shard's engine (idempotent).
 
-        Primary attempts build one at a time under the shard's build lock:
-        a query that finds another mid-build waits and reuses its engine,
-        so concurrent queries on a cold shard — a live delta segment an
-        append just formed — pay for one build, not one each.  A hedge attempt
-        (``attempt_offset`` > 0) skips that queue, so it can race the
-        primary onto a different replica instead of waiting behind a stuck
-        load.  Failures leave ``shard.engine`` unset so the next attempt —
-        this query's retry, or the next query — starts clean.
+        Builds run one at a time under the shard's build lock: a query
+        that finds another mid-build waits and reuses its engine, so
+        concurrent queries on a cold shard — a live delta segment an
+        append just formed — pay for one build, not one each.  Failures
+        leave ``shard.engine`` unset so the next attempt — this query's
+        retry, or the next query — starts clean.
         """
         with shard.lock:
             if shard.engine is not None:
                 return shard.engine
-        with nullcontext() if attempt_offset else shard.build_lock:
+        with shard.build_lock:
             with shard.lock:
                 if shard.engine is not None:
                     return shard.engine
-            engine = self._load_shard_engine(shard, attempt_offset)
+            engine = self._load_shard_engine(shard)
             with shard.lock:
                 if shard.engine is None:
                     shard.engine = engine
                 return shard.engine
 
-    def _load_shard_engine(
-        self, shard: _Shard, attempt_offset: int = 0
-    ) -> FileQueryEngine:
+    def _load_shard_engine(self, shard: _Shard) -> FileQueryEngine:
         options = dict(
             optimize_expressions=self.optimize_expressions,
             cache_config=self.cache_config,
@@ -422,7 +396,6 @@ class ShardedEngine(EngineBase):
             lambda path, policy: FileQueryEngine._load_copy(
                 self.schema, path, policy, source_path=shard.source_path, **options
             ),
-            offset=attempt_offset,
         )
         with shard.lock:
             shard.replica_events = list(load.events)
@@ -454,14 +427,10 @@ class ShardedEngine(EngineBase):
         time at its dispatch, so the deadline never restarts at a layer
         boundary.  A shard that produces nothing by the deadline (plus a
         small grace for its own meter to fire) is abandoned with a
-        ``shard-timeout`` warning instead of hanging the request.
-
-        With the engine's ``hedge_after_s``, a shard still running after
-        that many seconds is re-dispatched to a second attempt; the first
-        finished attempt wins and the merged result carries a
-        ``shard-hedged`` warning.  With the engine's ``fail_fast`` any
-        unhealthy shard raises :class:`~repro.errors.ShardFailedError`
-        instead of degrading to a partial result.
+        ``shard-timeout`` warning instead of hanging the request.  With
+        the engine's ``fail_fast`` any unhealthy shard raises
+        :class:`~repro.errors.ShardFailedError` instead of degrading to a
+        partial result.
         """
         holder: dict[str, Any] = {"lock": threading.Lock()}
         started = perf_counter()
@@ -500,30 +469,20 @@ class ShardedEngine(EngineBase):
         budget: ResourceBudget | None,
         holder: dict[str, Any],
     ) -> list[ShardExecution]:
-        """Dispatch one task per source and gather their outcomes, hedging
-        stragglers and abandoning anything still running past the
-        absolute deadline (plus grace)."""
-        hedge_after = self.hedge_after_s
-        base = min(self.max_parallel, len(sources))
+        """Run one attempt per source and wait for them once: until all
+        finish, one raises a query-wide error, or the absolute deadline
+        (plus grace) passes — whatever is still running then is abandoned."""
+        dispatched_at = perf_counter()
         pool = ThreadPoolExecutor(
-            # Headroom for hedge attempts: a hedge must never queue
-            # behind the very straggler it is meant to outrun.
-            max_workers=base * 2 if hedge_after is not None else base,
+            max_workers=min(self.max_parallel, len(sources)),
             thread_name_prefix="repro-shard",
         )
-        outcomes: list[ShardExecution] = [None] * len(sources)  # type: ignore[list-item]
-        query_errors: list[tuple[int, BaseException]] = []
         try:
-            tasks = [
-                _ShardTask(
-                    number,
-                    shard,
-                    primary=pool.submit(self._run_shard, shard, query, budget, holder),
-                    dispatched_at=perf_counter(),
-                )
-                for number, shard in enumerate(sources)
+            futures = [
+                pool.submit(self._run_shard, shard, query, budget, holder)
+                for shard in sources
             ]
-            abandon_at: float | None = None
+            timeout: float | None = None
             if budget is not None and budget.deadline_at is not None:
                 grace = min(
                     GATHER_GRACE_MAX_S,
@@ -532,140 +491,52 @@ class ShardedEngine(EngineBase):
                         (budget.deadline_s or 0.0) * GATHER_GRACE_FRACTION,
                     ),
                 )
-                abandon_at = budget.deadline_at + grace
-            pending = list(tasks)
-            while pending:
-                still_pending = []
-                for task in pending:
-                    outcome = self._resolve_task(task, query_errors)
-                    if outcome is not None:
-                        outcomes[task.number] = outcome
-                    else:
-                        still_pending.append(task)
-                pending = still_pending
-                if not pending or query_errors:
-                    break
-                now = perf_counter()
-                if abandon_at is not None and now >= abandon_at:
-                    for task in pending:
-                        outcomes[task.number] = self._abandon_task(task, budget)
-                    break
-                next_at = abandon_at
-                if hedge_after is not None:
-                    for task in pending:
-                        if task.hedge is not None:
-                            continue
-                        hedge_at = task.dispatched_at + hedge_after
-                        if now >= hedge_at and not task.primary.done():
-                            # The hedge starts from the *next* replica of a
-                            # replicated shard, so a stuck copy is raced by
-                            # a different copy, not a duplicate of itself.
-                            task.hedge = pool.submit(
-                                self._run_shard, task.shard, query, budget, holder, 1
-                            )
-                            task.hedged_at = now
-                        elif task.hedge is None:
-                            next_at = (
-                                hedge_at if next_at is None else min(next_at, hedge_at)
-                            )
-                live = [f for t in pending for f in t.futures() if not f.done()]
-                timeout = (
-                    None if next_at is None else max(0.0, next_at - perf_counter())
-                )
-                if live:
-                    futures_wait(live, timeout=timeout, return_when=FIRST_COMPLETED)
+                timeout = max(0.0, budget.deadline_at + grace - perf_counter())
+            done, _ = futures_wait(futures, timeout=timeout, return_when=FIRST_EXCEPTION)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        if query_errors:
-            # Query-wide defects (bad syntax, untranslatable path) are the
-            # caller's problem, not a shard fault.
-            raise min(query_errors)[1]
-        return outcomes
-
-    def _resolve_task(
-        self,
-        task: _ShardTask,
-        query_errors: list[tuple[int, BaseException]],
-    ) -> ShardExecution | None:
-        """The task's final outcome, or ``None`` while it is undecided.
-
-        First *successful* attempt wins; a failed attempt whose sibling
-        is still running stays undecided (the hedge may yet save the
-        shard)."""
-        finished: list[tuple[str, ShardExecution | None]] = []
-        for which, future in (("primary", task.primary), ("hedge", task.hedge)):
-            if future is None or not future.done():
-                continue
-            try:
-                finished.append((which, future.result()))
-            except QueryError as error:
-                query_errors.append((task.number, error))
-                finished.append((which, None))
-        if not finished:
-            return None
-        healthy = [
-            (which, outcome)
-            for which, outcome in finished
-            if outcome is not None and outcome.status == OK
+        for future in futures:
+            error = future.exception() if future in done else None
+            if error is not None:
+                # Query-wide defects (bad syntax, untranslatable path) are
+                # the caller's problem, not a shard fault: _run_shard
+                # isolates everything else.
+                raise error
+        return [
+            future.result()
+            if future in done
+            else self._abandon(shard, budget, dispatched_at)
+            for shard, future in zip(sources, futures)
         ]
-        if healthy:
-            which, outcome = healthy[0]
-        elif len(finished) == len(task.futures()):
-            remaining = [pair for pair in finished if pair[1] is not None]
-            if not remaining:
-                return None  # every attempt raised a query-wide error
-            which, outcome = remaining[0]
-        else:
-            return None
-        if task.hedge is not None:
-            outcome.hedged = True
-            outcome.winner = which
-            outcome.warnings = [
-                QueryWarning(
-                    SHARD_HEDGED,
-                    f"shard {task.shard.name!r} hedged after "
-                    f"{(task.hedged_at or 0.0) - task.dispatched_at:.3f}s; "
-                    f"{which} attempt won",
-                    detail={"shard": task.shard.name, "winner": which},
-                )
-            ] + outcome.warnings
-        return outcome
 
-    def _abandon_task(
-        self, task: _ShardTask, budget: ResourceBudget | None
+    def _abandon(
+        self, shard: _Shard, budget: ResourceBudget | None, dispatched_at: float
     ) -> ShardExecution:
-        """Give up on a shard that produced nothing by the deadline: the
-        attempt threads are detached (their eventual results discarded)
-        and a releasable injected hang is woken so it fails fast."""
-        for future in task.futures():
-            future.cancel()
+        """Give up on a shard that produced nothing by the deadline: its
+        attempt thread is detached (its eventual result discarded) and a
+        releasable injected hang is woken so it fails fast."""
         release = getattr(self.fault_injector, "release", None)
         if callable(release):
             release()
         described = budget.describe() if budget is not None else "deadline"
         warning = QueryWarning(
             SHARD_TIMEOUT,
-            f"shard {task.shard.name!r} abandoned: no result within the "
+            f"shard {shard.name!r} abandoned: no result within the "
             f"request deadline ({described})",
-            detail={
-                "shard": task.shard.name,
-                "hedged": task.hedge is not None,
-                "budget": described,
-            },
+            detail={"shard": shard.name, "budget": described},
         )
         return ShardExecution(
-            shard=task.shard.name,
+            shard=shard.name,
             status=FAILED,
             error=TimeoutError(
-                f"shard {task.shard.name!r} abandoned: no result within the "
+                f"shard {shard.name!r} abandoned: no result within the "
                 f"request deadline"
             ),
-            attempts=len(task.futures()),
-            started_at=task.dispatched_at,
+            attempts=1,
+            started_at=dispatched_at,
             ended_at=perf_counter(),
             warnings=[warning],
-            breaker=task.shard.breaker.snapshot(),
-            hedged=task.hedge is not None,
+            breaker=shard.breaker.snapshot(),
         )
 
     def _run_shard(
@@ -674,13 +545,12 @@ class ShardedEngine(EngineBase):
         query: Query | str,
         budget: ResourceBudget | None,
         holder: dict[str, Any],
-        attempt_offset: int = 0,
     ) -> ShardExecution:
         started = perf_counter()
         if budget is not None:
-            # A shard dispatched (or hedged) late gets only the request's
-            # remaining time — visibly: its own stats report the clamped
-            # window, not the original full deadline.
+            # A shard dispatched late gets only the request's remaining
+            # time — visibly: its own stats report the clamped window, not
+            # the original full deadline.
             budget = budget.at_dispatch(started)
         if not shard.breaker.allow():
             snapshot = shard.breaker.snapshot()
@@ -710,7 +580,7 @@ class ShardedEngine(EngineBase):
         def attempt_once() -> QueryResult:
             if self.fault_injector is not None:
                 self.fault_injector(shard.name)
-            engine = self._ensure_engine(shard, attempt_offset)
+            engine = self._ensure_engine(shard)
             if engine.degraded:
                 # A degraded engine has no indexed names; the shared
                 # (index-strategy) plan does not apply — plan locally.
@@ -727,7 +597,7 @@ class ShardedEngine(EngineBase):
                 on_retry=on_retry,
             )
         except QueryError:
-            raise  # query-wide, handled by the gather loop
+            raise  # query-wide, raised by the scatter
         except Exception as error:  # noqa: BLE001 — isolation boundary
             shard.breaker.record_failure()
             attempts = len(retry_log) + 1
@@ -886,8 +756,6 @@ class ShardedEngine(EngineBase):
                     "breaker": outcome.breaker.get("state", "closed"),
                 },
             )
-            if outcome.hedged:
-                span.annotate(hedged=True, winner=outcome.winner)
             for event in shard.replica_events:
                 child = Span(
                     f"replica:{outcome.shard}:{event.index}",

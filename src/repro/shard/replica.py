@@ -327,13 +327,6 @@ class ReplicaSet:
 
     # -- routing ---------------------------------------------------------------
 
-    def _rotation(self, offset: int) -> list[_Replica]:
-        """Replicas in preference order, rotated by ``offset`` so a hedge
-        attempt starts from a *different* copy than the primary it races."""
-        n = len(self._replicas)
-        shift = offset % n if n else 0
-        return self._replicas[shift:] + self._replicas[:shift]
-
     def _fingerprint_ok(self, replica: _Replica) -> bool:
         """Whether the replica's own manifest matches the shard manifest's
         recorded fingerprint (``True`` when there is no expectation to
@@ -348,13 +341,12 @@ class ReplicaSet:
         self,
         loader: Callable[[str], T],
         fallback: Callable[[str], T] | None = None,
-        offset: int = 0,
     ) -> ReplicaLoad:
         """Route a load to the first healthy replica.
 
         ``loader`` is attempted against each candidate replica directory in
-        rotated preference order; a candidate is skipped up front when its
-        breaker is open or its fingerprint diverges from the shard
+        preference order, replica 0 first; a candidate is skipped up front
+        when its breaker is open or its fingerprint diverges from the shard
         manifest.  Typed corrupt/stale/missing errors and transient I/O
         fail over to the next replica (``replica-failover`` warning per
         skip).  When every replica fails the strict pass, ``fallback``
@@ -364,8 +356,7 @@ class ReplicaSet:
         warnings: list[QueryWarning] = []
         events: list[ReplicaLoadEvent] = []
         last_error: BaseException | None = None
-        order = self._rotation(offset)
-        for replica in order:
+        for replica in self._replicas:
             if not replica.breaker.allow():
                 snapshot = replica.breaker.snapshot()
                 self._note_skip(
@@ -402,7 +393,7 @@ class ReplicaSet:
             events.append(_event(replica, True, started))
             return ReplicaLoad(value, replica.index, False, warnings, events)
         if fallback is not None:
-            for replica in order:
+            for replica in self._replicas:
                 started = perf_counter()
                 try:
                     value = fallback(str(replica.directory))
@@ -427,7 +418,6 @@ class ReplicaSet:
         self,
         policy: DegradationPolicy,
         open_at: "Callable[[str, DegradationPolicy], FileQueryEngine]",
-        offset: int = 0,
     ) -> ReplicaLoad:
         """Load one engine from this set under ``policy`` — the only way a
         saved index is opened.  ``open_at(path, policy)`` opens the index
@@ -446,7 +436,6 @@ class ReplicaSet:
         load = self.load(
             lambda path: open_at(path, strict),
             fallback=lambda path: open_at(path, policy),
-            offset=offset,
         )
         load.value.policy = policy
         # Failover decisions surface on every result the engine serves,

@@ -99,17 +99,8 @@ class TestEvaluatorSharedCache:
 class TestCacheConfig:
     def test_disabled_turns_everything_off(self):
         config = CacheConfig.disabled()
-        assert not config.caches_expressions
-        assert not config.caches_parses
-        assert not config.caches_plans
-        assert not config.caches_full_scan_tree
+        assert not config.enabled
         assert config.describe() == "disabled"
-
-    def test_zero_sizes_disable_individual_layers(self):
-        config = CacheConfig(expression_cache_size=0, parse_memo_size=0)
-        assert not config.caches_expressions
-        assert not config.caches_parses
-        assert config.caches_plans
 
     def test_describe_mentions_bounds(self):
         text = CacheConfig().describe()

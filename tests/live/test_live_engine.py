@@ -57,11 +57,11 @@ def test_concurrent_queries_after_an_append_build_the_delta_once(
     builds: list[str] = []
     both_waiting = threading.Barrier(2)
 
-    def counting_load(self, shard, attempt_offset=0):
+    def counting_load(self, shard):
         if DELTA_SUFFIX in shard.name:
             builds.append(shard.name)
             time.sleep(0.2)  # a slow build: the other query arrives mid-build
-        return load(self, shard, attempt_offset)
+        return load(self, shard)
 
     monkeypatch.setattr(ShardedEngine, "_load_shard_engine", counting_load)
     live = open_live(schema, saved_index)
@@ -290,9 +290,9 @@ def test_compact_reloads_only_the_shards_it_folded(
         load = ShardedEngine._load_shard_engine
         loads: list[str] = []
 
-        def counting_load(self, shard, attempt_offset=0):
+        def counting_load(self, shard):
             loads.append(shard.name)
-            return load(self, shard, attempt_offset)
+            return load(self, shard)
 
         monkeypatch.setattr(ShardedEngine, "_load_shard_engine", counting_load)
         assert live.query(QUERY).canonical_rows() == rebuild_rows(
@@ -536,10 +536,10 @@ def test_segments_stay_logarithmic_and_bound_reindexing(tmp_path, monkeypatch):
     load = ShardedEngine._load_shard_engine
     built: list[int] = []
 
-    def counting_load(self, shard, attempt_offset=0):
+    def counting_load(self, shard):
         if DELTA_SUFFIX in shard.name:
             built.append(len(schema.parse(shard.text).children))
-        return load(self, shard, attempt_offset)
+        return load(self, shard)
 
     monkeypatch.setattr(ShardedEngine, "_load_shard_engine", counting_load)
     live = open_live(schema, tmp_path / "lidx")

@@ -194,14 +194,6 @@ class TestReplicaSetRouting:
         assert health["detail"][0]["status"] == "healthy"
         assert health["detail"][0]["breaker"] == "closed"
 
-    def test_rotation_offsets_start_from_different_replicas(
-        self, replicated_dir, schema, query_text
-    ) -> None:
-        replicas = ReplicaSet.open(replicated_dir)
-        load = self.loader(schema, query_text)
-        assert replicas.load(load, offset=0).replica_index == 0
-        assert replicas.load(load, offset=1).replica_index == 1
-
 
 # -- sharded engine integration -----------------------------------------------
 

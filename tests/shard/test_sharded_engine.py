@@ -12,14 +12,16 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.api import render_rows
-from repro.errors import QuerySyntaxError, ShardFailedError
+from repro.errors import QueryError, QuerySyntaxError, ShardFailedError
 from repro.resilience import (
     BreakerConfig,
     DegradationPolicy,
+    HungShard,
     ResourceBudget,
     RetryPolicy,
     SlowShard,
@@ -145,6 +147,48 @@ def test_bad_query_raises_instead_of_partial_result(sharded_engine) -> None:
     # failures dressed up as a partial result.
     with pytest.raises(QuerySyntaxError):
         sharded_engine.query("SELECT FROM WHERE")
+
+
+@pytest.mark.parametrize("shards", [1, 2, 8])
+def test_cold_engine_raises_a_query_error_not_a_shard_failure(
+    tmp_path, schema, corpus_text, shards
+) -> None:
+    # A cold saved engine has no loaded shard to plan on.  Over several
+    # sources the join check parses the text before anything is scattered;
+    # over one source the query is planned inside its shard task and the
+    # defect surfaces from the scatter.  Either way it is the caller's
+    # error: not a shard failure, not a partial result, and no shard's
+    # breaker is charged for it.
+    directory = tmp_path / "sidx"
+    ShardedEngine.split(schema, corpus_text, shards).save(directory)
+    engine = ShardedEngine.from_saved(schema, directory)
+    with pytest.raises(QueryError, match="declared range variable"):
+        engine.query("SELECT x FROM Reference r")
+    for name in engine.shard_names:
+        assert engine.breaker_snapshot(name)["consecutive_failures"] == 0
+
+
+def test_query_error_inside_a_shard_task_ends_the_wait(
+    schema, corpus_text, query_text
+) -> None:
+    # One source raises a query-wide error while another is stuck: the
+    # scatter raises that error at once instead of waiting for the rest.
+    hung = HungShard(hang_s=30.0, shard="shard0")
+
+    def injector(name: str) -> None:
+        if name == "shard5":
+            raise QueryError("defect found inside shard5's task")
+        hung(name)
+
+    engine = ShardedEngine.split(schema, corpus_text, 8, fault_injector=injector)
+    started = time.perf_counter()
+    try:
+        with pytest.raises(QueryError, match="shard5"):
+            engine.query(query_text)
+    finally:
+        hung.release()
+    assert time.perf_counter() - started < 5.0
+    assert engine.breaker_snapshot("shard5")["consecutive_failures"] == 0
 
 
 def test_unknown_class_falls_back_to_empty_full_scan(sharded_engine) -> None:

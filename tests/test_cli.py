@@ -290,3 +290,42 @@ class TestLive:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sharded_index(corpus_file, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-sharded") / "sidx"
+    argv = ["index", "--workload", "bibtex", "--file", corpus_file]
+    assert main(argv + ["--shards", "2", "--out", str(directory)]) == 0
+    return str(directory)
+
+
+class TestNumericOptions:
+    """An out-of-range count, size or duration is a one-line usage error
+    (exit 2) at parse time, never an engine default or a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("query", "--max-parallel", "0"),
+            ("query", "--max-parallel", "-1"),
+            ("query", "--budget-ms", "-1"),
+            ("query", "--budget-regions", "-1"),
+            ("query", "--budget-bytes", "-1"),
+            ("serve", "--workers", "0"),
+            ("serve", "--queue-depth", "-1"),
+            ("serve", "--page-size", "0"),
+            ("serve", "--max-page-size", "0"),
+            ("serve", "--drain-s", "-1"),
+            ("serve", "--budget-ms", "-1"),
+        ],
+    )
+    def test_out_of_range_value_is_a_usage_error(
+        self, sharded_index, capsys, command, option, value
+    ):
+        argv = [command, "--workload", "bibtex", "--index", sharded_index, option, value]
+        argv += ["SELECT r.Key FROM Reference r"] if command == "query" else ["--port", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {option}: must be >= " in capsys.readouterr().err
