@@ -504,26 +504,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import BACKENDS, SCENARIOS, parse_seeds, render_report, run_matrix
-
-    if args.list_scenarios:
-        for name in sorted(SCENARIOS):
-            scenario = SCENARIOS[name]
-            print(f"{name:16s} [{', '.join(scenario.backends)}]")
-            print(f"    {scenario.description}")
-            print(f"    injection: {scenario.injection}")
-        return 0
-    backends = BACKENDS if args.backend == "both" else (args.backend,)
-    runs = run_matrix(
-        parse_seeds(args.seeds),
-        scenarios=args.scenario or None,
-        backends=backends,
-    )
-    print(render_report(runs))
-    return 0 if all(run.passed for run in runs) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -765,35 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_json(scrub)
     scrub.set_defaults(handler=_cmd_scrub)
-
-    chaos = commands.add_parser(
-        "chaos",
-        help="seed-driven chaos matrix: inject faults (hangs, corruption, "
-        "stalls, overload) and verify the degradation contracts hold",
-    )
-    chaos.add_argument(
-        "--seeds",
-        default="0..7",
-        help="seeds to run: N, N..M, or a comma-separated mix (default 0..7)",
-    )
-    chaos.add_argument(
-        "--scenario",
-        action="append",
-        help="run only this scenario (repeatable; --list-scenarios to see them)",
-    )
-    chaos.add_argument(
-        "--backend",
-        choices=["solo", "sharded", "both"],
-        default="both",
-        help="engine(s) to drive the scenarios against",
-    )
-    chaos.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        dest="list_scenarios",
-        help="list the registered scenarios and their injection points",
-    )
-    chaos.set_defaults(handler=_cmd_chaos)
 
     shard = commands.add_parser(
         "shard",

@@ -229,7 +229,9 @@ class WorkerStall:
     Plugged into :class:`~repro.server.WorkerPool` as its
     ``fault_injector``; exercises end-to-end deadline semantics — the
     stall happens *after* admission, so it consumes the request's minted
-    deadline rather than re-arming it.
+    deadline rather than re-arming it.  ``stalling`` is set just before
+    the first stall sleeps, so a caller can wait until a request is
+    occupying its worker instead of guessing with a sleep.
     """
 
     def __init__(self, stall_s: float, k: int | None = None) -> None:
@@ -240,6 +242,7 @@ class WorkerStall:
         self.stall_s = stall_s
         self.k = k
         self.calls = 0
+        self.stalling = threading.Event()
         self._lock = threading.Lock()
 
     def __call__(self) -> None:
@@ -247,6 +250,7 @@ class WorkerStall:
             self.calls += 1
             stall = self.k is None or self.calls <= self.k
         if stall:
+            self.stalling.set()
             time.sleep(self.stall_s)
 
 

@@ -11,12 +11,11 @@ structured rejection, not a silently growing backlog.  This pool owns a
 before the queue can fill; the pool's own cap is the backstop that makes
 the bound true even if a caller bypasses admission.)
 
-Shutdown comes in two flavors: :meth:`WorkerPool.shutdown` (legacy —
-drain everything already queued, then stop) and :meth:`WorkerPool.drain`
-(graceful — finish what is *executing*, fail what is merely *queued* with
-a typed :class:`~repro.errors.ServerDrainingError`, all bounded by a
-drain deadline).  The server's SIGTERM path uses ``drain``: active
-queries complete, queued-but-unstarted ones get structured 503s.
+Shutdown is :meth:`WorkerPool.drain`: finish what is *executing*, fail
+what is merely *queued* with a typed
+:class:`~repro.errors.ServerDrainingError`, all bounded by a drain
+deadline.  The server's SIGTERM path uses it: active queries complete,
+queued-but-unstarted ones get structured 503s.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class WorkerPool:
     def submit(self, fn: Callable[[], Any]) -> "Future[Any]":
         """Enqueue ``fn`` for execution; returns its future.  Raises
         :class:`~repro.errors.ServerOverloadedError` when the queue is
-        full and after shutdown."""
+        full and after :meth:`drain`."""
         with self._lock:
             if self._shutdown:
                 raise ServerOverloadedError("server is shutting down")
@@ -104,18 +103,6 @@ class WorkerPool:
             except BaseException as error:  # noqa: BLE001 — future boundary
                 future.set_exception(error)
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work; drain what was already queued."""
-        with self._lock:
-            if self._shutdown:
-                return
-            self._shutdown = True
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        if wait:
-            for thread in self._threads:
-                thread.join(timeout=10.0)
-
     def drain(self, deadline_s: float = 5.0) -> bool:
         """Graceful shutdown: stop accepting, fail queued-but-unstarted
         work with :class:`~repro.errors.ServerDrainingError`, and give
@@ -124,7 +111,7 @@ class WorkerPool:
         Returns ``True`` when every worker exited within the deadline
         (``False`` means an in-flight request outlived the drain window —
         its worker thread is a daemon, so the process can still exit).
-        Idempotent; safe to call after :meth:`shutdown`.
+        Idempotent.
         """
         with self._lock:
             self._shutdown = True

@@ -1,22 +1,21 @@
-"""The chaos harness itself: the invariant oracle's verdict logic, seed
-parsing, the scenario registry's shape, and one end-to-end faulted run
-per backend judged against the healthy twin."""
+"""The chaos matrix: every registered scenario against every backend it
+declares, seeds 0..7, each case judged by the invariant oracle against
+the healthy twin — plus the oracle's own verdict logic and the registry's
+shape.
+
+A failing case id such as ``test_chaos_case[corrupt-solo-6]`` replays
+the same faults when run alone: the case's RNG is seeded from its
+``(scenario, backend, seed)`` triple."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos import (
-    BACKENDS,
-    SCENARIOS,
-    Fixtures,
-    Verdict,
-    parse_seeds,
-    render_report,
-    run_matrix,
-    run_one,
-)
 from repro.errors import BudgetExceededError, IndexCorruptError
+from tests.chaos.oracle import Verdict
+from tests.chaos.scenarios import BACKENDS, SCENARIOS, Fixtures, run_case
+
+SEEDS = range(8)
 
 
 # -- the oracle ----------------------------------------------------------------
@@ -73,18 +72,9 @@ class TestVerdict:
         verdict.envelope_error(503, payload, {429, 503}, ["server-draining"])
         assert verdict.passed
 
-
-# -- seed parsing --------------------------------------------------------------
-
-
-def test_parse_seeds() -> None:
-    assert parse_seeds("3") == [3]
-    assert parse_seeds("0..3") == [0, 1, 2, 3]
-    assert parse_seeds("0..2,7") == [0, 1, 2, 7]
-    with pytest.raises(ValueError):
-        parse_seeds("5..1")
-    with pytest.raises(ValueError):
-        parse_seeds("")
+    def test_verdict_without_checks_fails(self):
+        # A scenario that checked nothing proved nothing.
+        assert not Verdict().passed
 
 
 # -- the registry --------------------------------------------------------------
@@ -92,19 +82,18 @@ def test_parse_seeds() -> None:
 
 def test_every_scenario_declares_valid_backends() -> None:
     assert SCENARIOS, "the registry must not be empty"
-    for name, scenario in SCENARIOS.items():
-        assert scenario.name == name
-        assert scenario.backends, name
-        assert set(scenario.backends) <= set(BACKENDS), name
-        assert scenario.description and scenario.injection, name
+    for name, (backends, runner) in SCENARIOS.items():
+        assert backends, name
+        assert set(backends) <= set(BACKENDS), name
+        assert callable(runner), name
 
 
 def test_issue_required_scenarios_are_registered() -> None:
-    # The CI matrix's fixed axes must exist by name.
+    # The matrix's fixed axes must exist by name.
     assert {"hang", "corrupt", "transient-io", "overload"} <= set(SCENARIOS)
 
 
-# -- end-to-end runs -----------------------------------------------------------
+# -- the matrix ----------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -112,41 +101,26 @@ def fixtures() -> Fixtures:
     return Fixtures.build()
 
 
-def test_hung_shard_run_passes_the_oracle(fixtures) -> None:
-    runs = run_matrix([0], scenarios=["hang"], fixtures=fixtures)
-    assert len(runs) == 2  # solo + sharded
-    for run in runs:
-        assert run.passed, run.describe()
+@pytest.mark.parametrize(
+    "name, backend, seed",
+    [
+        pytest.param(name, backend, seed, id=f"{name}-{backend}-{seed}")
+        for name, (backends, _runner) in SCENARIOS.items()
+        for backend in backends
+        for seed in SEEDS
+    ],
+)
+def test_chaos_case(fixtures, name, backend, seed) -> None:
+    verdict = run_case(name, fixtures, backend, seed)
+    assert verdict.passed, "\n".join(str(check) for check in verdict.checks)
 
 
 def test_runs_are_deterministic_per_seed(fixtures) -> None:
-    scenario = SCENARIOS["corrupt"]
-    first = run_one(scenario, fixtures, "solo", seed=6)
-    second = run_one(scenario, fixtures, "solo", seed=6)
+    first = run_case("corrupt", fixtures, "solo", seed=6)
+    second = run_case("corrupt", fixtures, "solo", seed=6)
     assert first.passed and second.passed
     # Same seed, same fault choices: the oracle ran the same checks and
     # reached the same conclusions both times.
-    assert [c.name for c in first.verdict.checks] == [
-        c.name for c in second.verdict.checks
+    assert [(c.name, c.ok) for c in first.checks] == [
+        (c.name, c.ok) for c in second.checks
     ]
-
-
-def test_crashing_scenario_is_a_failed_run_not_an_exception(fixtures) -> None:
-    from repro.chaos.scenarios import Scenario
-
-    def explode(fx, rng, backend, workdir):
-        raise RuntimeError("scenario bug")
-
-    bomb = Scenario(
-        name="bomb",
-        description="always crashes",
-        injection="none",
-        backends=("solo",),
-        run=explode,
-    )
-    run = run_one(bomb, fixtures, "solo", seed=0)
-    assert not run.passed
-    assert run.error is not None and "scenario bug" in run.error
-    assert "harness crashed" in run.describe()
-    report = render_report([run])
-    assert "0/1" in report and "1 FAILED" in report

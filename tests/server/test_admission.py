@@ -83,7 +83,7 @@ def test_pool_runs_submitted_work() -> None:
         futures = [pool.submit(lambda n=n: n * n) for n in range(4)]
         assert sorted(f.result(timeout=10) for f in futures) == [0, 1, 4, 9]
     finally:
-        pool.shutdown()
+        pool.drain()
 
 
 def test_pool_propagates_exceptions() -> None:
@@ -95,7 +95,7 @@ def test_pool_propagates_exceptions() -> None:
         with pytest.raises(ValueError, match="inner failure"):
             pool.submit(boom).result(timeout=10)
     finally:
-        pool.shutdown()
+        pool.drain()
 
 
 def test_pool_rejects_past_queue_cap() -> None:
@@ -121,11 +121,11 @@ def test_pool_rejects_past_queue_cap() -> None:
             future.result(timeout=10)
     finally:
         release.set()
-        pool.shutdown()
+        pool.drain()
 
 
-def test_pool_rejects_after_shutdown() -> None:
+def test_pool_rejects_after_drain() -> None:
     pool = WorkerPool(workers=1, queue_depth=1)
-    pool.shutdown()
+    pool.drain()
     with pytest.raises(ServerOverloadedError):
         pool.submit(lambda: None)

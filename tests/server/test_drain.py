@@ -90,7 +90,7 @@ def test_pool_drain_finishes_active_and_fails_queued() -> None:
         assert running.result(timeout=1) == "finished"  # active completed
     finally:
         release.set()
-        pool.shutdown()
+        pool.drain()
 
 
 def test_pool_drain_deadline_expires_on_a_stuck_worker() -> None:
@@ -110,7 +110,7 @@ def test_pool_drain_deadline_expires_on_a_stuck_worker() -> None:
         assert time.perf_counter() - started < 5.0
     finally:
         stuck.set()
-        pool.shutdown()
+        pool.drain()
 
 
 # -- the app's drain -----------------------------------------------------------

@@ -5,6 +5,8 @@
   plus `shard-failed` / `partial-result` warnings everywhere they must
   appear (result.warnings, stats.to_dict());
 - the same query under `fail_fast` → typed `ShardFailedError`;
+- 1 stale shard of 8 → a flagged `shard-failed` under the strict policy,
+  a degraded `index-stale` answer under the default one;
 - a shard behind `TransientIOFault(k=2)` → success after retries with a
   `shard-retried` record and no row differences vs. the uninjected run.
 """
@@ -27,7 +29,8 @@ from repro.resilience import (
     SlowShard,
     TransientIOFault,
 )
-from repro.shard import OK, ShardedEngine, scrub_index
+from repro.shard import OK, ShardedEngine, scrub_index, split_corpus
+from repro.workloads.bibtex import generate_bibtex
 
 NO_SLEEP = {"retry_sleep": lambda s: None}
 
@@ -260,6 +263,33 @@ def test_fail_fast_raises_typed_error(saved_sharded, schema, query_text) -> None
         engine.query(query_text)
     assert info.value.shard == engine.shard_names[2]
     assert info.value.attempts >= 1
+
+
+def test_one_stale_shard_fails_strict_and_degrades_tolerant(
+    tmp_path, schema, corpus_text, query_text
+) -> None:
+    sources = []
+    for number, part in enumerate(split_corpus(schema, corpus_text, 8)):
+        path = tmp_path / f"part{number}.bib"
+        path.write_text(part, encoding="utf-8")
+        sources.append(path)
+    directory = tmp_path / "sidx"
+    ShardedEngine.from_paths(schema, sources).save(directory)
+    # Rewrite one source after its index was built: that shard is stale.
+    sources[4].write_text(generate_bibtex(entries=3, seed=99), encoding="utf-8")
+
+    strict = ShardedEngine.from_saved(
+        schema, directory, policy=DegradationPolicy.strict()
+    ).query(query_text)
+    codes = [warning.code for warning in strict.warnings]
+    assert "shard-failed" in codes and "partial-result" in codes
+    record = strict.stats.to_dict()["shards"][4]
+    assert record["status"] == "failed"
+    assert "stale" in record["error"]
+
+    tolerant = ShardedEngine.from_saved(schema, directory).query(query_text)
+    assert tolerant.stats.healthy_shards == 8  # the stale shard still answers
+    assert "index-stale" in [warning.code for warning in tolerant.warnings]
 
 
 # -- acceptance scenario 3: transient faults retried --------------------------
