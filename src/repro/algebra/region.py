@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import RegionError
@@ -77,17 +78,19 @@ class RegionSet:
 
     def __init__(self, regions: Iterable[Region] = ()) -> None:
         unique = sorted(set(regions))
-        self._regions: tuple[Region, ...] = tuple(unique)
-        self._starts: list[int] = [region.start for region in unique]
-        self._ends: list[int] = [region.end for region in unique]
+        self._fill(
+            tuple(unique),
+            [region.start for region in unique],
+            [region.end for region in unique],
+        )
+
+    def _fill(self, regions: tuple[Region, ...], starts: list[int], ends: list[int]) -> None:
+        self._regions = regions
+        self._starts = starts
+        self._ends = ends
         # prefix_max_end[i] = max end among regions[0..i]; supports O(log n)
         # "is some region including r" tests (see included_in / outermost).
-        prefix: list[int] = []
-        best = -1
-        for end in self._ends:
-            best = end if end > best else best
-            prefix.append(best)
-        self._prefix_max_end = prefix
+        self._prefix_max_end = list(accumulate(ends, max))
 
     # -- construction helpers ---------------------------------------------
 
@@ -96,9 +99,26 @@ class RegionSet:
         return _EMPTY
 
     @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "RegionSet":
+        """Build from ``(start, end)`` int pairs, in any order, duplicates allowed.
+
+        Pairs are sorted and deduplicated as int tuples, which is far cheaper
+        than ordering :class:`Region` dataclasses; each region is still made
+        by the validating constructor.
+        """
+        unique = sorted({(start, end) for start, end in pairs})
+        result = cls.__new__(cls)
+        result._fill(
+            tuple([Region(start, end) for start, end in unique]),
+            [start for start, _ in unique],
+            [end for _, end in unique],
+        )
+        return result
+
+    @classmethod
     def of(cls, *pairs: tuple[int, int]) -> "RegionSet":
         """Build from ``(start, end)`` pairs (test convenience)."""
-        return cls(Region(start, end) for start, end in pairs)
+        return cls.from_pairs(pairs)
 
     # -- container protocol -------------------------------------------------
 

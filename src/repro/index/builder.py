@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.algebra.region import Instance, Region, RegionSet
+from repro.algebra.region import Instance, RegionSet
 from repro.errors import IndexConfigError
 from repro.index.config import IndexConfig
 from repro.index.engine import IndexEngine
@@ -45,14 +45,14 @@ def build_instance(
     indexed = config.indexed_names(available, root)
     instance = Instance()
     for name in indexed:
-        instance.assign(name, RegionSet(Region(s, e) for s, e in spans.get(name, [])))
+        instance.assign(name, RegionSet.from_pairs(spans.get(name, ())))
     for spec in config.scoped:
         if spec.source not in spans and spec.scope not in spans:
             # Both absent: legal (the file just has no such regions).
             instance.assign(spec.name, RegionSet.empty())
             continue
-        scope_regions = RegionSet(Region(s, e) for s, e in spans.get(spec.scope, []))
-        source_regions = RegionSet(Region(s, e) for s, e in spans.get(spec.source, []))
+        scope_regions = RegionSet.from_pairs(spans.get(spec.scope, ()))
+        source_regions = RegionSet.from_pairs(spans.get(spec.source, ()))
         instance.assign(
             spec.name,
             RegionSet(r for r in source_regions if scope_regions.any_including(r)),
@@ -88,7 +88,7 @@ def build_engine(
                     raise IndexConfigError(
                         f"word scope {config.word_scope!r} does not occur in the parse tree"
                     )
-                scope = RegionSet(Region(s, e) for s, e in spans[config.word_scope])
+                scope = RegionSet.from_pairs(spans[config.word_scope])
         word_index = WordIndex(text, lowercase=config.lowercase_words, scope=scope)
 
     suffixes = SuffixArray(text) if config.suffix_array else None

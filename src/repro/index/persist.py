@@ -59,7 +59,7 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.algebra.region import Instance, Region, RegionSet
+from repro.algebra.region import Instance, RegionSet
 from repro.errors import (
     IndexConfigError,
     IndexCorruptError,
@@ -139,6 +139,10 @@ def load_schema_fingerprint(directory: str | os.PathLike[str]) -> str | None:
         raise IndexCorruptError(
             str(Path(directory)), f"config.json unreadable: {error}", part="config.json"
         ) from None
+    if not isinstance(config_data, dict):
+        raise IndexCorruptError(
+            str(Path(directory)), "config.json is not an object", part="config.json"
+        )
     return config_data.get("schema_fingerprint")
 
 
@@ -447,7 +451,8 @@ def verify_index(directory: str | os.PathLike[str]) -> dict:
 
     Returns the manifest.  Raises :class:`IndexNotFoundError` when the
     directory is not a saved index and :class:`IndexCorruptError` on a
-    missing manifest, any checksum mismatch or a missing checksummed file.
+    missing manifest, a manifest that omits a file's checksum, any checksum
+    mismatch or a missing checksummed file.
     """
     path = Path(directory)
     if not (path / "config.json").exists():
@@ -464,6 +469,13 @@ def verify_index(directory: str | os.PathLike[str]) -> dict:
         raise IndexCorruptError(
             str(path), "manifest has no checksums", part="manifest.json"
         )
+    for name in _CHECKSUMMED:
+        if name not in checksums:
+            # save_index checksums every one of these; a manifest that omits
+            # one would let that file load unverified.
+            raise IndexCorruptError(
+                str(path), f"manifest has no checksum for {name}", part="manifest.json"
+            )
     for name, expected in checksums.items():
         try:
             actual = _crc32((path / name).read_bytes())
@@ -543,6 +555,18 @@ def load_index_config(directory: str | os.PathLike[str]) -> IndexConfig | None:
         return None
 
 
+def _region_set(spans: list) -> RegionSet:
+    """A saved name's ``[[start, end], …]`` spans as a region set.
+
+    Raises ``ValueError`` or ``TypeError`` when an entry is not two ints,
+    and :class:`RegionError` when a span is negative or inverted.
+    """
+    pairs = [(start, end) for start, end in spans]
+    if not all(type(start) is int and type(end) is int for start, end in pairs):
+        raise TypeError("a saved span is not two ints")
+    return RegionSet.from_pairs(pairs)
+
+
 def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
     """Load a persisted engine; rebuilds word/suffix indexes from the text.
 
@@ -568,6 +592,13 @@ def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
         config_data = json.loads(config_raw)
     except json.JSONDecodeError as error:
         raise IndexCorruptError(str(path), f"unparseable JSON: {error}") from None
+    for name, data in (("regions.json", regions_data), ("config.json", config_data)):
+        if not isinstance(data, dict):
+            raise IndexCorruptError(
+                str(path),
+                f"{name} holds a {type(data).__name__}, not an object",
+                part=name,
+            )
     version = config_data.get("version")
     if version not in _SUPPORTED_VERSIONS:
         raise IndexCorruptError(
@@ -579,10 +610,7 @@ def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
     try:
         config = _config_from(config_data)
         instance = Instance(
-            {
-                name: RegionSet(Region(start, end) for start, end in spans)
-                for name, spans in regions_data.items()
-            }
+            {name: _region_set(spans) for name, spans in regions_data.items()}
         )
     except (KeyError, TypeError, ValueError, RegionError, IndexConfigError) as error:
         raise IndexCorruptError(

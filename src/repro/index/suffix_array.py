@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from repro.algebra.region import Region, RegionSet
 from repro.errors import RegionIndexError
-from repro.text.tokenizer import tokenize
+from repro.text.tokenizer import token_spans
 
 
 class SuffixArray:
@@ -33,7 +33,7 @@ class SuffixArray:
         self._text = text
         self._key_length = key_length
         if positions is None:
-            starts: Sequence[int] = [token.start for token in tokenize(text)]
+            starts: Sequence[int] = [start for _, start, _ in token_spans(text)]
         else:
             starts = sorted(set(positions))
         self._array = sorted(starts, key=lambda p: text[p : p + key_length])

@@ -1,6 +1,6 @@
 """Inverted word index with positions.
 
-Records every word occurrence as a word-width region, supporting:
+Records the ``[start, end)`` span of every word occurrence, supporting:
 
 - ``occurrences(word)`` — the match points of a word (what selections join
   against region indexes);
@@ -15,15 +15,28 @@ for words") only records occurrences inside a given scope region set.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Iterator
 
 from repro.algebra.region import Region, RegionSet
-from repro.text.tokenizer import DEFAULT_EXTRA_WORD_CHARS, tokenize
+from repro.text.tokenizer import DEFAULT_EXTRA_WORD_CHARS, token_spans
+
+
+def _pairs(spans: "array[int]") -> Iterator[tuple[int, int]]:
+    """The ``(start, end)`` pairs of a flat ``start, end, start, end, …`` array."""
+    values = iter(spans)
+    return zip(values, values)
 
 
 class WordIndex:
     """An inverted index over one text.
+
+    Each word's postings are one flat int array of spans
+    (``start, end, start, end, …`` in document order).  The
+    :class:`RegionSet` the evaluator reads is built on a word's first
+    lookup and memoized; two threads building the same word at once store
+    equal sets, and the dict store is atomic, so no lock is needed.
 
     Parameters
     ----------
@@ -46,22 +59,26 @@ class WordIndex:
         scope: RegionSet | None = None,
     ) -> None:
         self._lowercase = lowercase
-        postings: dict[str, list[Region]] = {}
-        starts: list[int] = []
-        ends: list[int] = []
-        for token in tokenize(text, extra_word_chars=extra_word_chars, lowercase=lowercase):
-            occurrence = Region(token.start, token.end)
-            if scope is not None and not scope.any_including(occurrence):
+        postings: dict[str, array[int]] = {}
+        starts: array[int] = array("q")
+        ends: array[int] = array("q")
+        for word, start, end in token_spans(
+            text, extra_word_chars=extra_word_chars, lowercase=lowercase
+        ):
+            if scope is not None and not scope.any_including(Region(start, end)):
                 continue
-            postings.setdefault(token.text, []).append(occurrence)
-            starts.append(token.start)
-            ends.append(token.end)
-        self._postings: dict[str, RegionSet] = {
-            word: RegionSet(entries) for word, entries in postings.items()
-        }
+            spans = postings.get(word)
+            if spans is None:
+                spans = postings[word] = array("q")
+            spans.append(start)
+            spans.append(end)
+            starts.append(start)
+            ends.append(end)
+        self._postings = postings
+        self._sets: dict[str, RegionSet] = {}
         self._token_starts = starts
         self._token_ends = ends
-        self._vocabulary = sorted(self._postings)
+        self._vocabulary = sorted(postings)
 
     # -- the evaluator's WordLookup protocol -----------------------------------
 
@@ -69,7 +86,13 @@ class WordIndex:
         """All spans where ``word`` occurs."""
         if self._lowercase:
             word = word.lower()
-        return self._postings.get(word, RegionSet.empty())
+        found = self._sets.get(word)
+        if found is None:
+            spans = self._postings.get(word)
+            if spans is None:
+                return RegionSet.empty()
+            found = self._sets[word] = RegionSet.from_pairs(_pairs(spans))
+        return found
 
     def token_count_between(self, start: int, end: int) -> int:
         """Number of word tokens whose span lies entirely in ``[start, end)``.
@@ -97,10 +120,11 @@ class WordIndex:
 
     def occurrences_with_prefix(self, prefix: str) -> RegionSet:
         """All occurrences of all words starting with ``prefix``."""
-        merged: set[Region] = set()
-        for word in self.words_with_prefix(prefix):
-            merged.update(self._postings[word])
-        return RegionSet(merged)
+        return RegionSet.from_pairs(
+            pair
+            for word in self.words_with_prefix(prefix)
+            for pair in _pairs(self._postings[word])
+        )
 
     # -- introspection -------------------------------------------------------------
 
@@ -120,7 +144,7 @@ class WordIndex:
     def frequency(self, word: str) -> int:
         if self._lowercase:
             word = word.lower()
-        return len(self._postings.get(word, ()))
+        return len(self._postings.get(word, ())) // 2
 
     def __contains__(self, word: str) -> bool:
         if self._lowercase:

@@ -6,11 +6,16 @@ a *word* is a maximal run of alphanumeric characters (plus a configurable set
 of extra word characters such as ``-`` for hyphenated names).  Tokens carry
 their half-open ``[start, end)`` character span so that match points can be
 joined against region indexes.
+
+One compiled regular expression does the scanning: ``[^\\W_]`` is exactly
+the set of characters for which ``str.isalnum()`` holds.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 DEFAULT_EXTRA_WORD_CHARS = "-_"
@@ -32,8 +37,31 @@ class Token:
             )
 
 
-def _is_word_char(char: str, extra: str) -> bool:
-    return char.isalnum() or char in extra
+@lru_cache(maxsize=16)
+def _word_pattern(extra_word_chars: str) -> re.Pattern[str]:
+    if not extra_word_chars:
+        return re.compile(r"[^\W_]+")
+    extra = "".join(re.escape(char) for char in extra_word_chars)
+    return re.compile(rf"(?:[^\W_]|[{extra}])+")
+
+
+def token_spans(
+    text: str,
+    *,
+    extra_word_chars: str = DEFAULT_EXTRA_WORD_CHARS,
+    lowercase: bool = False,
+) -> Iterator[tuple[str, int, int]]:
+    """Yield ``(word, start, end)`` for each word of ``text`` in document order.
+
+    The span always addresses ``text``; with ``lowercase`` only the word is
+    folded, and a fold may change its length (``"İ".lower()`` is two
+    characters).  This is :func:`tokenize` without a :class:`Token` per word,
+    for the index builders.
+    """
+    for match in _word_pattern(extra_word_chars).finditer(text):
+        start, end = match.span()
+        word = match.group()
+        yield (word.lower() if lowercase else word), start, end
 
 
 def tokenize(
@@ -53,22 +81,16 @@ def tokenize(
     lowercase:
         If true, token text is lowercased (spans still address the original
         text).  The index engine uses this for case-insensitive word indexes.
+        The span is checked against the original word before it is folded,
+        since a fold may change the word's length.
     """
-    position = 0
-    length = len(text)
-    while position < length:
-        if _is_word_char(text[position], extra_word_chars):
-            start = position
-            while position < length and _is_word_char(text[position], extra_word_chars):
-                position += 1
-            word = text[start:position]
-            if lowercase:
-                word = word.lower()
-            yield Token(text=word, start=start, end=position)
-        else:
-            position += 1
+    for word, start, end in token_spans(text, extra_word_chars=extra_word_chars):
+        token = Token(text=word, start=start, end=end)
+        if lowercase:
+            object.__setattr__(token, "text", word.lower())
+        yield token
 
 
 def tokenize_words(text: str, **kwargs: object) -> list[str]:
     """Return just the word strings of ``text`` (convenience for tests)."""
-    return [token.text for token in tokenize(text, **kwargs)]  # type: ignore[arg-type]
+    return [word for word, _, _ in token_spans(text, **kwargs)]  # type: ignore[arg-type]

@@ -57,6 +57,24 @@ class TestRegionSet:
         assert list(regions) == [Region(1, 2), Region(5, 6)]
         assert len(regions) == 2
 
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=20), st.data())
+    def test_from_pairs_matches_region_constructor(self, drawn, data):
+        pairs = [(min(pair), max(pair)) for pair in drawn]
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+        pairs = data.draw(st.permutations(pairs))
+        built = RegionSet.from_pairs(pairs)
+        reference = RegionSet(Region(start, end) for start, end in pairs)
+        assert built == reference
+        assert built.regions == reference.regions
+        for attribute in ("_starts", "_ends", "_prefix_max_end"):
+            assert getattr(built, attribute) == getattr(reference, attribute)
+
+    def test_from_pairs_validates_each_region(self):
+        with pytest.raises(RegionError):
+            RegionSet.from_pairs([(1, 2), (5, 3)])
+        with pytest.raises(RegionError):
+            RegionSet.from_pairs([(-1, 2)])
+
     def test_contains(self):
         regions = RegionSet.of((1, 2), (5, 6))
         assert Region(1, 2) in regions

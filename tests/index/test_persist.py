@@ -74,6 +74,34 @@ class TestRoundtrip:
         )
 
 
+class TestBuildEqualsLoad:
+    """A built engine and its saved-then-loaded copy hold the same regions
+    and the same postings, name by name and word by word."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            IndexConfig.full(),
+            IndexConfig.full(lowercase_words=True),
+            IndexConfig.partial({"Reference", "Authors"}, word_scope="Authors"),
+            IndexConfig.partial({"Reference", "Key"}).with_scoped("Last_Name", "Authors"),
+        ],
+        ids=["full", "lowercase", "word-scope", "scoped-region"],
+    )
+    def test_regions_and_postings(self, tmp_path, config):
+        built = FileQueryEngine(bibtex_schema(), generate_bibtex(entries=12, seed=5), config)
+        built.save(str(tmp_path / "idx"))
+        loaded = load_index(tmp_path / "idx")
+        assert loaded.instance.names == built.index.instance.names
+        for name in built.index.instance.names:
+            assert loaded.instance.get(name).regions == built.index.instance.get(name).regions
+        words, loaded_words = built.index.word_index, loaded.word_index
+        assert loaded_words.vocabulary == words.vocabulary
+        assert loaded_words.posting_count == words.posting_count
+        for word in words.vocabulary:
+            assert loaded_words.occurrences(word).regions == words.occurrences(word).regions
+
+
 class TestSchemaFingerprint:
     def test_fingerprint_round_trips(self, built_engine, tmp_path):
         built_engine.save(str(tmp_path / "idx"))

@@ -5,6 +5,7 @@ trace span) otherwise — the PR's headline acceptance criterion."""
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
@@ -93,6 +94,78 @@ class TestMissingManifestIsDamage:
         assert result.canonical_rows() == expected.canonical_rows()
         codes = [warning.code for warning in result.warnings]
         assert INDEX_CORRUPT in codes and DEGRADED_FULL_SCAN in codes
+
+
+def _rewrite_checksummed(directory, name: str, content: str) -> None:
+    """Replace a checksummed file and re-sign it in the manifest, so that
+    only the load path's structural checks stand between it and a load."""
+    (directory / name).write_text(content, encoding="utf-8")
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    crc = zlib.crc32(content.encode("utf-8")) & 0xFFFFFFFF
+    manifest["checksums"][name] = f"crc32:{crc:08x}"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestManifestMustChecksumEveryFile:
+    """A manifest whose ``checksums`` omitted ``regions.json`` let a halved
+    regions file load unverified."""
+
+    @pytest.mark.parametrize("name", ["corpus.txt", "regions.json", "config.json"])
+    def test_omitted_checksum_is_damage(self, saved_index, corpus_schema, name):
+        manifest_path = saved_index / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        del manifest["checksums"][name]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IndexCorruptError) as excinfo:
+            verify_index(saved_index)
+        assert excinfo.value.part == "manifest.json"
+        with pytest.raises(IndexCorruptError):
+            load_index(saved_index)
+        with pytest.raises(IndexCorruptError):
+            FileQueryEngine.from_saved(
+                corpus_schema, str(saved_index), policy=DegradationPolicy.strict()
+            )
+
+
+class TestMalformedRegions:
+    """A correctly checksummed ``regions.json`` (or ``config.json``) of the
+    wrong shape is ``IndexCorruptError``, never an ``AttributeError`` or a
+    float region."""
+
+    @pytest.mark.parametrize("name", ["regions.json", "config.json"])
+    def test_top_level_list(self, saved_index, corpus_schema, name):
+        _rewrite_checksummed(saved_index, name, "[[0, 5]]")
+        with pytest.raises(IndexCorruptError) as excinfo:
+            load_index(saved_index)
+        assert excinfo.value.part == name
+        with pytest.raises(IndexCorruptError):
+            FileQueryEngine.from_saved(
+                corpus_schema, str(saved_index), policy=DegradationPolicy.strict()
+            )
+
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            [[0.5, 3]],
+            [[0, 3.0]],
+            [[True, 3]],
+            [["0", "3"]],
+            [[1, 2, 3]],
+            [[1]],
+            [7],
+            [None],
+            [[-1, 3]],  # negative
+            [[5, 3]],  # inverted
+        ],
+        ids=repr,
+    )
+    def test_span_that_is_not_two_ordered_ints(self, saved_index, spans):
+        regions = json.loads((saved_index / "regions.json").read_text(encoding="utf-8"))
+        regions["Key"] = regions["Key"][:2] + spans
+        _rewrite_checksummed(saved_index, "regions.json", json.dumps(regions))
+        with pytest.raises(IndexCorruptError):
+            load_index(saved_index)
 
 
 class TestGracefulDegradation:
