@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Iterator, Mapping
+from itertools import accumulate, chain, islice
+from operator import le, lt
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import RegionError
 
@@ -70,8 +71,12 @@ class RegionSet:
     """An immutable sorted set of :class:`Region` values.
 
     All operators of the region algebra consume and produce region sets.  The
-    internal representation is a sorted tuple (by ``(start, end)``) plus two
-    parallel offset arrays used for binary searching during inclusion joins.
+    internal representation is two parallel offset arrays, sorted by
+    ``(start, end)`` and used for binary searching during inclusion joins,
+    plus the tuple of :class:`Region` objects they denote.  A set built from
+    int pairs or arrays creates that tuple on first use and then keeps it;
+    two threads creating it at once store equal tuples, so no lock is
+    needed.
     """
 
     __slots__ = ("_regions", "_starts", "_ends", "_prefix_max_end")
@@ -79,12 +84,14 @@ class RegionSet:
     def __init__(self, regions: Iterable[Region] = ()) -> None:
         unique = sorted(set(regions))
         self._fill(
-            tuple(unique),
             [region.start for region in unique],
             [region.end for region in unique],
+            tuple(unique),
         )
 
-    def _fill(self, regions: tuple[Region, ...], starts: list[int], ends: list[int]) -> None:
+    def _fill(
+        self, starts: list[int], ends: list[int], regions: tuple[Region, ...] | None = None
+    ) -> None:
         self._regions = regions
         self._starts = starts
         self._ends = ends
@@ -103,16 +110,42 @@ class RegionSet:
         """Build from ``(start, end)`` int pairs, in any order, duplicates allowed.
 
         Pairs are sorted and deduplicated as int tuples, which is far cheaper
-        than ordering :class:`Region` dataclasses; each region is still made
-        by the validating constructor.
+        than ordering :class:`Region` dataclasses.  The spans are checked as
+        :class:`Region` would check them; the regions themselves are made on
+        first use.
         """
         unique = sorted({(start, end) for start, end in pairs})
+        starts, ends = (list(column) for column in zip(*unique)) if unique else ([], [])
+        return cls._checked(starts, ends)
+
+    @classmethod
+    def from_arrays(cls, starts: Sequence[int], ends: Sequence[int]) -> "RegionSet":
+        """Build from parallel ``starts``/``ends`` arrays already sorted by
+        ``(start, end)`` without duplicates.
+
+        Raises :class:`RegionError` when the arrays differ in length, are
+        not strictly sorted, or hold a negative or inverted span.  Every
+        check is one pass over the arrays, not a Python loop per span.
+        """
+        starts, ends = list(starts), list(ends)
+        if len(starts) != len(ends):
+            raise RegionError(f"{len(starts)} starts but {len(ends)} ends")
+        pairs = zip(starts, ends)
+        following = zip(islice(starts, 1, None), islice(ends, 1, None))
+        if not all(map(lt, pairs, following)):
+            raise RegionError("spans are not sorted and unique")
+        return cls._checked(starts, ends)
+
+    @classmethod
+    def _checked(cls, starts: list[int], ends: list[int]) -> "RegionSet":
+        """A set over sorted, unique arrays, once every span is valid."""
+        if starts and starts[0] < 0:
+            raise RegionError(f"region start {starts[0]} is negative")
+        if not all(map(le, starts, ends)):
+            start, end = next(pair for pair in zip(starts, ends) if pair[1] < pair[0])
+            raise RegionError(f"region end {end} precedes start {start}")
         result = cls.__new__(cls)
-        result._fill(
-            tuple([Region(start, end) for start, end in unique]),
-            [start for start, _ in unique],
-            [end for _, end in unique],
-        )
+        result._fill(starts, ends)
         return result
 
     @classmethod
@@ -123,36 +156,45 @@ class RegionSet:
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._regions)
+        return len(self._starts)
 
     def __iter__(self) -> Iterator[Region]:
-        return iter(self._regions)
+        return iter(self.regions)
 
     def __contains__(self, region: object) -> bool:
         if not isinstance(region, Region):
             return False
-        index = bisect_left(self._regions, region)
-        return index < len(self._regions) and self._regions[index] == region
+        low = bisect_left(self._starts, region.start)
+        high = bisect_right(self._starts, region.start, low)
+        index = bisect_left(self._ends, region.end, low, high)
+        return index < high and self._ends[index] == region.end
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RegionSet):
-            return self._regions == other._regions
+            return self._starts == other._starts and self._ends == other._ends
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._regions)
+        return hash((tuple(self._starts), tuple(self._ends)))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"({r.start},{r.end})" for r in self._regions[:8])
-        suffix = ", ..." if len(self._regions) > 8 else ""
+        inner = ", ".join(f"({s},{e})" for s, e in zip(self._starts[:8], self._ends[:8]))
+        suffix = ", ..." if len(self._starts) > 8 else ""
         return f"RegionSet[{inner}{suffix}]"
 
     def __bool__(self) -> bool:
-        return bool(self._regions)
+        return bool(self._starts)
 
     @property
     def regions(self) -> tuple[Region, ...]:
-        return self._regions
+        regions = self._regions
+        if regions is None:
+            regions = self._regions = tuple(map(Region, self._starts, self._ends))
+        return regions
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The ``(start, end)`` int pairs in order, making no :class:`Region`."""
+        return zip(self._starts, self._ends)
 
     # -- search primitives used by the operators ---------------------------
 
@@ -165,7 +207,7 @@ class RegionSet:
         return bisect_right(self._starts, position)
 
     def region_at(self, index: int) -> Region:
-        return self._regions[index]
+        return self.regions[index]
 
     def any_including(self, target: Region) -> bool:
         """Is there a region in this set that includes ``target``?
@@ -191,15 +233,15 @@ class RegionSet:
         for index in range(count - 1, -1, -1):
             if self._prefix_max_end[index] < target.end:
                 break
-            region = self._regions[index]
-            if region.end >= target.end and region != target:
+            end = self._ends[index]
+            if end >= target.end and (self._starts[index], end) != (target.start, target.end):
                 return True
         return False
 
     def any_included_in(self, container: Region) -> bool:
         """Is there a region in this set included in ``container``?"""
         index = self.first_index_with_start_at_least(container.start)
-        while index < len(self._regions) and self._starts[index] <= container.end:
+        while index < len(self._starts) and self._starts[index] <= container.end:
             if self._ends[index] <= container.end:
                 return True
             index += 1
@@ -207,10 +249,11 @@ class RegionSet:
 
     def iter_included_in(self, container: Region) -> Iterator[Region]:
         """Yield regions of this set included in ``container``."""
+        regions = self.regions
         index = self.first_index_with_start_at_least(container.start)
-        while index < len(self._regions) and self._starts[index] <= container.end:
+        while index < len(regions) and self._starts[index] <= container.end:
             if self._ends[index] <= container.end:
-                yield self._regions[index]
+                yield regions[index]
             index += 1
 
     def any_strictly_between(self, outer: Region, inner: Region) -> bool:
@@ -223,13 +266,12 @@ class RegionSet:
         ``Authors`` list with a single ``Name``).
         """
         index = self.first_index_with_start_at_least(outer.start)
-        while index < len(self._regions) and self._starts[index] <= inner.start:
-            candidate = self._regions[index]
+        while index < len(self._starts) and self._starts[index] <= inner.start:
+            start, end = self._starts[index], self._ends[index]
             if (
-                candidate.end <= outer.end
-                and candidate.end >= inner.end
-                and candidate != outer
-                and candidate != inner
+                inner.end <= end <= outer.end
+                and (start, end) != (outer.start, outer.end)
+                and (start, end) != (inner.start, inner.end)
             ):
                 return True
             index += 1
@@ -278,10 +320,11 @@ class Instance:
     def all_regions(self) -> RegionSet:
         """All indexed regions, merged (distinct extents)."""
         if self._all is None:
-            merged: set[Region] = set()
-            for region_set in self._sets.values():
-                merged.update(region_set)
-            self._all = RegionSet(merged)
+            self._all = RegionSet.from_pairs(
+                chain.from_iterable(
+                    region_set.pairs() for region_set in self._sets.values()
+                )
+            )
         return self._all
 
     def total_region_count(self) -> int:

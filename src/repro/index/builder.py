@@ -44,7 +44,7 @@ def build_instance(
     available = set(spans.keys()) | {root} | set(known_names or ())
     indexed = config.indexed_names(available, root)
     instance = Instance()
-    for name in indexed:
+    for name in sorted(indexed):
         instance.assign(name, RegionSet.from_pairs(spans.get(name, ())))
     for spec in config.scoped:
         if spec.source not in spans and spec.scope not in spans:

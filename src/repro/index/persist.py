@@ -1,18 +1,33 @@
 """Index persistence.
 
 Building region indexes requires parsing the corpus — by far the most
-expensive step.  Persisting the engine saves the corpus text and the region
-instance; the word index and sistring array are rebuilt from the text at
-load time (tokenisation is an order of magnitude cheaper than parsing).
+expensive step.  Persisting the engine saves the corpus text, the region
+instance and the word index's postings, so a load reads saved positions
+back and re-tokenizes nothing; only the optional sistring array is rebuilt
+from the text.
 
-Layout of a saved engine directory::
+Layout of a saved engine directory (format version 4)::
 
     corpus.txt     the indexed text
-    regions.json   {"region name": [[start, end], ...], ...}
+    spans.bin      a 4-byte little-endian length, then a JSON header
+                   {"names": [...], "name_counts": [...], "words": [...],
+                   "word_counts": [...]} with names and words in sorted
+                   order, then one zlib-compressed array of 4-byte
+                   little-endian ints: each name's spans, then each word's
+                   postings, as start, end pairs in header order
     config.json    the IndexConfig that built the engine
     manifest.json  format version, per-file CRC32 checksums, the corpus
-                   content hash, and (when known) the source file's
-                   path/mtime/size fingerprint
+                   content hash, (when known) the source file's
+                   path/mtime/size fingerprint, and (for a live index) the
+                   journal checkpoint under ``live``
+
+Loading checks ``spans.bin`` as a whole-array pass per check: counts match
+the array, no bytes trail it, every span lies inside the text with its end
+at or after its start, each name's spans are sorted and unique, and word
+tokens do not overlap.  Directories saved as versions 2 and 3 hold a
+``regions.json`` (``{"region name": [[start, end], ...], ...}``) instead
+and no postings; they still load, with the word index rebuilt from the
+text, and nothing writes them any more.
 
 Integrity and staleness are distinguished by typed errors:
 
@@ -37,7 +52,7 @@ Replicated layout (``save_index(..., replicas=N)``, N >= 2)::
                        fingerprint every replica must match, and (v3) the
                        live journal checkpoint — written last, the commit
                        point for the whole set
-    replica-0/         a complete, self-verifying v2/v3 index
+    replica-0/         a complete, self-verifying index
     replica-1/         ...
     quarantine-*/      damaged replicas set aside by the scrubber (never
                        deleted automatically)
@@ -55,7 +70,12 @@ import hashlib
 import json
 import os
 import shutil
+import struct
+import sys
 import zlib
+from array import array
+from itertools import accumulate, chain, islice
+from operator import le, lt
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -74,15 +94,21 @@ from repro.index.word_index import WordIndex
 if TYPE_CHECKING:  # pragma: no cover
     from repro.schema.structuring import StructuringSchema
 
-_FORMAT_VERSION = 2
-#: Version written when the index carries live-ingestion state (an
-#: ``applied_seq`` journal checkpoint).  Plain saves stay at version 2 so
-#: existing indexes and their readers are untouched.
-_LIVE_FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (2, 3)
+#: The version every save writes: spans and postings packed in ``spans.bin``.
+_FORMAT_VERSION = 4
+#: Versions saved with a ``regions.json`` and no postings (3 when they carry
+#: live state); they still load, and nothing writes them any more.
+_JSON_VERSIONS = (2, 3)
+_SUPPORTED_VERSIONS = (*_JSON_VERSIONS, _FORMAT_VERSION)
 
-#: The files covered by manifest checksums.
-_CHECKSUMMED = ("corpus.txt", "regions.json", "config.json")
+#: The files covered by manifest checksums, by format.
+_CHECKSUMMED = ("corpus.txt", "spans.bin", "config.json")
+_JSON_CHECKSUMMED = ("corpus.txt", "regions.json", "config.json")
+
+#: ``spans.bin`` starts with the byte length of its JSON header.
+_HEADER_LENGTH = struct.Struct("<I")
+#: ``spans.bin``'s ints are 4-byte signed: offsets into a text under 2 GiB.
+_SPAN_TYPECODE = "i"
 
 #: Manifest ``kind`` marking a replicated shard directory.
 REPLICA_KIND = "replicated"
@@ -177,7 +203,8 @@ def save_index(
     live: dict | None = None,
     replicas: int | None = None,
 ) -> None:
-    """Persist an engine's text and region indexes to ``directory``.
+    """Persist an engine's text, region indexes and word postings to
+    ``directory``, in format version 4 (see the module docstring).
 
     ``source_path`` (optional) records the original file's mtime/size next
     to the corpus content hash, enabling cheap staleness checks at load
@@ -187,12 +214,11 @@ def save_index(
     today the journal checkpoint ``{"applied_seq": N}``.  Because it rides
     in the manifest, it is committed by the *same* rename that promotes the
     folded data: a compaction can never land rows without advancing the
-    checkpoint, or vice versa.  Saves carrying ``live`` are stamped format
-    version 3; plain saves stay at version 2.
+    checkpoint, or vice versa.
 
     ``replicas=N`` (optional, N >= 2) writes the replicated layout instead:
     ``replica-{i}/`` sibling directories under ``directory``, each a
-    complete v2/v3 index, plus a ``kind="replicated"`` manifest recording
+    complete index, plus a ``kind="replicated"`` manifest recording
     the replica map.  The manifest is written last inside the staging
     sibling, and the whole set is promoted by one rename — the same commit
     point discipline as a plain save.
@@ -216,16 +242,18 @@ def save_index(
         shutil.rmtree(staging)
     staging.mkdir()
     try:
+        files = _index_files(engine, schema_fingerprint)
+        fingerprint = corpus_fingerprint(engine.text)
         if replicas is None:
-            _write_index_files(engine, staging, schema_fingerprint, source_path, live)
+            _write_index_files(files, staging, fingerprint, source_path, live)
         else:
             for i in range(replicas):
                 replica = staging / replica_dir_name(i)
                 replica.mkdir()
-                _write_index_files(engine, replica, schema_fingerprint, source_path, live)
+                _write_index_files(files, replica, fingerprint, source_path, live)
             save_replica_manifest(
                 staging,
-                corpus_fingerprint(engine.text),
+                fingerprint,
                 [replica_dir_name(i) for i in range(replicas)],
                 source_record(source_path),
                 live,
@@ -263,7 +291,7 @@ def _replica_manifest_data(
     live: dict | None,
 ) -> dict:
     manifest = {
-        "format_version": _FORMAT_VERSION if live is None else _LIVE_FORMAT_VERSION,
+        "format_version": _FORMAT_VERSION,
         "kind": REPLICA_KIND,
         "replica_format_version": REPLICA_FORMAT_VERSION,
         "corpus_fingerprint": fingerprint,
@@ -367,12 +395,23 @@ def load_live_state(directory: str | os.PathLike[str]) -> dict | None:
 def applied_seq(directory: str | os.PathLike[str]) -> int:
     """The journal checkpoint recorded with a saved index: every journal
     frame with ``seq`` at or below this value is already folded into the
-    base index.  ``0`` when the index carries no live state."""
+    base index.  ``0`` when the index carries no live state.
+
+    Raises :class:`IndexCorruptError` when the recorded value is anything
+    but a non-negative ``int``: a float, a bool or a string is damage, and
+    reading it as a number could skip a frame that was never folded in.
+    """
     live = load_live_state(directory)
     if live is None:
         return 0
     value = live.get("applied_seq", 0)
-    return int(value) if isinstance(value, (int, float)) else 0
+    if type(value) is not int or value < 0:
+        raise IndexCorruptError(
+            str(Path(directory)),
+            f"live applied_seq {value!r} is not a non-negative int",
+            part="manifest.json",
+        )
+    return value
 
 
 def _swap_into_place(staging: Path, target: Path) -> None:
@@ -397,25 +436,12 @@ def _swap_into_place(staging: Path, target: Path) -> None:
     shutil.rmtree(retired, ignore_errors=True)
 
 
-def _write_index_files(
-    engine: IndexEngine,
-    path: Path,
-    schema_fingerprint: str | None,
-    source_path: str | os.PathLike[str] | None,
-    live: dict | None = None,
-) -> None:
-    """Write the four index files (corpus, regions, config, manifest) into
-    an existing directory.  Callers are responsible for atomicity."""
-    format_version = _FORMAT_VERSION if live is None else _LIVE_FORMAT_VERSION
-    (path / "corpus.txt").write_text(engine.text, encoding="utf-8")
-    regions = {
-        name: [[region.start, region.end] for region in region_set]
-        for name, region_set in engine.instance.items()
-    }
-    (path / "regions.json").write_text(json.dumps(regions), encoding="utf-8")
+def _index_files(engine: IndexEngine, schema_fingerprint: str | None) -> dict[str, bytes]:
+    """The checksummed files of a saved index, by name, in memory: every
+    copy of one save writes the same bytes."""
     config = engine.config
     config_data = {
-        "version": format_version,
+        "version": _FORMAT_VERSION,
         "region_names": (
             sorted(config.region_names) if config.region_names is not None else None
         ),
@@ -430,20 +456,123 @@ def _write_index_files(
     }
     if schema_fingerprint is not None:
         config_data["schema_fingerprint"] = schema_fingerprint
-    (path / "config.json").write_text(json.dumps(config_data, indent=2), encoding="utf-8")
+    return {
+        "corpus.txt": engine.text.encode("utf-8"),
+        "spans.bin": _pack_spans(engine),
+        "config.json": json.dumps(config_data, indent=2).encode("utf-8"),
+    }
 
-    source = source_record(source_path)
+
+def _write_index_files(
+    files: dict[str, bytes],
+    path: Path,
+    fingerprint: str,
+    source_path: str | os.PathLike[str] | None,
+    live: dict | None = None,
+) -> None:
+    """Write one copy of an index (its files, then the manifest that
+    checksums them) into an existing directory.  Callers are responsible
+    for atomicity."""
+    for name, data in files.items():
+        (path / name).write_bytes(data)
     manifest = {
-        "format_version": format_version,
-        "corpus_fingerprint": corpus_fingerprint(engine.text),
-        "checksums": {
-            name: _crc32((path / name).read_bytes()) for name in _CHECKSUMMED
-        },
-        "source": source,
+        "format_version": _FORMAT_VERSION,
+        "corpus_fingerprint": fingerprint,
+        "checksums": {name: _crc32(files[name]) for name in _CHECKSUMMED},
+        "source": source_record(source_path),
     }
     if live is not None:
         manifest["live"] = dict(live)
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+
+
+def _pack_spans(engine: IndexEngine) -> bytes:
+    """``spans.bin``: a JSON header naming the region names and words, in
+    sorted order, with their span counts; then one zlib-compressed array of
+    little-endian ints holding each name's spans and then each word's
+    postings, ``start, end`` pairs in header order."""
+    names = engine.instance.names
+    sets = [engine.instance.get(name) for name in names]
+    words = engine.word_index.vocabulary if engine.word_index is not None else ()
+    postings = [engine.word_index.postings[word] for word in words]
+    flat = chain(
+        chain.from_iterable(chain.from_iterable(region_set.pairs() for region_set in sets)),
+        chain.from_iterable(postings),
+    )
+    values = array(_SPAN_TYPECODE, flat)
+    if sys.byteorder == "big":
+        values.byteswap()
+    header = json.dumps(
+        {
+            "names": list(names),
+            "name_counts": [len(region_set) for region_set in sets],
+            "words": list(words),
+            "word_counts": [len(spans) // 2 for spans in postings],
+        },
+        ensure_ascii=False,
+    ).encode("utf-8")
+    return b"".join(
+        (_HEADER_LENGTH.pack(len(header)), header, zlib.compress(values.tobytes(), 1))
+    )
+
+
+def _unpack_spans(
+    data: bytes, text_length: int
+) -> tuple[dict[str, RegionSet], dict[str, "array[int]"]]:
+    """Read ``spans.bin`` back: each name's region set and each word's
+    postings.
+
+    Raises ``ValueError`` (or :class:`RegionError`) when the header is
+    malformed, the counts do not match the arrays, bytes trail the data,
+    or a span is negative, inverted, past ``text_length``, or out of order.
+    Every span check is a pass over a whole array.
+    """
+    (length,) = _HEADER_LENGTH.unpack_from(data)
+    header = json.loads(data[_HEADER_LENGTH.size : _HEADER_LENGTH.size + length])
+    if not isinstance(header, dict):
+        raise ValueError("spans.bin header is not an object")
+    names, name_counts = header.get("names"), header.get("name_counts")
+    words, word_counts = header.get("words"), header.get("word_counts")
+    for keys, counts in ((names, name_counts), (words, word_counts)):
+        if not (
+            isinstance(keys, list)
+            and isinstance(counts, list)
+            and len(keys) == len(counts)
+            and set(map(type, keys)) <= {str}
+            and set(map(type, counts)) <= {int}
+            and min(counts, default=0) >= 0
+            and all(map(lt, keys, islice(keys, 1, None)))
+        ):
+            raise ValueError("spans.bin header lists are malformed or unsorted")
+    decompressor = zlib.decompressobj()
+    raw = decompressor.decompress(data[_HEADER_LENGTH.size + length :])
+    if not decompressor.eof or decompressor.unused_data:
+        raise ValueError("spans.bin is truncated or has trailing bytes")
+    values = array(_SPAN_TYPECODE)
+    values.frombytes(raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    if len(values) != 2 * (sum(name_counts) + sum(word_counts)):
+        raise ValueError(
+            f"spans.bin holds {len(values)} ints, not the 2 x "
+            f"{sum(name_counts) + sum(word_counts)} its header counts"
+        )
+    starts, ends = values[0::2], values[1::2]
+    if values and (
+        min(starts) < 0 or not all(map(le, starts, ends)) or max(ends) > text_length
+    ):
+        raise ValueError(
+            f"spans.bin holds a negative or inverted span, or one past the "
+            f"text's end ({text_length})"
+        )
+    offsets = [2 * offset for offset in accumulate(chain(name_counts, word_counts), initial=0)]
+    sets = {}
+    for name, low, high in zip(names, offsets, offsets[1:]):
+        spans = values[low:high]
+        sets[name] = RegionSet.from_arrays(spans[0::2], spans[1::2])
+    bounds = islice(zip(offsets, offsets[1:]), len(names), None)
+    postings = {word: values[low:high] for word, (low, high) in zip(words, bounds)}
+    return sets, postings
 
 
 def verify_index(directory: str | os.PathLike[str]) -> dict:
@@ -451,8 +580,9 @@ def verify_index(directory: str | os.PathLike[str]) -> dict:
 
     Returns the manifest.  Raises :class:`IndexNotFoundError` when the
     directory is not a saved index and :class:`IndexCorruptError` on a
-    missing manifest, a manifest that omits a file's checksum, any checksum
-    mismatch or a missing checksummed file.
+    missing manifest, an unknown format version, a manifest that omits one
+    of its format's checksums, any checksum mismatch or a missing
+    checksummed file.
     """
     path = Path(directory)
     if not (path / "config.json").exists():
@@ -469,9 +599,17 @@ def verify_index(directory: str | os.PathLike[str]) -> dict:
         raise IndexCorruptError(
             str(path), "manifest has no checksums", part="manifest.json"
         )
-    for name in _CHECKSUMMED:
+    version = manifest.get("format_version")
+    if version not in _SUPPORTED_VERSIONS:
+        raise IndexCorruptError(
+            str(path),
+            f"unsupported saved-index version {version!r} "
+            f"(supported: {_SUPPORTED_VERSIONS})",
+            part="manifest.json",
+        )
+    for name in _JSON_CHECKSUMMED if version in _JSON_VERSIONS else _CHECKSUMMED:
         if name not in checksums:
-            # save_index checksums every one of these; a manifest that omits
+            # Every save checksums each of its files; a manifest that omits
             # one would let that file load unverified.
             raise IndexCorruptError(
                 str(path), f"manifest has no checksum for {name}", part="manifest.json"
@@ -556,7 +694,7 @@ def load_index_config(directory: str | os.PathLike[str]) -> IndexConfig | None:
 
 
 def _region_set(spans: list) -> RegionSet:
-    """A saved name's ``[[start, end], …]`` spans as a region set.
+    """A ``regions.json`` name's ``[[start, end], …]`` spans as a region set.
 
     Raises ``ValueError`` or ``TypeError`` when an entry is not two ints,
     and :class:`RegionError` when a span is negative or inverted.
@@ -567,18 +705,48 @@ def _region_set(spans: list) -> RegionSet:
     return RegionSet.from_pairs(pairs)
 
 
+def _read_json_regions(path: Path) -> dict[str, RegionSet]:
+    """The region sets of a version 2/3 directory's ``regions.json``."""
+    try:
+        regions_data = json.loads((path / "regions.json").read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise IndexCorruptError(
+            str(path), "missing file: regions.json", part="regions.json"
+        ) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise IndexCorruptError(
+            str(path), f"unparseable JSON: {error}", part="regions.json"
+        ) from None
+    if not isinstance(regions_data, dict):
+        raise IndexCorruptError(
+            str(path),
+            f"regions.json holds a {type(regions_data).__name__}, not an object",
+            part="regions.json",
+        )
+    try:
+        return {name: _region_set(spans) for name, spans in regions_data.items()}
+    except (TypeError, ValueError, RegionError) as error:
+        raise IndexCorruptError(
+            str(path), f"malformed saved-index structure: {error!r}", part="regions.json"
+        ) from None
+
+
 def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
-    """Load a persisted engine; rebuilds word/suffix indexes from the text.
+    """Load a persisted engine.
+
+    A current save's region sets and word postings are read straight from
+    ``spans.bin``: nothing is re-tokenized.  A version 2/3 directory's
+    ``regions.json`` still loads, and its word index is rebuilt from the
+    text.  The suffix array, when configured, is always rebuilt.
 
     Raises :class:`IndexNotFoundError` when ``directory`` is not a saved
     index, and :class:`IndexCorruptError` when it is one but fails
     integrity verification (checksums, structure, format version).
     """
     path = Path(directory)
-    verify_index(path)
+    manifest = verify_index(path)
     try:
         text = (path / "corpus.txt").read_text(encoding="utf-8")
-        regions_raw = (path / "regions.json").read_text(encoding="utf-8")
         config_raw = (path / "config.json").read_text(encoding="utf-8")
     except FileNotFoundError as error:
         missing = Path(getattr(error, "filename", "") or "").name
@@ -588,36 +756,58 @@ def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
             str(path), f"missing file: {error}", part=missing or None
         ) from None
     try:
-        regions_data = json.loads(regions_raw)
         config_data = json.loads(config_raw)
     except json.JSONDecodeError as error:
-        raise IndexCorruptError(str(path), f"unparseable JSON: {error}") from None
-    for name, data in (("regions.json", regions_data), ("config.json", config_data)):
-        if not isinstance(data, dict):
-            raise IndexCorruptError(
-                str(path),
-                f"{name} holds a {type(data).__name__}, not an object",
-                part=name,
-            )
-    version = config_data.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+        raise IndexCorruptError(
+            str(path), f"unparseable JSON: {error}", part="config.json"
+        ) from None
+    if not isinstance(config_data, dict):
         raise IndexCorruptError(
             str(path),
-            f"unsupported saved-index version {version!r} "
-            f"(supported: {_SUPPORTED_VERSIONS})",
+            f"config.json holds a {type(config_data).__name__}, not an object",
+            part="config.json",
+        )
+    version = config_data.get("version")
+    if version != manifest["format_version"]:
+        raise IndexCorruptError(
+            str(path),
+            f"config.json's version {version!r} is not the manifest's "
+            f"{manifest['format_version']!r}",
             part="config.json",
         )
     try:
         config = _config_from(config_data)
-        instance = Instance(
-            {name: _region_set(spans) for name, spans in regions_data.items()}
-        )
-    except (KeyError, TypeError, ValueError, RegionError, IndexConfigError) as error:
+    except (KeyError, TypeError, ValueError, IndexConfigError) as error:
         raise IndexCorruptError(
-            str(path), f"malformed saved-index structure: {error!r}"
+            str(path), f"malformed saved-index structure: {error!r}", part="config.json"
         ) from None
+    postings = None
+    if version in _JSON_VERSIONS:
+        sets = _read_json_regions(path)
+    else:
+        try:
+            data = (path / "spans.bin").read_bytes()
+            sets, postings = _unpack_spans(data, len(text))
+        except FileNotFoundError:
+            raise IndexCorruptError(
+                str(path), "missing file: spans.bin", part="spans.bin"
+            ) from None
+        except (ValueError, struct.error, zlib.error, RegionError) as error:
+            raise IndexCorruptError(
+                str(path), f"malformed spans.bin: {error}", part="spans.bin"
+            ) from None
+    instance = Instance(sets)
     word_index = None
-    if config.word_index:
+    if config.word_index and postings is not None:
+        try:
+            word_index = WordIndex.from_postings(
+                postings, lowercase=config.lowercase_words
+            )
+        except ValueError as error:
+            raise IndexCorruptError(
+                str(path), f"malformed spans.bin: {error}", part="spans.bin"
+            ) from None
+    elif config.word_index:
         scope = instance.get(config.word_scope) if config.word_scope else None
         word_index = WordIndex(text, lowercase=config.lowercase_words, scope=scope)
     suffixes = SuffixArray(text) if config.suffix_array else None

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterator
+from itertools import chain, islice
+from operator import le
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from repro.algebra.region import Region, RegionSet
 from repro.text.tokenizer import DEFAULT_EXTRA_WORD_CHARS, token_spans
 
 
-def _pairs(spans: "array[int]") -> Iterator[tuple[int, int]]:
+def _pairs(spans: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The ``(start, end)`` pairs of a flat ``start, end, start, end, …`` array."""
     values = iter(spans)
     return zip(values, values)
@@ -74,6 +77,36 @@ class WordIndex:
             spans.append(end)
             starts.append(start)
             ends.append(end)
+        self._fill(postings, starts, ends)
+
+    @classmethod
+    def from_postings(
+        cls, postings: Mapping[str, Sequence[int]], *, lowercase: bool = False
+    ) -> "WordIndex":
+        """Build from each word's flat span array (``start, end, start,
+        end, …``), as :meth:`RegionSet.from_pairs` builds from spans.
+
+        The token arrays are the postings' spans sorted by start, kept as
+        compact int arrays like the constructor's.  Raises
+        ``ValueError`` when two tokens overlap, since
+        :meth:`token_count_between` relies on tokens never overlapping.
+        """
+        index = cls.__new__(cls)
+        index._lowercase = lowercase
+        flat = chain.from_iterable(postings.values())
+        end_of = dict(zip(flat, flat))
+        if 2 * len(end_of) != sum(map(len, postings.values())):
+            raise ValueError("two word tokens start at the same offset")
+        starts = array("q", sorted(end_of))
+        ends = array("q", map(end_of.__getitem__, starts))
+        if not all(map(le, ends, islice(starts, 1, None))):
+            raise ValueError("word tokens overlap")
+        index._fill(dict(postings), starts, ends)
+        return index
+
+    def _fill(
+        self, postings: dict[str, Sequence[int]], starts: Sequence[int], ends: Sequence[int]
+    ) -> None:
         self._postings = postings
         self._sets: dict[str, RegionSet] = {}
         self._token_starts = starts
@@ -131,6 +164,11 @@ class WordIndex:
     @property
     def vocabulary(self) -> tuple[str, ...]:
         return tuple(self._vocabulary)
+
+    @property
+    def postings(self) -> Mapping[str, Sequence[int]]:
+        """Each word's flat span array (``start, end, …``), read-only."""
+        return MappingProxyType(self._postings)
 
     @property
     def vocabulary_size(self) -> int:

@@ -44,7 +44,7 @@ from repro.errors import ParseError
 #: The files making up a saved index directory, by part name.
 INDEX_PARTS = {
     "corpus": "corpus.txt",
-    "regions": "regions.json",
+    "regions": "spans.bin",
     "config": "config.json",
     "manifest": "manifest.json",
 }

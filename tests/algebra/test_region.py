@@ -75,6 +75,58 @@ class TestRegionSet:
         with pytest.raises(RegionError):
             RegionSet.from_pairs([(-1, 2)])
 
+    @given(st.lists(spans, max_size=20), st.lists(spans, max_size=6))
+    def test_lazy_sets_agree_with_eager_ones(self, drawn, probes):
+        eager = RegionSet(drawn)
+        pairs = [(region.start, region.end) for region in eager]
+        lazy_sets = [
+            RegionSet.from_pairs(reversed(pairs)),
+            RegionSet.from_arrays([start for start, _ in pairs], [end for _, end in pairs]),
+        ]
+        for lazy in lazy_sets:
+            assert len(lazy) == len(eager)
+            assert bool(lazy) == bool(eager)
+            assert lazy == eager and eager == lazy
+            assert hash(lazy) == hash(eager)
+            for probe in [*drawn, *probes]:
+                assert (probe in lazy) == (probe in eager)
+            assert list(lazy.pairs()) == pairs
+            # None of the above needed a Region object.
+            assert lazy._regions is None
+            assert list(lazy) == list(eager)
+            assert [lazy.region_at(i) for i in range(len(lazy))] == list(eager.regions)
+            assert lazy._regions is lazy.regions  # made once, then kept
+
+    @pytest.mark.parametrize(
+        "starts,ends",
+        [
+            ([0, 1], [2]),  # lengths differ
+            ([3, 1], [4, 2]),  # unsorted
+            ([1, 1], [2, 2]),  # duplicate
+            ([1, 1], [3, 2]),  # ends unsorted within one start
+            ([-1], [2]),  # negative
+            ([4], [2]),  # inverted
+        ],
+    )
+    def test_from_arrays_rejects_bad_arrays(self, starts, ends):
+        with pytest.raises(RegionError):
+            RegionSet.from_arrays(starts, ends)
+
+    def test_threads_materializing_at_once_agree(self):
+        import threading
+
+        lazy = RegionSet.from_pairs((i, i + 3) for i in range(5000))
+        seen = []
+        threads = [
+            threading.Thread(target=lambda: seen.append(lazy.regions)) for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(regions == seen[0] for regions in seen)
+        assert list(lazy) == [Region(i, i + 3) for i in range(5000)]
+
     def test_contains(self):
         regions = RegionSet.of((1, 2), (5, 6))
         assert Region(1, 2) in regions

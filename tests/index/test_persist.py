@@ -203,21 +203,55 @@ class TestLiveManifest:
         assert verify_index(target) is not None
         assert load_index(target).text == built_engine.index.text
 
-    def test_plain_saves_stay_format_version_2(self, built_engine, tmp_path):
+    def test_plain_saves_use_the_packed_format(self, built_engine, tmp_path):
         import json
 
         from repro.index.persist import load_live_state, load_manifest
 
         target = tmp_path / "idx"
         save_index(built_engine.index, target)
-        assert load_manifest(target)["format_version"] == 2
+        assert load_manifest(target)["format_version"] == 4
         config = json.loads((target / "config.json").read_text(encoding="utf-8"))
-        assert config["version"] == 2
+        assert config["version"] == 4
         assert load_live_state(target) is None
+        assert sorted(path.name for path in target.iterdir()) == [
+            "config.json", "corpus.txt", "manifest.json", "spans.bin"
+        ]
 
-    def test_live_save_bumps_to_version_3(self, built_engine, tmp_path):
+    def test_live_saves_use_the_same_format(self, built_engine, tmp_path):
         from repro.index.persist import load_manifest
 
         target = tmp_path / "idx"
         save_index(built_engine.index, target, live={"applied_seq": 1})
-        assert load_manifest(target)["format_version"] == 3
+        assert load_manifest(target)["format_version"] == 4
+        assert not (target / "regions.json").exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["NaN", "Infinity", "-Infinity", "1e400", "2.7", "2.0", "true", "false",
+         "-1", '"3"', "null", "[1]"],
+    )
+    def test_damaged_applied_seq_is_corrupt(self, built_engine, tmp_path, raw):
+        # A bool read as 1 made live replay skip frame 1; floats escaped as
+        # untyped errors or were silently truncated.
+        from repro.errors import IndexCorruptError
+        from repro.index.persist import applied_seq
+
+        target = tmp_path / "idx"
+        save_index(built_engine.index, target, live={"applied_seq": 17})
+        path = target / "manifest.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(
+            text.replace('"applied_seq": 17', f'"applied_seq": {raw}'), encoding="utf-8"
+        )
+        with pytest.raises(IndexCorruptError) as excinfo:
+            applied_seq(target)
+        assert excinfo.value.part == "manifest.json"
+
+    def test_applied_seq_defaults_to_zero(self, built_engine, tmp_path):
+        from repro.index.persist import applied_seq
+
+        save_index(built_engine.index, tmp_path / "plain")
+        save_index(built_engine.index, tmp_path / "live", live={})
+        save_index(built_engine.index, tmp_path / "zero", live={"applied_seq": 0})
+        assert [applied_seq(tmp_path / name) for name in ("plain", "live", "zero")] == [0, 0, 0]

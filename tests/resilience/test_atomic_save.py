@@ -24,17 +24,20 @@ def _interrupt_after(monkeypatch, files_written: int):
     original = persist._write_index_files
 
     def wrapper(engine, path, *args, **kwargs):
-        real_write_text = Path.write_text
         budget = {"left": files_written}
 
-        def counting_write_text(self, *write_args, **write_kwargs):
-            if budget["left"] <= 0:
-                raise _KilledMidSave()
-            budget["left"] -= 1
-            return real_write_text(self, *write_args, **write_kwargs)
+        def counting(real_write):
+            def write(self, *write_args, **write_kwargs):
+                if budget["left"] <= 0:
+                    raise _KilledMidSave()
+                budget["left"] -= 1
+                return real_write(self, *write_args, **write_kwargs)
+
+            return write
 
         with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(Path, "write_text", counting_write_text)
+            inner.setattr(Path, "write_text", counting(Path.write_text))
+            inner.setattr(Path, "write_bytes", counting(Path.write_bytes))
             return original(engine, path, *args, **kwargs)
 
     monkeypatch.setattr(persist, "_write_index_files", wrapper)

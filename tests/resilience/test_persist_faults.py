@@ -20,6 +20,7 @@ from repro.resilience import (
     DegradationPolicy,
     corrupt_index_file,
 )
+from tests.index.saved_layouts import name_slice, pack_spans, read_spans, write_json_index
 
 #: Every (part, mode) fault and the strict-policy error it must raise.
 FAULT_MATRIX = [
@@ -61,18 +62,20 @@ class TestFaultMatrix:
 
 class TestMissingManifestIsDamage:
     """A saved index without ``manifest.json`` used to load as "legacy v1,
-    skip checksums": halve ``regions.json`` (still valid JSON), delete the
-    manifest, and ``SELECT r.Key FROM Reference r`` answered 12 of 25 rows
-    under nothing but a warning."""
+    skip checksums": halve the saved ``Reference`` spans (still well
+    formed), delete the manifest, and ``SELECT r.Key FROM Reference r``
+    answered 12 of 25 rows under nothing but a warning."""
 
     QUERY = "SELECT r.Key FROM Reference r"
 
     @pytest.fixture
     def halved_index(self, saved_index):
-        regions_path = saved_index / "regions.json"
-        regions = json.loads(regions_path.read_text(encoding="utf-8"))
-        regions["Reference"] = regions["Reference"][: len(regions["Reference"]) // 2]
-        regions_path.write_text(json.dumps(regions), encoding="utf-8")
+        header, values = read_spans(saved_index)
+        where = name_slice(header, "Reference")
+        count = (where.stop - where.start) // 2
+        del values[where.start + 2 * (count // 2) : where.stop]
+        header["name_counts"][header["names"].index("Reference")] = count // 2
+        (saved_index / "spans.bin").write_bytes(pack_spans(header, values))
         (saved_index / "manifest.json").unlink()
         return saved_index
 
@@ -107,12 +110,24 @@ def _rewrite_checksummed(directory, name: str, content: str) -> None:
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
-class TestManifestMustChecksumEveryFile:
-    """A manifest whose ``checksums`` omitted ``regions.json`` let a halved
-    regions file load unverified."""
+@pytest.fixture
+def json_saved_index(tmp_path, corpus_schema, corpus_text):
+    """The same corpus saved in the version 2 JSON layout."""
+    directory = tmp_path / "json-idx"
+    write_json_index(FileQueryEngine(corpus_schema, corpus_text).index, directory)
+    return directory
 
-    @pytest.mark.parametrize("name", ["corpus.txt", "regions.json", "config.json"])
-    def test_omitted_checksum_is_damage(self, saved_index, corpus_schema, name):
+
+class TestManifestMustChecksumEveryFile:
+    """A manifest whose ``checksums`` omitted the spans file let a halved
+    one load unverified.  ``regions.json`` is the version 2/3 spans file."""
+
+    @pytest.mark.parametrize(
+        "name", ["corpus.txt", "regions.json", "config.json", "spans.bin"]
+    )
+    def test_omitted_checksum_is_damage(self, request, corpus_schema, name):
+        layout = "json_saved_index" if name == "regions.json" else "saved_index"
+        saved_index = request.getfixturevalue(layout)
         manifest_path = saved_index / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         del manifest["checksums"][name]
@@ -129,12 +144,16 @@ class TestManifestMustChecksumEveryFile:
 
 
 class TestMalformedRegions:
-    """A correctly checksummed ``regions.json`` (or ``config.json``) of the
-    wrong shape is ``IndexCorruptError``, never an ``AttributeError`` or a
-    float region."""
+    """A correctly checksummed ``regions.json`` (of a version 2/3
+    directory) or ``config.json`` of the wrong shape is
+    ``IndexCorruptError``, never an ``AttributeError`` or a float region.
+    Damage to the current ``spans.bin`` is covered by
+    ``tests/index/test_packed_index.py``."""
 
     @pytest.mark.parametrize("name", ["regions.json", "config.json"])
-    def test_top_level_list(self, saved_index, corpus_schema, name):
+    def test_top_level_list(self, request, corpus_schema, name):
+        layout = "json_saved_index" if name == "regions.json" else "saved_index"
+        saved_index = request.getfixturevalue(layout)
         _rewrite_checksummed(saved_index, name, "[[0, 5]]")
         with pytest.raises(IndexCorruptError) as excinfo:
             load_index(saved_index)
@@ -160,12 +179,14 @@ class TestMalformedRegions:
         ],
         ids=repr,
     )
-    def test_span_that_is_not_two_ordered_ints(self, saved_index, spans):
-        regions = json.loads((saved_index / "regions.json").read_text(encoding="utf-8"))
+    def test_span_that_is_not_two_ordered_ints(self, json_saved_index, spans):
+        path = json_saved_index / "regions.json"
+        regions = json.loads(path.read_text(encoding="utf-8"))
         regions["Key"] = regions["Key"][:2] + spans
-        _rewrite_checksummed(saved_index, "regions.json", json.dumps(regions))
-        with pytest.raises(IndexCorruptError):
-            load_index(saved_index)
+        _rewrite_checksummed(json_saved_index, "regions.json", json.dumps(regions))
+        with pytest.raises(IndexCorruptError) as excinfo:
+            load_index(json_saved_index)
+        assert excinfo.value.part == "regions.json"
 
 
 class TestGracefulDegradation:

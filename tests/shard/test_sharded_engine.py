@@ -410,10 +410,10 @@ def test_breaker_half_open_probe_recovers_the_shard(
 def test_degrade_policy_serves_damaged_shard_via_full_scan(
     saved_sharded, schema, query_text, reference_rows
 ) -> None:
-    """Under `--degrade`, a shard with a corrupt regions.json still
-    answers (full scan of its own slice), so the merged rows are complete."""
+    """Under `--degrade`, a shard with a torn spans.bin still answers
+    (full scan of its own slice), so the merged rows are complete."""
     victim = sorted((saved_sharded / "shards").iterdir())[3]
-    (victim / "regions.json").write_text("{ torn", encoding="utf-8")
+    (victim / "spans.bin").write_text("{ torn", encoding="utf-8")
     engine = ShardedEngine.from_saved(
         schema, saved_sharded, policy=DegradationPolicy.degrade()
     )
