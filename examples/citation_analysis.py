@@ -1,12 +1,10 @@
-"""Citation analysis: multi-variable joins, LIKE, and PAT search.
+"""Citation analysis: multi-variable joins and LIKE.
 
 The paper's introduction motivates queries no text tool can express —
 join-like questions over file content.  This example runs them:
 
 - which references cite a paper authored by Chang? (two range variables);
-- whose last names start with "Cor"? (LIKE — PAT's lexical search);
-- where does "Taylor series" appear as a phrase? (proximity search);
-- which references mention "Taylor" at least twice? (frequency search).
+- whose last names start with "Cor"? (LIKE — PAT's lexical search).
 
 Run:  python examples/citation_analysis.py
 """
@@ -43,15 +41,6 @@ def main() -> None:
     like_result = engine.query(like_query)
     print(f'authors matching "Cor*": {len(like_result.rows)} references')
     print(f"  plan: {engine.plan(like_query).optimized_expression}\n")
-
-    # -- PAT proximity: phrase occurrences ----------------------------------
-    phrase_spans = engine.index.phrase("Taylor", "series", max_gap=2)
-    print(f'"Taylor series" phrase occurrences: {len(phrase_spans)}')
-
-    # -- PAT frequency search ------------------------------------------------
-    twice = engine.index.regions_with_frequency("Reference", "Taylor", 2)
-    once = engine.index.regions_with_frequency("Reference", "Taylor", 1)
-    print(f'references mentioning "Taylor": {len(once)}; at least twice: {len(twice)}')
 
     # -- everything agrees with the database baseline ------------------------
     for query in (join_query, like_query):

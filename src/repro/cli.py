@@ -51,9 +51,7 @@ Examples::
 
 ``query``, ``explain``, ``analyze``, ``stats`` and ``serve`` pick the
 backend from what they can observe — ``--live``, a sharded ``--index``,
-anything else — and ``shard build|query|explain|analyze`` are the
-``index``/``query``/``explain``/``analyze`` handlers under their historical
-names.  ``query``, ``stats`` and ``analyze`` accept
+anything else.  ``query``, ``stats`` and ``analyze`` accept
 ``--json`` for machine-readable output, assembled from the unified response
 dataclasses in :mod:`repro.api` — the exact shapes the query server
 emits (``analyze`` is validated in CI against
@@ -69,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -125,6 +124,25 @@ NON_NEGATIVE_INT = _at_least(int, 0)
 NON_NEGATIVE_FLOAT = _at_least(float, 0)
 
 
+def _finite_above(minimum: float) -> Callable[[str], float]:
+    """An argparse ``type=`` for a float strictly above ``minimum`` that is
+    finite: NaN and infinity are usage errors too."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not minimum < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and > {minimum}, got {text}"
+            )
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+POSITIVE_FINITE_FLOAT = _finite_above(0)
+
+
 def _policy_from_args(args: argparse.Namespace) -> DegradationPolicy | None:
     if getattr(args, "strict", False):
         return DegradationPolicy.strict()
@@ -155,9 +173,9 @@ def _budget_from_args(args: argparse.Namespace) -> ResourceBudget | None:
 def _backend_from_args(args: argparse.Namespace):
     """The one place a command line becomes a backend, chosen from what can
     be observed: ``--live`` (or a ``live`` subcommand) opens a
-    :class:`~repro.live.LiveEngine`, a sharded ``--index`` (the only kind a
-    ``shard`` subcommand accepts) a :class:`~repro.shard.ShardedEngine`,
-    anything else a :class:`~repro.core.engine.FileQueryEngine`."""
+    :class:`~repro.live.LiveEngine`, a sharded ``--index`` a
+    :class:`~repro.shard.ShardedEngine`, anything else a
+    :class:`~repro.core.engine.FileQueryEngine`."""
     from repro.shard.manifest import is_sharded_index
 
     schema = _schema_for(args.workload)
@@ -180,7 +198,7 @@ def _backend_from_args(args: argparse.Namespace):
             ack_quorum=getattr(args, "ack_quorum", None),
             **options,
         )
-    if index and (getattr(args, "sharded", False) or is_sharded_index(index)):
+    if index and is_sharded_index(index):
         from repro.shard import ShardedEngine
 
         if getattr(args, "max_parallel", None) is not None:
@@ -261,10 +279,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     """Build and save an index: a sharded one from ``--files F...`` or
-    ``--file F --shards N`` (the only kind ``shard build`` makes), a plain
-    one otherwise."""
+    ``--file F --shards N``, a plain one otherwise."""
     replicas = _replicas_from_args(args)
-    if not (args.files or args.shards is not None or getattr(args, "sharded", False)):
+    if not (args.files or args.shards is not None):
         engine = _backend_from_args(args)
         engine.save(args.out, source_path=args.file or None, replicas=replicas)
         where = f"{args.out} ({replicas} replica(s))" if replicas else args.out
@@ -278,13 +295,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if args.files:
         engine = ShardedEngine.from_paths(schema, args.files, config=config)
     elif args.file:
-        if not args.shards or args.shards < 1:
-            raise SystemExit("--file needs --shards N (how many chunks to cut)")
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
         engine = ShardedEngine.split(schema, text, args.shards, config=config)
     else:
-        raise SystemExit("either --files F [F ...] or --file F --shards N is required")
+        raise SystemExit("--shards N needs --file F (the corpus to cut)")
     engine.save(args.out, replicas=replicas)
     copies = f", {replicas} replica(s) each" if replicas else ""
     print(
@@ -444,7 +459,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 
 def _scrubber_from_args(args: argparse.Namespace):
     interval = getattr(args, "scrub_interval_s", None)
-    if not interval:
+    if interval is None:
         return None
     if not getattr(args, "index", None):
         raise SystemExit("--scrub-interval-s needs --index (a saved sharded index)")
@@ -564,14 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_live_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--max-shard-bytes",
-            type=int,
+            type=POSITIVE_INT,
             dest="max_shard_bytes",
             help="live engine: split the tail shard during compaction once "
             "its corpus exceeds this many bytes",
         )
         sub.add_argument(
             "--ack-quorum",
-            type=int,
+            type=POSITIVE_INT,
             dest="ack_quorum",
             help="live engine over a replicated index: replica journals that "
             "must fsync before an append is acknowledged (default: all)",
@@ -629,31 +644,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(analyze)
     analyze.set_defaults(handler=_cmd_analyze)
 
-    def add_index_options(sub: argparse.ArgumentParser) -> None:
-        add_common(sub, with_query=False)
-        sub.add_argument(
-            "--files", nargs="+", help="corpus files, one shard per file (sharded)"
-        )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            help="with --file: cut it into N byte-balanced shards at record "
-            "boundaries (sharded)",
-        )
-        sub.add_argument("--out", required=True, help="output directory")
-        sub.add_argument(
-            "--replicas",
-            type=int,
-            help="persist N complete copies of the index (of every shard, "
-            "when sharded) under replica-{i}/ dirs; reads fail over between "
-            "them and scrub heals damage",
-        )
-
     index = commands.add_parser(
         "index",
         help="build and persist indexes (sharded with --files or --shards)",
     )
-    add_index_options(index)
+    add_common(index, with_query=False)
+    index.add_argument(
+        "--files", nargs="+", help="corpus files, one shard per file (sharded)"
+    )
+    index.add_argument(
+        "--shards",
+        type=POSITIVE_INT,
+        help="with --file: cut it into N byte-balanced shards at record "
+        "boundaries (sharded)",
+    )
+    index.add_argument("--out", required=True, help="output directory")
+    index.add_argument(
+        "--replicas",
+        type=int,
+        help="persist N complete copies of the index (of every shard, "
+        "when sharded) under replica-{i}/ dirs; reads fail over between "
+        "them and scrub heals damage",
+    )
     index.set_defaults(handler=_cmd_index)
 
     stats = commands.add_parser("stats", help="index statistics")
@@ -720,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--scrub-interval-s",
-        type=float,
+        type=POSITIVE_FINITE_FLOAT,
         dest="scrub_interval_s",
         help="run a background scrub-and-repair pass over the sharded "
         "--index every N seconds (jittered; findings in GET /stats)",
@@ -745,44 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_json(scrub)
     scrub.set_defaults(handler=_cmd_scrub)
-
-    shard = commands.add_parser(
-        "shard",
-        help="sharded corpora: one fault-isolated index per file, "
-        "scatter-gather queries with partial results",
-    )
-    shard_commands = shard.add_subparsers(dest="shard_command", required=True)
-
-    build = shard_commands.add_parser(
-        "build", help="build and persist one index per shard"
-    )
-    add_index_options(build)
-    build.set_defaults(handler=_cmd_index, sharded=True)
-
-    # `shard build|query|explain|analyze` are the top-level commands under
-    # their historical names — same options, same handlers, same output —
-    # except that they build or accept only a sharded index.
-    shard_query = shard_commands.add_parser(
-        "query", help="scatter-gather a query over all shards"
-    )
-    add_common(shard_query, with_query=True)
-    add_json(shard_query)
-    add_budget(shard_query, "per-shard")
-    shard_query.set_defaults(handler=_cmd_query, sharded=True)
-
-    shard_explain = shard_commands.add_parser(
-        "explain", help="show the shared per-shard plan and shard roster"
-    )
-    add_common(shard_explain, with_query=True)
-    shard_explain.set_defaults(handler=_cmd_explain, sharded=True)
-
-    shard_analyze = shard_commands.add_parser(
-        "analyze",
-        help="EXPLAIN ANALYZE across shards (per-shard stats included)",
-    )
-    add_common(shard_analyze, with_query=True)
-    add_json(shard_analyze)
-    shard_analyze.set_defaults(handler=_cmd_analyze, sharded=True)
 
     live = commands.add_parser(
         "live",

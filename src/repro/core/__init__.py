@@ -18,7 +18,7 @@ expressions and the file query engine built on it.
 """
 
 from repro.core.chains import ChainView, Link, extract_chain, chain_to_expression
-from repro.core.triviality import is_trivially_empty, trivial_subexpressions
+from repro.core.triviality import is_trivially_empty
 from repro.core.optimizer import optimize, OptimizationTrace
 from repro.core.cost import node_weight, static_cost
 from repro.core.translate import Translator, TranslatedCondition
@@ -34,7 +34,6 @@ __all__ = [
     "extract_chain",
     "chain_to_expression",
     "is_trivially_empty",
-    "trivial_subexpressions",
     "optimize",
     "OptimizationTrace",
     "node_weight",

@@ -530,7 +530,6 @@ class FileQueryEngine(EngineBase):
             text=text,
             instance=Instance({}),
             word_index=None,
-            suffix_array=None,
             config=IndexConfig.partial((), word_index=False),
         )
 

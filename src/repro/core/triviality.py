@@ -87,41 +87,6 @@ def _pair_is_trivial(
     )
 
 
-def trivial_subexpressions(
-    expression: RegionExpr, graph: RegionInclusionGraph
-) -> list[tuple[str, str, str]]:
-    """All ``(op, container, containee)`` witnesses of Proposition 3.3 inside
-    chains of ``expression``."""
-    witnesses: list[tuple[str, str, str]] = []
-    for node in expression.walk():
-        if not isinstance(node, Inclusion):
-            continue
-        chain = extract_chain(node)
-        if chain is None:
-            continue
-        for index, op in enumerate(chain.ops):
-            left = chain.links[index].region
-            right = chain.links[index + 1].region
-            if _pair_is_trivial(graph, op, left, right):
-                if op in BACKWARD_OPS:
-                    witnesses.append((op, right, left))
-                else:
-                    witnesses.append((op, left, right))
-    # walk() re-visits every chain suffix as its own Inclusion node, so the
-    # same pair is found repeatedly; deduplicate.
-    return _dedupe(witnesses)
-
-
-def _dedupe(witnesses: list[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
-    seen: set[tuple[str, str, str]] = set()
-    unique = []
-    for witness in witnesses:
-        if witness not in seen:
-            seen.add(witness)
-            unique.append(witness)
-    return unique
-
-
 def is_trivially_empty(expression: RegionExpr, graph: RegionInclusionGraph) -> bool:
     """Is ``expression`` empty on every instance satisfying ``graph``?
 

@@ -10,7 +10,7 @@ objects/tuples, and load them into the database)".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.db.values import (
     ListValue,
@@ -77,11 +77,3 @@ def iter_objects(value: Value) -> Iterator[ObjectValue]:
     elif isinstance(value, (SetValue, ListValue)):
         for element in value:
             yield from iter_objects(element)
-
-
-def database_from_values(values: Iterable[Value]) -> Database:
-    """Build a database containing every object reachable from ``values``."""
-    database = Database()
-    for value in values:
-        database.load_value(value)
-    return database

@@ -236,18 +236,3 @@ def first_distinct(
         items.append(item)
         digests.append(digest)
     return items, digests
-
-
-def iter_children(value: Value) -> Iterator[tuple[str | None, Value]]:
-    """Iterate the immediate sub-values of ``value`` as ``(attribute, child)``.
-
-    Set/list elements yield ``None`` as the attribute.  Used by the path
-    evaluator: path navigation descends through sets implicitly (XSQL
-    semantics: ``r.Authors.Name`` ranges over the set members).
-    """
-    if isinstance(value, (TupleValue, ObjectValue)):
-        for attribute, child in value.attributes.items():
-            yield attribute, child
-    elif isinstance(value, (SetValue, ListValue)):
-        for element in value:
-            yield None, element

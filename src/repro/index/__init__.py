@@ -7,8 +7,6 @@ implements it:
 - :mod:`repro.index.word_index` — an inverted word index with positions
   ("recording the location(s) of all the words in the file"), optionally
   *selective* (only words inside chosen region types, Section 7);
-- :mod:`repro.index.suffix_array` — a PAT-style semi-infinite-string array
-  over word starts, giving prefix (lexical) search;
 - :mod:`repro.index.config` — declarative index configuration: full /
   partial region indexing, scoped region indexes ("index only the Name
   regions inside Authors"), selective word indexing;
@@ -21,7 +19,6 @@ implements it:
 """
 
 from repro.index.word_index import WordIndex
-from repro.index.suffix_array import SuffixArray
 from repro.index.config import IndexConfig, ScopedRegionSpec
 from repro.index.builder import collect_spans, build_instance, build_engine
 from repro.index.engine import IndexEngine
@@ -29,7 +26,6 @@ from repro.index.stats import IndexStatistics
 
 __all__ = [
     "WordIndex",
-    "SuffixArray",
     "IndexConfig",
     "ScopedRegionSpec",
     "collect_spans",

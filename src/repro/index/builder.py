@@ -15,7 +15,6 @@ from repro.algebra.region import Instance, RegionSet
 from repro.errors import IndexConfigError
 from repro.index.config import IndexConfig
 from repro.index.engine import IndexEngine
-from repro.index.suffix_array import SuffixArray
 from repro.index.word_index import WordIndex
 from repro.schema.parser import ParseNode
 
@@ -91,11 +90,6 @@ def build_engine(
                 scope = RegionSet.from_pairs(spans[config.word_scope])
         word_index = WordIndex(text, lowercase=config.lowercase_words, scope=scope)
 
-    suffixes = SuffixArray(text) if config.suffix_array else None
     return IndexEngine(
-        text=text,
-        instance=instance,
-        word_index=word_index,
-        suffix_array=suffixes,
-        config=config,
+        text=text, instance=instance, word_index=word_index, config=config
     )

@@ -50,8 +50,6 @@ class IndexConfig:
         non-terminal (``None`` = everywhere).
     lowercase_words:
         Case-fold the word index.
-    suffix_array:
-        Also build the PAT-style sistring array (prefix search).
     """
 
     region_names: frozenset[str] | None = None
@@ -59,7 +57,6 @@ class IndexConfig:
     word_index: bool = True
     word_scope: str | None = None
     lowercase_words: bool = False
-    suffix_array: bool = False
 
     @classmethod
     def full(cls, **overrides: object) -> "IndexConfig":
@@ -80,7 +77,6 @@ class IndexConfig:
             word_index=self.word_index,
             word_scope=self.word_scope,
             lowercase_words=self.lowercase_words,
-            suffix_array=self.suffix_array,
         )
 
     def indexed_names(self, all_nonterminals: Iterable[str], root: str) -> frozenset[str]:

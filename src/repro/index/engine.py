@@ -20,7 +20,6 @@ from repro.cache.config import EXPRESSION_CACHE_SIZE
 from repro.errors import RegionIndexError
 from repro.index.config import IndexConfig
 from repro.index.stats import IndexStatistics
-from repro.index.suffix_array import SuffixArray
 from repro.index.word_index import WordIndex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,13 +34,11 @@ class IndexEngine:
         text: str,
         instance: Instance,
         word_index: WordIndex | None = None,
-        suffix_array: SuffixArray | None = None,
         config: IndexConfig | None = None,
     ) -> None:
         self.text = text
         self.instance = instance
         self.word_index = word_index
-        self.suffix_array = suffix_array
         self.config = config if config is not None else IndexConfig.full()
         self.counters = OperationCounters()
         # Expression-result caching is opt-in at this level (the low-level
@@ -123,47 +120,6 @@ class IndexEngine:
         return self.evaluator(
             node_log=node_log, use_cache=use_cache, budget=budget
         ).run(expression)
-
-    # -- PAT search conveniences -----------------------------------------------------
-
-    def phrase(self, *words: str, max_gap: int = 2) -> RegionSet:
-        """Spans where the words occur in order, each within ``max_gap``
-        characters of the previous (PAT's proximity search)."""
-        from repro.index import search
-
-        if not words:
-            raise RegionIndexError("phrase needs at least one word")
-        spans = self.occurrences(words[0])
-        for word in words[1:]:
-            spans = search.followed_by(
-                spans, self.occurrences(word), max_gap=max_gap, counters=self.counters
-            )
-        return spans
-
-    def near(self, first: str, second: str, max_gap: int = 80) -> RegionSet:
-        """Unordered word proximity."""
-        from repro.index import search
-
-        return search.proximity(
-            self.occurrences(first),
-            self.occurrences(second),
-            max_gap=max_gap,
-            counters=self.counters,
-        )
-
-    def regions_with_frequency(
-        self, region_name: str, word: str, min_count: int
-    ) -> RegionSet:
-        """Frequency search: the ``region_name`` regions containing at least
-        ``min_count`` occurrences of ``word``."""
-        from repro.index import search
-
-        return search.select_by_frequency(
-            self.instance.get(region_name),
-            self.occurrences(word),
-            min_count,
-            counters=self.counters,
-        )
 
     # -- text access --------------------------------------------------------------------
 

@@ -3,8 +3,7 @@
 Building region indexes requires parsing the corpus — by far the most
 expensive step.  Persisting the engine saves the corpus text, the region
 instance and the word index's postings, so a load reads saved positions
-back and re-tokenizes nothing; only the optional sistring array is rebuilt
-from the text.
+back and re-tokenizes nothing.
 
 Layout of a saved engine directory (format version 4)::
 
@@ -88,7 +87,6 @@ from repro.errors import (
 )
 from repro.index.config import IndexConfig, ScopedRegionSpec
 from repro.index.engine import IndexEngine
-from repro.index.suffix_array import SuffixArray
 from repro.index.word_index import WordIndex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -452,7 +450,6 @@ def _index_files(engine: IndexEngine, schema_fingerprint: str | None) -> dict[st
         "word_index": config.word_index,
         "word_scope": config.word_scope,
         "lowercase_words": config.lowercase_words,
-        "suffix_array": config.suffix_array,
     }
     if schema_fingerprint is not None:
         config_data["schema_fingerprint"] = schema_fingerprint
@@ -668,6 +665,9 @@ def stale_reason(
 
 
 def _config_from(data: dict) -> IndexConfig:
+    """The config a ``config.json`` records.  Keys it does not read are
+    ignored: earlier releases saved a flag for an index structure that is
+    gone, and those saves still load."""
     return IndexConfig(
         region_names=(
             frozenset(data["region_names"]) if data["region_names"] is not None else None
@@ -679,7 +679,6 @@ def _config_from(data: dict) -> IndexConfig:
         word_index=data["word_index"],
         word_scope=data["word_scope"],
         lowercase_words=data["lowercase_words"],
-        suffix_array=data["suffix_array"],
     )
 
 
@@ -737,7 +736,7 @@ def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
     A current save's region sets and word postings are read straight from
     ``spans.bin``: nothing is re-tokenized.  A version 2/3 directory's
     ``regions.json`` still loads, and its word index is rebuilt from the
-    text.  The suffix array, when configured, is always rebuilt.
+    text.
 
     Raises :class:`IndexNotFoundError` when ``directory`` is not a saved
     index, and :class:`IndexCorruptError` when it is one but fails
@@ -810,11 +809,6 @@ def load_index(directory: str | os.PathLike[str]) -> IndexEngine:
     elif config.word_index:
         scope = instance.get(config.word_scope) if config.word_scope else None
         word_index = WordIndex(text, lowercase=config.lowercase_words, scope=scope)
-    suffixes = SuffixArray(text) if config.suffix_array else None
     return IndexEngine(
-        text=text,
-        instance=instance,
-        word_index=word_index,
-        suffix_array=suffixes,
-        config=config,
+        text=text, instance=instance, word_index=word_index, config=config
     )

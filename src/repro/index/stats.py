@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 BYTES_PER_REGION_ENTRY = 8
 BYTES_PER_WORD_POSTING = 4
-BYTES_PER_SISTRING = 4
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class IndexStatistics:
     region_entries: dict[str, int] = field(default_factory=dict)
     word_postings: int = 0
     vocabulary_size: int = 0
-    sistring_count: int = 0
     text_bytes: int = 0
 
     @classmethod
@@ -33,12 +31,10 @@ class IndexStatistics:
         }
         word_postings = engine.word_index.posting_count if engine.word_index else 0
         vocabulary = engine.word_index.vocabulary_size if engine.word_index else 0
-        sistrings = len(engine.suffix_array) if engine.suffix_array else 0
         return cls(
             region_entries=region_entries,
             word_postings=word_postings,
             vocabulary_size=vocabulary,
-            sistring_count=sistrings,
             text_bytes=len(engine.text),
         )
 
@@ -51,7 +47,6 @@ class IndexStatistics:
         return (
             self.total_region_entries * BYTES_PER_REGION_ENTRY
             + self.word_postings * BYTES_PER_WORD_POSTING
-            + self.sistring_count * BYTES_PER_SISTRING
         )
 
     @property
@@ -69,7 +64,6 @@ class IndexStatistics:
             "total_region_entries": self.total_region_entries,
             "word_postings": self.word_postings,
             "vocabulary_size": self.vocabulary_size,
-            "sistring_count": self.sistring_count,
             "estimated_bytes": self.estimated_bytes,
             "index_to_text_ratio": self.index_to_text_ratio,
         }
@@ -82,8 +76,6 @@ class IndexStatistics:
             f"word postings:     {self.word_postings} "
             f"(vocabulary {self.vocabulary_size})",
         ]
-        if self.sistring_count:
-            lines.append(f"sistrings:         {self.sistring_count}")
         lines.append(
             f"estimated index:   {self.estimated_bytes} bytes "
             f"({self.index_to_text_ratio:.2f}x text)"

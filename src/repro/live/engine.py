@@ -110,6 +110,7 @@ from repro.live.journal import (
     trim_journal,
 )
 from repro.resilience.budget import ResourceBudget
+from repro.resilience.fault import fault_point
 from repro.resilience.warnings import (
     DELTA_REPLAYED,
     QUORUM_DEGRADED,
@@ -161,18 +162,18 @@ class LiveEngine(ShardedEngine):
     """A sharded query engine that accepts durable appends.
 
     Construct via :meth:`open` on a directory produced by
-    :meth:`~repro.shard.ShardedEngine.save` (``repro shard build``).  It
+    :meth:`~repro.shard.ShardedEngine.save` (``repro index --shards N``).  It
     is the sharded engine over the saved shards, plus the delta segments of
     every dirty shard, so ``query``/``explain``/``analyze``/``stats`` and the
     :class:`~repro.api.QueryBackend` surface are the sharded engine's;
     ``repro serve`` puts ``POST /append`` next to ``/query``.
 
-    ``crash_hook`` is a test-only seam: a callable invoked with a named
-    point (``"append:written"``, ``"append:journal-acked:{i}"``,
-    ``"compact:replica-saved:{name}"``, ``"compact:shard-saved"``,
-    ``"compact:manifest-updated"``, ``"split:shards-saved"``,
-    ``"split:manifest-updated"``) that may raise to simulate a crash
-    exactly there — the chaos scenarios drive every window through it.
+    Every commit step of an append, a compaction and a split is a named
+    :func:`~repro.resilience.fault_point` (``"append:written"``,
+    ``"append:journal-acked:{i}"``, ``"compact:replica-saved:{name}"``,
+    ``"compact:shard-saved"``, ``"compact:manifest-updated"``,
+    ``"split:shards-saved"``, ``"split:manifest-updated"``), where the
+    chaos scenarios simulate a crash in every window.
     """
 
     def __init__(
@@ -186,7 +187,6 @@ class LiveEngine(ShardedEngine):
         next_seq: int,
         load_warnings: list[QueryWarning],
         max_shard_bytes: int | None = None,
-        crash_hook=None,
         ack_quorum: int | None = None,
         request_seqs: dict[str, tuple[int, str]] | None = None,
         **options: Any,
@@ -197,7 +197,6 @@ class LiveEngine(ShardedEngine):
         self.root = root
         self._wal_dir = root / WAL_SUBDIR
         self.max_shard_bytes = max_shard_bytes
-        self.crash_hook = crash_hook
         self.ack_quorum = ack_quorum
         self._manifest = manifest
         self._pending = pending
@@ -217,7 +216,6 @@ class LiveEngine(ShardedEngine):
         schema: StructuringSchema,
         directory: str | os.PathLike[str],
         max_shard_bytes: int | None = None,
-        crash_hook=None,
         ack_quorum: int | None = None,
         **options: Any,
     ) -> "LiveEngine":
@@ -225,7 +223,13 @@ class LiveEngine(ShardedEngine):
         crash-recovery protocol described in the module docstring.
         ``options`` pass through to :meth:`ShardedEngine.from_saved`;
         ``config`` defaults to the tail shard's saved one, which delta
-        sources and compaction build with."""
+        sources and compaction build with.  ``ack_quorum`` and
+        ``max_shard_bytes`` must be at least 1; a quorum above the
+        replica count means every replica."""
+        if ack_quorum is not None and ack_quorum < 1:
+            raise ValueError(f"ack_quorum must be >= 1, got {ack_quorum!r}")
+        if max_shard_bytes is not None and max_shard_bytes < 1:
+            raise ValueError(f"max_shard_bytes must be >= 1, got {max_shard_bytes!r}")
         root = Path(directory)
         manifest = load_shard_manifest(root)
         warnings: list[QueryWarning] = []
@@ -422,7 +426,6 @@ class LiveEngine(ShardedEngine):
             next_seq=next_seq,
             load_warnings=warnings,
             max_shard_bytes=max_shard_bytes,
-            crash_hook=crash_hook,
             ack_quorum=ack_quorum,
             request_seqs=request_seqs,
             **options,
@@ -540,12 +543,7 @@ class LiveEngine(ShardedEngine):
             last_error: OSError | None = None
             for i, path in enumerate(paths):
                 try:
-                    self._writer_for(path).append(
-                        seq,
-                        record,
-                        crash_hook=self.crash_hook if i == 0 else None,
-                        request_id=request_id,
-                    )
+                    self._writer_for(path).append(seq, record, request_id=request_id)
                 except OSError as error:
                     last_error = error
                     failed.append(path.name)
@@ -557,7 +555,7 @@ class LiveEngine(ShardedEngine):
                             pass
                     continue
                 acked += 1
-                self._crash(f"append:journal-acked:{i}")
+                fault_point(f"append:journal-acked:{i}")
             if acked < quorum:
                 raise WriteQuorumError(
                     tail.name, acked, quorum, len(paths), cause=last_error
@@ -574,7 +572,7 @@ class LiveEngine(ShardedEngine):
     def _effective_quorum(self, journals: int) -> int:
         if self.ack_quorum is None:
             return journals
-        return max(1, min(int(self.ack_quorum), journals))
+        return min(self.ack_quorum, journals)
 
     def _note_quorum_degraded(
         self, shard: str, failed: list[str], acked: int, journals: int
@@ -681,15 +679,14 @@ class LiveEngine(ShardedEngine):
                 copies.fold(
                     FileQueryEngine(self.schema, new_text, self.config),
                     {"applied_seq": applied},
-                    lambda name: self._crash(f"compact:replica-saved:{name}"),
                 )
-                self._crash("compact:shard-saved")
+                fault_point("compact:shard-saved")
                 self._replace_entry(
                     entry,
                     dataclass_replace(entry, corpus_fingerprint=corpus_fingerprint(new_text)),
                 )
                 save_shard_manifest(self.root, self._manifest)
-                self._crash("compact:manifest-updated")
+                fault_point("compact:manifest-updated")
                 for path in copies.journal_paths(self._wal_dir):
                     trim_journal(path, applied)
                 self._pending.pop(entry.name, None)
@@ -757,12 +754,12 @@ class LiveEngine(ShardedEngine):
                     source=None,
                 )
             )
-        self._crash("split:shards-saved")
+        fault_point("split:shards-saved")
         self._manifest = dataclass_replace(
             self._manifest, shards=self._manifest.shards[:-1] + tuple(new_entries)
         )
         save_shard_manifest(self.root, self._manifest)
-        self._crash("split:manifest-updated")
+        fault_point("split:manifest-updated")
         shutil.rmtree(copies.directory, ignore_errors=True)
         for path in copies.journal_paths(self._wal_dir):
             path.unlink(missing_ok=True)
@@ -785,10 +782,6 @@ class LiveEngine(ShardedEngine):
             "bytes": len(text.encode("utf-8")),
             "replicas": replicas,
         }
-
-    def _crash(self, point: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(point)
 
     # -- introspection ----------------------------------------------------------
 

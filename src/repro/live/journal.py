@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import JournalCorruptError
+from repro.resilience.fault import fault_point
 
 _HEADER = struct.Struct(">II")  # payload length, payload crc32
 _SEQ = struct.Struct(">Q")
@@ -232,15 +233,12 @@ class JournalWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "ab")
 
-    def append(
-        self, seq: int, record: str, crash_hook=None, request_id: str | None = None
-    ) -> None:
+    def append(self, seq: int, record: str, request_id: str | None = None) -> None:
         """Write one frame and fsync it.  Returning *is* the ack: the
-        record is durable.  ``crash_hook`` (tests/chaos only) fires after
+        record is durable.  The ``append:written`` fault point lies after
         the write but before the fsync — the widest unacked window."""
         self._handle.write(encode_frame(seq, record, request_id))
-        if crash_hook is not None:
-            crash_hook("append:written")
+        fault_point("append:written")
         self._handle.flush()
         os.fsync(self._handle.fileno())
 

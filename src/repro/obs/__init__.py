@@ -30,7 +30,6 @@ from repro.obs.trace import (
     SpanHook,
     Trace,
     Tracer,
-    ensure_tracer,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "SpanHook",
     "Trace",
     "Tracer",
-    "ensure_tracer",
 ]

@@ -300,8 +300,3 @@ _NULL_CONTEXT = _NullSpanContext()
 
 #: The shared no-op tracer (safe to reuse: it holds no state).
 NULL_TRACER = NullTracer()
-
-
-def ensure_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
-    """Normalize an optional tracer argument to a usable tracer."""
-    return tracer if tracer is not None else NULL_TRACER

@@ -24,10 +24,9 @@ is the fault-tolerance layer threaded through the engine:
 - :mod:`repro.resilience.warnings` — :class:`QueryWarning`, the
   structured record of every degradation decision, surfaced on
   ``QueryResult.warnings`` and as ``degraded`` spans in the trace;
-- :mod:`repro.resilience.faults` — deterministic fault injection
-  (index corruption, truncation, mid-parse failures, slow operators,
-  transient shard I/O faults, slow shards) so every degradation path is
-  exercised in CI.
+- :mod:`repro.resilience.fault` — :func:`fault_point`, the named points
+  where a test hook can crash, hang or fail the engine, so every
+  degradation and recovery path is exercised in CI.
 
 See ``docs/robustness.md`` for the full semantics.
 """
@@ -40,16 +39,7 @@ from repro.resilience.breaker import (
     CircuitBreaker,
 )
 from repro.resilience.budget import BudgetMeter, ResourceBudget, combine_budgets
-from repro.resilience.faults import (
-    FlakySchema,
-    HungShard,
-    SlowInstance,
-    SlowShard,
-    TransientIOFault,
-    WorkerStall,
-    corrupt_index_file,
-    truncate_file,
-)
+from repro.resilience.fault import fault_point, set_fault_hook
 from repro.resilience.policy import DegradationPolicy
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.resilience.warnings import (
@@ -86,14 +76,8 @@ __all__ = [
     "HALF_OPEN",
     "QueryWarning",
     "malformed_region_warning",
-    "FlakySchema",
-    "HungShard",
-    "SlowInstance",
-    "SlowShard",
-    "TransientIOFault",
-    "WorkerStall",
-    "corrupt_index_file",
-    "truncate_file",
+    "fault_point",
+    "set_fault_hook",
     # warning codes
     "INDEX_MISSING",
     "INDEX_CORRUPT",

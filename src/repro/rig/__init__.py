@@ -21,7 +21,6 @@ from repro.rig.paths import (
     every_path_through,
     coincident_related,
     simple_paths,
-    walks_of_length,
 )
 from repro.rig.derive import derive_full_rig, derive_partial_rig
 
@@ -35,7 +34,6 @@ __all__ = [
     "every_path_through",
     "coincident_related",
     "simple_paths",
-    "walks_of_length",
     "derive_full_rig",
     "derive_partial_rig",
 ]

@@ -178,24 +178,3 @@ def simple_paths(
     if source not in graph.nodes:
         return
     yield from extend((source,), frozenset({source}))
-
-
-def walks_of_length(
-    graph: RegionInclusionGraph, source: str, target: str, length: int
-) -> Iterator[tuple[str, ...]]:
-    """Enumerate walks with exactly ``length`` edges from ``source`` to
-    ``target`` (for fixed-arity path variables ``Ai.X1...Xn.Aj``)."""
-    if length == 0:
-        if source == target:
-            yield (source,)
-        return
-
-    def extend(path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        if len(path) - 1 == length:
-            if path[-1] == target:
-                yield path
-            return
-        for neighbour in sorted(graph.successors(path[-1])):
-            yield from extend(path + (neighbour,))
-
-    yield from extend((source,))

@@ -27,6 +27,7 @@ from time import perf_counter
 from typing import Any, Callable
 
 from repro.errors import ServerDrainingError, ServerOverloadedError
+from repro.resilience.fault import fault_point
 
 #: Sentinel telling a worker thread to exit.
 _STOP = object()
@@ -35,11 +36,10 @@ _STOP = object()
 class WorkerPool:
     """N worker threads draining one bounded queue of callables.
 
-    ``fault_injector`` (a zero-argument callable, e.g.
-    :class:`~repro.resilience.faults.WorkerStall`) runs at the start of
-    every execution — *after* the item left the queue, so an injected
-    stall consumes the request's admission-minted deadline exactly like a
-    real scheduling delay would.
+    The ``pool:task`` fault point lies at the start of every execution —
+    *after* the item left the queue, so an injected stall consumes the
+    request's admission-minted deadline exactly like a real scheduling
+    delay would.
     """
 
     def __init__(
@@ -47,7 +47,6 @@ class WorkerPool:
         workers: int,
         queue_depth: int,
         name: str = "repro-server",
-        fault_injector: Callable[[], None] | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -55,7 +54,6 @@ class WorkerPool:
             raise ValueError(f"queue_depth must be >= 0, got {queue_depth!r}")
         self.workers = workers
         self.queue_depth = queue_depth
-        self.fault_injector = fault_injector
         # Executing work occupies a worker, not a queue slot, so the queue
         # holds at most queue_depth waiting items plus one per worker in
         # the instant between get() and execution; size accordingly.
@@ -97,8 +95,7 @@ class WorkerPool:
             if not future.set_running_or_notify_cancel():
                 continue
             try:
-                if self.fault_injector is not None:
-                    self.fault_injector()
+                fault_point("pool:task")
                 future.set_result(fn())
             except BaseException as error:  # noqa: BLE001 — future boundary
                 future.set_exception(error)

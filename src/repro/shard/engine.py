@@ -63,6 +63,7 @@ from repro.obs.stats import FAILED, OK, SKIPPED, QueryStats, ShardExecution
 from repro.obs.trace import Span, Trace
 from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.resilience.budget import ResourceBudget
+from repro.resilience.fault import fault_point
 from repro.resilience.policy import DegradationPolicy
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.resilience.warnings import (
@@ -87,13 +88,6 @@ from repro.shard.split import split_corpus
 
 #: Default ceiling on concurrently evaluating shards.
 DEFAULT_MAX_PARALLEL = 8
-
-#: A fault injector receives the shard name at the start of every attempt
-#: (see :class:`~repro.resilience.faults.TransientIOFault`).  An injector
-#: may also expose ``release()``: the engine calls it when it abandons a
-#: hung attempt so the injected hang can wake up and fail fast (see
-#: :class:`~repro.resilience.faults.HungShard`).
-FaultInjector = Callable[[str], None]
 
 #: How long past an absolute request deadline the scatter waits for
 #: per-shard budget meters to fire on their own before abandoning the
@@ -150,7 +144,6 @@ class ShardedEngine(EngineBase):
         breaker_config: BreakerConfig | None = None,
         max_parallel: int | None = None,
         fail_fast: bool = False,
-        fault_injector: FaultInjector | None = None,
         retry_sleep: Callable[[float], Any] = time.sleep,
     ) -> None:
         if not shards:
@@ -175,7 +168,6 @@ class ShardedEngine(EngineBase):
         if self.max_parallel < 1:
             raise ValueError(f"max_parallel must be >= 1, got {self.max_parallel!r}")
         self.fail_fast = fail_fast
-        self.fault_injector = fault_injector
         self._retry_sleep = retry_sleep
         self._shards = self._adopt(shards)
         #: Engine-level incidents prepended to every merged result.
@@ -513,11 +505,10 @@ class ShardedEngine(EngineBase):
         self, shard: _Shard, budget: ResourceBudget | None, dispatched_at: float
     ) -> ShardExecution:
         """Give up on a shard that produced nothing by the deadline: its
-        attempt thread is detached (its eventual result discarded) and a
-        releasable injected hang is woken so it fails fast."""
-        release = getattr(self.fault_injector, "release", None)
-        if callable(release):
-            release()
+        attempt thread is detached (its eventual result discarded).  The
+        ``shard:abandoned:{shard}`` fault point lets an injected hang wake
+        and fail fast."""
+        fault_point(f"shard:abandoned:{shard.name}")
         described = budget.describe() if budget is not None else "deadline"
         warning = QueryWarning(
             SHARD_TIMEOUT,
@@ -578,8 +569,7 @@ class ShardedEngine(EngineBase):
             )
 
         def attempt_once() -> QueryResult:
-            if self.fault_injector is not None:
-                self.fault_injector(shard.name)
+            fault_point(f"shard:attempt:{shard.name}")
             engine = self._ensure_engine(shard)
             if engine.degraded:
                 # A degraded engine has no indexed names; the shared

@@ -62,6 +62,7 @@ from repro.index.persist import (
     verify_index,
 )
 from repro.resilience.breaker import BreakerConfig, CircuitBreaker
+from repro.resilience.fault import fault_point
 from repro.resilience.policy import RAISE, DegradationPolicy
 from repro.resilience.warnings import REPLICA_FAILOVER, QueryWarning
 
@@ -264,19 +265,18 @@ class ReplicaSet:
         self,
         engine: "FileQueryEngine",
         live: dict,
-        on_copy_saved: Callable[[str], None],
     ) -> None:
         """Commit ``engine`` (a compaction's folded index) to every copy.
         A plain directory is one crash-safe swap; a replicated set saves
-        each copy (``on_copy_saved(name)`` after each), then rewrites the
-        set manifest — the commit point.  A crash in between leaves every
+        each copy (fault point ``compact:replica-saved:{name}`` after
+        each), then rewrites the set manifest — the commit point.  A crash in between leaves every
         folded copy ahead of the manifest, which :meth:`reconcile` finishes."""
         if not self.replicated:
             engine.save(str(self.directory), live=live)
             return
         for replica in self._replicas:
             engine.save(str(replica.directory), live=live)
-            on_copy_saved(replica.name)
+            fault_point(f"compact:replica-saved:{replica.name}")
         self._commit(corpus_fingerprint(engine.text), live)
 
     def reconcile(self) -> str | None:

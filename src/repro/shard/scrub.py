@@ -28,6 +28,11 @@ protocol, every step reusing the crash-safe persistence primitives:
 - otherwise the replica is reported **unrepairable** (the quarantined copy
   still exists for manual recovery).
 
+Each step ends at a :func:`~repro.resilience.fault_point`:
+``scrub:quarantined`` (damaged replica renamed aside),
+``scrub:peer-copied`` (staging copy complete, not yet promoted) and
+``scrub:repaired`` (replacement renamed into place).
+
 A shard manifest damaged or left behind by a crash is itself repairable:
 when every verifying replica agrees on one fingerprint, the manifest is
 rewritten to match them (the replicas *are* the committed state — each was
@@ -46,6 +51,7 @@ daemon thread — the server-owned self-healing loop behind
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import shutil
@@ -60,6 +66,7 @@ from repro.index.persist import (
     corpus_fingerprint,
     sweep_stale_staging,
 )
+from repro.resilience.fault import fault_point
 from repro.resilience.warnings import (
     REPLICA_QUARANTINED,
     REPLICA_REPAIRED,
@@ -72,12 +79,6 @@ from repro.shard.replica import (  # noqa: F401 — the per-copy finding kinds
     MISSING,
     ReplicaSet,
 )
-
-#: Optional crash hook (tests/chaos): called with a named point before the
-#: scrub proceeds past it.  Points: ``scrub:quarantined`` (damaged replica
-#: renamed aside), ``scrub:peer-copied`` (staging copy complete, not yet
-#: promoted), ``scrub:repaired`` (replacement renamed into place).
-CrashHook = Callable[[str], None]
 
 MANIFEST_DAMAGED = "manifest-damaged"
 
@@ -167,7 +168,6 @@ def scrub_index(
     schema,
     directory: str | os.PathLike[str],
     repair: bool = False,
-    crash_hook: CrashHook | None = None,
     clock: Callable[[], float] = time.time,
 ) -> ScrubReport:
     """Verify (and with ``repair=True``, heal) every replica of every shard
@@ -209,7 +209,7 @@ def scrub_index(
         healthy = [copy for copy in copies.copies if copy not in problems]
         for copy, (kind, _detail) in problems.items():
             _repair_replica(
-                schema, entry, copy, kind, healthy, expected, report, crash_hook, clock
+                schema, entry, copy, kind, healthy, expected, report, clock
             )
         if copies.manifest_damaged:
             _reconcile(copies, report)  # the repaired copies may agree now
@@ -239,7 +239,6 @@ def _repair_replica(
     healthy: list[Path],
     expected: str | None,
     report: ScrubReport,
-    crash_hook: CrashHook | None,
     clock: Callable[[], float],
 ) -> None:
     """Quarantine one damaged replica and rebuild it from the best source.
@@ -298,8 +297,7 @@ def _repair_replica(
                 },
             )
         )
-        if crash_hook is not None:
-            crash_hook("scrub:quarantined")
+        fault_point("scrub:quarantined")
     # Clear any staging orphan a previously crashed repair left behind.
     sweep_stale_staging(replica_dir)
     if healthy:
@@ -308,11 +306,9 @@ def _repair_replica(
         if staging.exists():
             shutil.rmtree(staging)
         shutil.copytree(peer, staging)
-        if crash_hook is not None:
-            crash_hook("scrub:peer-copied")
+        fault_point("scrub:peer-copied")
         os.rename(staging, replica_dir)
-        if crash_hook is not None:
-            crash_hook("scrub:repaired")
+        fault_point("scrub:repaired")
         _record_repaired(
             report, entry.name, name, COPIED_FROM_PEER,
             f"copied from verified peer {peer.name!r}",
@@ -321,8 +317,7 @@ def _repair_replica(
     from repro.core.engine import FileQueryEngine
 
     FileQueryEngine(schema, source_text).save(str(replica_dir), source_path=source_path)
-    if crash_hook is not None:
-        crash_hook("scrub:repaired")
+    fault_point("scrub:repaired")
     _record_repaired(
         report, entry.name, name, REBUILT_FROM_SOURCE,
         f"re-indexed {source_path!r}",
@@ -358,8 +353,10 @@ class ScrubDaemon:
         jitter_fraction: float = 0.1,
         rng: random.Random | None = None,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s!r}")
+        if not 0 < interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be finite and positive, got {interval_s!r}"
+            )
         if not 0 <= jitter_fraction < 1:
             raise ValueError(
                 f"jitter_fraction must be in [0, 1), got {jitter_fraction!r}"

@@ -1,51 +1,54 @@
 """Named, seed-driven chaos scenarios and the healthy twin they are
 judged against.
 
-Each scenario injects one fault family through a **named injection
-point** — the same hooks production code exposes
-(:mod:`repro.resilience.faults` injectors on the sharded engine and the
-server worker pool, on-disk damage to saved indexes, malformed bodies at
-the HTTP boundary, the ``crash_hook`` parameters of the live engine and
-the scrubber) — then judges the faulted run with the
-:mod:`~tests.chaos.oracle` against a healthy twin.
+Each scenario injects one fault family — at the named fault points
+production code passes (:func:`~repro.resilience.fault_point`; the hooks
+come from :mod:`tests.chaos.faults` and are installed with ``injected``
+around the faulted call only), as on-disk damage to saved indexes, or as
+malformed bodies at the HTTP boundary — then judges the faulted run with
+the :mod:`~tests.chaos.oracle` against a healthy twin.
 
 Determinism: every variable choice (victim shard, delay, corruption
-mode, malformed payload) comes from the ``random.Random`` that
-:func:`run_case` seeds from ``(scenario, backend, seed)``.  Same seed,
-same fault, same verdict — a failing case id replays exactly.
+mode, malformed payload, crash point) comes from the ``random.Random``
+that :func:`run_case` seeds from ``(scenario, backend, seed)``.  Same
+seed, same fault, same verdict — a failing case id replays exactly.
 
-:data:`SCENARIOS` maps scenario name → (backends, runner); the injection
-points they exercise:
+Every fault point in ``src``, and the scenarios that fault it (the
+solo backend has no shard points; ``pool:task`` runs on both):
 
-==============  =============================================  ==================
-scenario        injection point                                backends
-==============  =============================================  ==================
-hang            shard fault injector (``HungShard``) /         solo, sharded
-                zero-width deadline (solo)
-slow            shard fault injector (``SlowShard``)           sharded
-transient-io    shard fault injector (``TransientIOFault``)    sharded
-corrupt         on-disk index damage (``corrupt_index_file``)  solo, sharded
-stale           source rewritten after indexing                solo, sharded
-worker-stall    server pool injector (``WorkerStall``)         solo, sharded
-overload        admission capacity exhaustion                  solo, sharded
-drain           graceful-shutdown race                         solo, sharded
-malformed-body  HTTP boundary (raw socket bodies)              solo, sharded
-kill-mid-append torn write-ahead-journal frame on disk         sharded
-torn-journal-   byte-level journal truncation / bit rot        sharded
-tail
-crash-mid-      ``LiveEngine`` crash hook between compaction   sharded
-compaction      commit points
-crash-mid-      ``LiveEngine`` crash hook between split        sharded
-split           commit points
-corrupt-one-    on-disk damage to one replica per shard,       sharded
-replica         then scrub ``--repair``
-corrupt-all-    on-disk damage to all but one replica,         sharded
-but-one         anti-entropy re-seed from the survivor
-kill-mid-       scrub crash hook between quarantine,           sharded
-repair          peer-copy, and swap commit points
-kill-mid-       ``LiveEngine`` append crash hook between       sharded
-quorum-append   per-replica journal fsyncs
-==============  =============================================  ==================
+================================  ===========================================  =============================
+fault point                       where                                        scenarios
+================================  ===========================================  =============================
+``shard:attempt:{shard}``         start of every shard attempt, retries too    hang, slow, transient-io
+``shard:abandoned:{shard}``       scatter gives up on a shard at the deadline  hang (wakes the hang)
+``pool:task``                     a worker takes a task off the server queue   worker-stall, overload, drain
+``append:written``                journal frame written, not yet fsynced       (none)
+``append:journal-acked:{i}``      replica journal ``i`` fsynced the frame      kill-mid-quorum-append
+``compact:replica-saved:{name}``  one copy of a folded shard saved             (unit tests)
+``compact:shard-saved``           every copy of a folded shard saved           crash-mid-compaction
+``compact:manifest-updated``      root manifest names the folded shard         crash-mid-compaction
+``split:shards-saved``            both halves of a split tail shard saved      crash-mid-split
+``split:manifest-updated``        root manifest names the two halves           crash-mid-split
+``scrub:quarantined``             damaged replica renamed aside                kill-mid-repair
+``scrub:peer-copied``             peer copy staged, not yet promoted           kill-mid-repair
+``scrub:repaired``                replacement renamed into place               kill-mid-repair
+================================  ===========================================  =============================
+
+:data:`SCENARIOS` maps scenario name → (backends, runner).  The
+scenarios that fault no named point:
+
+===================  =========================================  =============
+scenario             injection                                  backends
+===================  =========================================  =============
+hang (solo)          zero-width deadline                        solo
+corrupt              on-disk damage (``corrupt_index_file``)    solo, sharded
+stale                source rewritten after indexing            solo, sharded
+malformed-body       HTTP boundary (raw socket bodies)          solo, sharded
+kill-mid-append      torn write-ahead-journal frame on disk     sharded
+torn-journal-tail    journal truncation / bit rot               sharded
+corrupt-one-replica  damage one replica per shard, then repair  sharded
+corrupt-all-but-one  damage all but one replica, then repair    sharded
+===================  =========================================  =============
 
 The four live-ingestion scenarios share one invariant, judged against a
 from-scratch rebuild of the *logical* corpus (base text + acked
@@ -78,22 +81,23 @@ from repro.errors import (
     JournalCorruptError,
 )
 from repro.live import WAL_SUBDIR, LiveEngine, encode_frame
-from repro.resilience import (
-    DegradationPolicy,
-    HungShard,
-    ResourceBudget,
-    RetryPolicy,
-    SlowShard,
-    TransientIOFault,
-    WorkerStall,
-    corrupt_index_file,
-)
+from repro.resilience import DegradationPolicy, ResourceBudget, RetryPolicy
 from repro.server import QueryServer, QueryServerApp, ServerConfig
 from repro.shard import ShardedEngine, split_corpus
 from repro.shard.manifest import load_shard_manifest
 from repro.shard.replica import ReplicaSet
 from repro.shard.scrub import scrub_index
 from repro.workloads.bibtex import bibtex_schema, generate_bibtex
+from tests.chaos.faults import (
+    HungShard,
+    SimulatedCrash,
+    SlowShard,
+    TransientIOFault,
+    WorkerStall,
+    corrupt_index_file,
+    crash_at,
+    injected,
+)
 from tests.chaos.oracle import Verdict
 
 #: Warning codes a degraded single-engine load may legitimately surface.
@@ -172,7 +176,7 @@ Runner = Callable[[Fixtures, random.Random, str, Path], Verdict]
 def _run_hang(fx: Fixtures, rng: random.Random, backend: str, workdir: Path) -> Verdict:
     verdict = Verdict()
     if backend == "solo":
-        # The solo engine has no I/O injector; a zero-width deadline is
+        # The solo engine has no shard attempts; a zero-width deadline is
         # the equivalent stuck-operator probe — the wall-clock guard must
         # convert "no progress" into a typed error, instantly.  The
         # non-zero choice is 1 µs, which no execution fits in: at 1 ms, a
@@ -193,9 +197,10 @@ def _run_hang(fx: Fixtures, rng: random.Random, backend: str, workdir: Path) -> 
     victim = f"shard{rng.randrange(N_SHARDS)}"
     deadline = 0.25
     fault = HungShard(hang_s=30.0, shard=victim)
-    engine = fx.sharded_engine(fault_injector=fault)
+    engine = fx.sharded_engine()
     started = perf_counter()
-    result = engine.query(fx.query, budget=ResourceBudget(deadline_s=deadline))
+    with injected(fault):
+        result = engine.query(fx.query, budget=ResourceBudget(deadline_s=deadline))
     elapsed = perf_counter() - started
     codes = [w.code for w in result.warnings]
     # The acceptance bound: a hung shard returns a partial result in
@@ -218,9 +223,10 @@ def _run_slow(fx: Fixtures, rng: random.Random, backend: str, workdir: Path) -> 
     verdict = Verdict()
     victim = f"shard{rng.randrange(N_SHARDS)}"
     delay = rng.uniform(0.08, 0.15)
-    engine = fx.sharded_engine(fault_injector=SlowShard(delay_s=delay, shard=victim))
+    engine = fx.sharded_engine()
     started = perf_counter()
-    result = engine.query(fx.query)
+    with injected(SlowShard(delay_s=delay, shard=victim)):
+        result = engine.query(fx.query)
     verdict.bounded(perf_counter() - started, 10.0)
     codes = [w.code for w in result.warnings]
     verdict.rows_identical_or_flagged(result.canonical_rows(), fx.reference, codes)
@@ -236,12 +242,12 @@ def _run_transient(
     k = rng.choice([1, 2])
     fault = TransientIOFault(k=k, shard=victim)
     engine = fx.sharded_engine(
-        fault_injector=fault,
         retry=RetryPolicy(max_attempts=3),
         retry_sleep=lambda seconds: None,
     )
     started = perf_counter()
-    result = engine.query(fx.query)
+    with injected(fault):
+        result = engine.query(fx.query)
     verdict.bounded(perf_counter() - started, 10.0)
     codes = [w.code for w in result.warnings]
     verdict.rows_identical_or_flagged(result.canonical_rows(), fx.reference, codes)
@@ -381,9 +387,9 @@ def _run_worker_stall(
         fx.backend(backend),
         ServerConfig(workers=2, budget=ResourceBudget(deadline_s=0.15)),
     )
-    app.pool.fault_injector = WorkerStall(stall_s=stall, k=1)
     started = perf_counter()
-    status, payload = app.handle("POST", "/query", {"query": fx.query})
+    with injected(WorkerStall(stall_s=stall, k=1)):
+        status, payload = app.handle("POST", "/query", {"query": fx.query})
     elapsed = perf_counter() - started
     # The stall consumed the admission-minted deadline: the request must
     # fail *typed* (budget-exceeded, or shard-failed when every shard's
@@ -413,18 +419,18 @@ def _run_overload(
     verdict.add("warmup", status == 200, f"warm-up request: status {status}")
 
     stall = WorkerStall(stall_s=0.4, k=1)
-    app.pool.fault_injector = stall
     occupied: list[tuple[int, dict[str, Any]]] = []
     holder = threading.Thread(
         target=lambda: occupied.append(
             app.handle("POST", "/query", {"query": fx.query})
         )
     )
-    holder.start()
-    # Once the holder is mid-stall, capacity is exhausted.
-    stall.stalling.wait(timeout=STALL_START_TIMEOUT_S)
-    status, payload = app.handle("POST", "/query", {"query": fx.query})
-    holder.join()
+    with injected(stall):
+        holder.start()
+        # Once the holder is mid-stall, capacity is exhausted.
+        stall.stalling.wait(timeout=STALL_START_TIMEOUT_S)
+        status, payload = app.handle("POST", "/query", {"query": fx.query})
+        holder.join()
     verdict.envelope_error(status, payload, {429}, {"server-overloaded"})
     retry_after = payload.get("error", {}).get("detail", {}).get("retry_after_s")
     admission_hint = (
@@ -465,16 +471,16 @@ def _run_drain(
     status, payload = app.handle("POST", "/query", {"query": fx.query})
     healthy_rows = _wire_rows(payload)
     stall = WorkerStall(stall_s=0.3, k=1)
-    app.pool.fault_injector = stall
     in_flight: list[tuple[int, dict[str, Any]]] = []
     holder = threading.Thread(
         target=lambda: in_flight.append(
             app.handle("POST", "/query", {"query": fx.query})
         )
     )
-    holder.start()
-    # The request is mid-execution when the drain begins.
-    stall.stalling.wait(timeout=STALL_START_TIMEOUT_S)
+    with injected(stall):
+        holder.start()
+        # The request is mid-execution when the drain begins.
+        stall.stalling.wait(timeout=STALL_START_TIMEOUT_S)
     app.start_draining()
     status, payload = app.handle("POST", "/query", {"query": fx.query})
     verdict.envelope_error(status, payload, {503}, {"server-draining"})
@@ -509,12 +515,6 @@ def _run_drain(
 
 
 # -- live-ingestion crash scenarios --------------------------------------------
-
-
-class SimulatedCrash(RuntimeError):
-    """Raised by a chaos crash hook to abandon a live-engine operation at
-    a named point, exactly as SIGKILL would — nothing after the raise
-    runs, and recovery happens on the next :meth:`LiveEngine.open`."""
 
 
 #: Codes a post-crash reopen may legitimately surface.
@@ -699,17 +699,13 @@ def _run_crash_mid_compaction(
     verdict = Verdict()
     directory, records = _live_setup(fx, rng, workdir)
     point = rng.choice(["compact:shard-saved", "compact:manifest-updated"])
-
-    def crash_hook(name: str) -> None:
-        if name == point:
-            raise SimulatedCrash(name)
-
-    live = LiveEngine.open(fx.schema, directory, crash_hook=crash_hook)
+    live = LiveEngine.open(fx.schema, directory)
     for record in records:
         live.append(record)
     crashed = False
     try:
-        live.compact()
+        with injected(crash_at(point)):
+            live.compact()
     except SimulatedCrash:
         crashed = True
     live.close()
@@ -740,21 +736,15 @@ def _run_crash_mid_split(
     verdict = Verdict()
     directory, records = _live_setup(fx, rng, workdir)
     point = rng.choice(["split:shards-saved", "split:manifest-updated"])
-
-    def crash_hook(name: str) -> None:
-        if name == point:
-            raise SimulatedCrash(name)
-
     # A 1-byte budget guarantees the freshly folded tail shard overflows
     # and the compaction proceeds into the split lifecycle.
-    live = LiveEngine.open(
-        fx.schema, directory, max_shard_bytes=1, crash_hook=crash_hook
-    )
+    live = LiveEngine.open(fx.schema, directory, max_shard_bytes=1)
     for record in records:
         live.append(record)
     crashed = False
     try:
-        live.compact()
+        with injected(crash_at(point)):
+            live.compact()
     except SimulatedCrash:
         crashed = True
     live.close()
@@ -903,14 +893,10 @@ def _run_kill_mid_repair(
     survivor = victim_shard[healthy]
     _damage_replica(rng, victim_shard[1 - healthy])
     point = rng.choice(["scrub:quarantined", "scrub:peer-copied", "scrub:repaired"])
-
-    def crash_hook(name: str) -> None:
-        if name == point:
-            raise SimulatedCrash(name)
-
     crashed = False
     try:
-        scrub_index(fx.schema, directory, repair=True, crash_hook=crash_hook)
+        with injected(crash_at(point)):
+            scrub_index(fx.schema, directory, repair=True)
     except SimulatedCrash:
         crashed = True
     verdict.add(
@@ -956,21 +942,15 @@ def _run_kill_mid_quorum_append(
     tree = fx.schema.parse(extra)
     records = [extra[child.start : child.end] + "\n\n" for child in tree.children]
 
-    # The process dies after replica journal 0 fsynced the frame but
-    # before journal 1 saw it: the widest quorum-split window.
-    armed = {"on": False}
-
-    def crash_hook(name: str) -> None:
-        if armed["on"] and name == "append:journal-acked:0":
-            raise SimulatedCrash(name)
-
-    live = LiveEngine.open(fx.schema, directory, crash_hook=crash_hook)
+    live = LiveEngine.open(fx.schema, directory)
     for record in records[:-1]:
         live.append(record)
-    armed["on"] = True
     crashed = False
     try:
-        live.append(records[-1])
+        # The process dies after replica journal 0 fsynced the frame but
+        # before journal 1 saw it: the widest quorum-split window.
+        with injected(crash_at("append:journal-acked:0")):
+            live.append(records[-1])
     except SimulatedCrash:
         crashed = True
     live.close()

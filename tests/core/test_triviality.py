@@ -1,7 +1,7 @@
 """Proposition 3.3: trivially-empty expressions."""
 
 from repro.algebra.ast import parse_expression
-from repro.core.triviality import is_trivially_empty, trivial_subexpressions
+from repro.core.triviality import is_trivially_empty
 from repro.rig.graph import RegionInclusionGraph
 
 
@@ -98,19 +98,3 @@ class TestSetOperations:
         assert is_trivially_empty(
             parse_expression("sigma[w](Reference > Title > Last_Name)"), paper_rig
         )
-
-
-class TestWitnesses:
-    def test_witness_reporting(self, paper_rig):
-        expression = parse_expression("Reference >d Last_Name")
-        witnesses = trivial_subexpressions(expression, paper_rig)
-        assert witnesses == [(">d", "Reference", "Last_Name")]
-
-    def test_no_witnesses_for_valid(self, paper_rig):
-        expression = parse_expression("Reference > Authors > Last_Name")
-        assert trivial_subexpressions(expression, paper_rig) == []
-
-    def test_backward_witness_is_reported_with_container_first(self, paper_rig):
-        expression = parse_expression("Last_Name <d Reference")
-        witnesses = trivial_subexpressions(expression, paper_rig)
-        assert witnesses == [("<d", "Reference", "Last_Name")]

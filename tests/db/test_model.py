@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.model import Database, database_from_values, iter_objects
+from repro.db.model import Database, iter_objects
 from repro.db.values import ObjectValue, SetValue, TupleValue, atom
 from repro.errors import DatabaseError
 
@@ -69,8 +69,3 @@ class TestIterObjects:
 
     def test_atomic_has_none(self):
         assert list(iter_objects(atom("x"))) == []
-
-
-def test_database_from_values():
-    database = database_from_values([sample_root()])
-    assert database.object_count == 3

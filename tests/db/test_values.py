@@ -13,7 +13,6 @@ from repro.db.values import (
     canonical,
     canonical_hash,
     first_distinct,
-    iter_children,
 )
 from repro.errors import DatabaseError
 
@@ -96,19 +95,6 @@ class TestCanonical:
 
     def test_list_becomes_tuple(self):
         assert canonical(ListValue([atom("a")])) == ("a",)
-
-
-class TestIterChildren:
-    def test_tuple_children_named(self):
-        value = TupleValue("Name", {"x": atom("1")})
-        assert list(iter_children(value)) == [("x", atom("1"))]
-
-    def test_set_children_unnamed(self):
-        value = SetValue([atom("1")])
-        assert list(iter_children(value)) == [(None, atom("1"))]
-
-    def test_atomic_no_children(self):
-        assert list(iter_children(atom("1"))) == []
 
 
 # -- canonical hashes ---------------------------------------------------------------

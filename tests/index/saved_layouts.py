@@ -8,6 +8,8 @@
   ``spans.bin`` from its documented layout, and re-sign it in the
   manifest, so damage tests reach the load path's structural checks
   rather than stopping at the checksum.
+- :func:`add_suffix_array_key` rewrites a version 4 ``config.json`` the
+  way earlier releases saved it, with a ``suffix_array`` flag.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def write_json_index(engine: IndexEngine, directory: Path, live: dict | None = N
         "word_index": config.word_index,
         "word_scope": config.word_scope,
         "lowercase_words": config.lowercase_words,
-        "suffix_array": config.suffix_array,
+        "suffix_array": False,
     }
     (directory / "config.json").write_text(json.dumps(config_data, indent=2), encoding="utf-8")
     manifest = {
@@ -109,3 +111,15 @@ def name_slice(header: dict, name: str) -> slice:
             return slice(offset, offset + 2 * count)
         offset += 2 * count
     raise KeyError(name)
+
+
+def add_suffix_array_key(directory: Path, flag: bool) -> None:
+    """Give ``directory/config.json`` the ``suffix_array`` flag that
+    earlier releases wrote after ``lowercase_words``, re-signed."""
+    config = json.loads((directory / "config.json").read_text(encoding="utf-8"))
+    rewritten = {}
+    for key, value in config.items():
+        rewritten[key] = value
+        if key == "lowercase_words":
+            rewritten["suffix_array"] = flag
+    resign(directory, "config.json", json.dumps(rewritten, indent=2).encode("utf-8"))

@@ -68,7 +68,6 @@ class TestBuildEngine:
         engine = build_engine(TEXT, TREE, root=ROOT)
         assert engine.word_index is not None
         assert engine.word_index.posting_count > 0
-        assert engine.suffix_array is None
 
     def test_word_index_disabled(self):
         engine = build_engine(TEXT, TREE, IndexConfig.full(word_index=False), root=ROOT)
@@ -79,11 +78,6 @@ class TestBuildEngine:
         engine = build_engine(TEXT, TREE, config, root=ROOT)
         unscoped = build_engine(TEXT, TREE, root=ROOT)
         assert engine.word_index.posting_count < unscoped.word_index.posting_count
-
-    def test_suffix_array_option(self):
-        engine = build_engine(TEXT, TREE, IndexConfig.full(suffix_array=True), root=ROOT)
-        assert engine.suffix_array is not None
-        assert len(engine.suffix_array) > 0
 
     def test_statistics(self):
         engine = build_engine(TEXT, TREE, root=ROOT)

@@ -5,6 +5,7 @@ seed."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -22,10 +23,12 @@ from repro.index.config import IndexConfig
 from repro.index.engine import IndexEngine
 from repro.index.persist import applied_seq, load_index, save_index
 from repro.index.word_index import WordIndex
+from repro.shard import ShardedEngine
 from repro.workloads.bibtex import CHANG_AUTHOR_QUERY, bibtex_schema, generate_bibtex
 from repro.workloads.logs import generate_log, log_schema
 from repro.workloads.sgml import generate_sgml, sgml_schema
 from tests.index.saved_layouts import (
+    add_suffix_array_key,
     name_slice,
     pack_spans,
     read_spans,
@@ -247,6 +250,50 @@ class TestJsonLayoutsStillLoad:
         assert result.canonical_rows() == engine.query(query).canonical_rows()
         assert_same_index(engine.index, restored.index)
         assert applied_seq(tmp_path / "idx") == (0 if live is None else 7)
+
+
+class TestSuffixArrayKeyIsIgnored:
+    """Earlier releases wrote a ``suffix_array`` flag into every
+    ``config.json``.  Such directories, solo or sharded, keep loading and
+    answer exactly as before; a new save writes no such key."""
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_solo(self, tmp_path, flag):
+        engine = FileQueryEngine(bibtex_schema(), generate_bibtex(entries=15, seed=9))
+        engine.save(str(tmp_path / "idx"))
+        add_suffix_array_key(tmp_path / "idx", flag)
+        restored = FileQueryEngine.from_saved(bibtex_schema(), str(tmp_path / "idx"))
+        for query in (QUERY, CHANG_AUTHOR_QUERY):
+            result = restored.query(query)
+            assert result.warnings == []
+            assert result.canonical_rows() == engine.query(query).canonical_rows()
+        assert_same_index(engine.index, restored.index)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("replicas", [None, 2], ids=["plain", "replicated"])
+    def test_sharded(self, tmp_path, flag, replicas):
+        text = generate_bibtex(entries=15, seed=9)
+        ShardedEngine.split(bibtex_schema(), text, 3).save(
+            tmp_path / "sidx", replicas=replicas
+        )
+        configs = sorted((tmp_path / "sidx").rglob("config.json"))
+        assert len(configs) == 3 * (replicas or 1)
+        for config in configs:
+            add_suffix_array_key(config.parent, flag)
+        restored = ShardedEngine.from_saved(bibtex_schema(), tmp_path / "sidx")
+        solo = FileQueryEngine(bibtex_schema(), text)
+        for query in (QUERY, CHANG_AUTHOR_QUERY):
+            result = restored.query(query)
+            assert result.warnings == []
+            assert result.stats.healthy_shards == 3
+            assert result.canonical_rows() == solo.query(query).canonical_rows()
+
+    def test_new_saves_carry_no_key(self, tmp_path):
+        engine = FileQueryEngine(bibtex_schema(), generate_bibtex(entries=5, seed=9))
+        engine.save(str(tmp_path / "idx"))
+        config = json.loads((tmp_path / "idx" / "config.json").read_text(encoding="utf-8"))
+        assert "suffix_array" not in config
+        assert "lowercase_words" in config
 
 
 _SAVE_SCRIPT = """

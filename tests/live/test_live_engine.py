@@ -12,6 +12,7 @@ from repro.api import QueryRequest, QueryResponse, query_response
 from repro.errors import JournalCorruptError, ParseError
 from repro.live import LiveEngine, WAL_SUBDIR, encode_frame, replay_journal
 from repro.shard.manifest import load_shard_manifest
+from tests.chaos.faults import injected
 
 from tests.live.conftest import QUERY, rebuild_rows
 
@@ -323,11 +324,11 @@ def test_crash_between_compaction_commit_points_recovers(
         if name == point:
             raise Boom(name)
 
-    live = open_live(schema, saved_index, crash_hook=crash)
+    live = open_live(schema, saved_index)
     try:
         for record in records:
             live.append(record)
-        with pytest.raises(Boom):
+        with injected(crash), pytest.raises(Boom):
             live.compact()
     finally:
         live.close()
@@ -400,6 +401,12 @@ def test_corrupt_journal_raises_typed_error_on_open(
 
 
 # -- splitting ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_max_shard_bytes_below_one_is_refused(schema, saved_index, limit):
+    with pytest.raises(ValueError, match="max_shard_bytes must be >= 1"):
+        open_live(schema, saved_index, max_shard_bytes=limit)
 
 
 def test_oversized_tail_splits_during_compaction(

@@ -14,6 +14,7 @@ from repro.live import WAL_SUBDIR, LiveEngine, encode_frame, replay_journal
 from repro.live.journal import JournalWriter
 from repro.shard import ShardedEngine
 from repro.shard.manifest import load_shard_manifest
+from tests.chaos.faults import injected
 
 from .conftest import QUERY, rebuild_rows
 
@@ -100,12 +101,10 @@ class TestQuorumAppend:
     ) -> None:
         real_append = JournalWriter.append
 
-        def failing_append(self, seq, record, crash_hook=None, request_id=None):
+        def failing_append(self, seq, record, request_id=None):
             if "replica-1" in self.path.name:
                 raise OSError("injected: replica-1 disk gone")
-            return real_append(
-                self, seq, record, crash_hook=crash_hook, request_id=request_id
-            )
+            return real_append(self, seq, record, request_id=request_id)
 
         monkeypatch.setattr(JournalWriter, "append", failing_append)
         live = open_live(schema, replicated_index)
@@ -126,12 +125,10 @@ class TestQuorumAppend:
     ) -> None:
         real_append = JournalWriter.append
 
-        def failing_append(self, seq, record, crash_hook=None, request_id=None):
+        def failing_append(self, seq, record, request_id=None):
             if "replica-1" in self.path.name:
                 raise OSError("injected: replica-1 disk gone")
-            return real_append(
-                self, seq, record, crash_hook=crash_hook, request_id=request_id
-            )
+            return real_append(self, seq, record, request_id=request_id)
 
         monkeypatch.setattr(JournalWriter, "append", failing_append)
         live = open_live(schema, replicated_index, ack_quorum=1)
@@ -153,6 +150,14 @@ class TestQuorumAppend:
             assert live.append(records[0]) == 1  # 99 clamps to "all" (2)
         finally:
             live.close()
+
+    @pytest.mark.parametrize("quorum", [0, -1])
+    def test_quorum_below_one_is_refused(
+        self, schema, replicated_index, quorum
+    ) -> None:
+        with pytest.raises(ValueError, match="ack_quorum must be >= 1"):
+            open_live(schema, replicated_index, ack_quorum=quorum)
+        assert not (replicated_index / WAL_SUBDIR).exists()
 
     def test_status_reports_replicas_and_quorum(
         self, schema, replicated_index, records
@@ -287,11 +292,11 @@ class TestReplicatedRecovery:
             if name == f"compact:replica-saved:{point}":
                 raise Boom(name)
 
-        live = open_live(schema, replicated_index, crash_hook=crash)
+        live = open_live(schema, replicated_index)
         try:
             for record in records:
                 live.append(record)
-            with pytest.raises(Boom):
+            with injected(crash), pytest.raises(Boom):
                 live.compact()
         finally:
             live.close()

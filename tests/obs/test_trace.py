@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.engine import FileQueryEngine
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, Trace, Tracer, ensure_tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Span, Trace, Tracer
 from repro.workloads.bibtex import bibtex_schema, generate_bibtex
 
 SELECT = 'SELECT r FROM Reference r WHERE r.Authors.Name.Last_Name = "Chang"'
@@ -142,18 +142,13 @@ class TestTraceSerialization:
 
 class TestNullTracer:
     def test_null_tracer_is_silent(self):
-        tracer = ensure_tracer(None)
-        assert tracer is NULL_TRACER
+        tracer = NULL_TRACER
         assert isinstance(tracer, NullTracer)
         with tracer.span("anything", metric=1) as span:
             span.annotate(more=2)
             span.add_child("op:>", applications=3)
         tracer.annotate(late=True)
         assert tracer.finish() is None
-
-    def test_ensure_tracer_passthrough(self):
-        tracer = Tracer("query")
-        assert ensure_tracer(tracer) is tracer
 
 
 class TestPipelineTrace:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.engine import FileQueryEngine
-from repro.resilience import corrupt_index_file
+from tests.chaos.faults import corrupt_index_file
 
 QUERY = 'SELECT r FROM Reference r WHERE r.Authors.Name.Last_Name = "Chang"'
 

@@ -64,7 +64,8 @@ def test_concurrent_queries_on_a_degraded_engine(
 ):
     # A degraded engine funnels everything through the full-scan pipeline,
     # so this exercises the full-scan tree memo's lock specifically.
-    from repro.resilience import DegradationPolicy, corrupt_index_file
+    from repro.resilience import DegradationPolicy
+    from tests.chaos.faults import corrupt_index_file
 
     directory = tmp_path / "idx"
     FileQueryEngine(corpus_schema, corpus_text).save(str(directory))

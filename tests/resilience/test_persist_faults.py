@@ -18,8 +18,8 @@ from repro.resilience import (
     INDEX_MISSING,
     INDEX_REBUILT,
     DegradationPolicy,
-    corrupt_index_file,
 )
+from tests.chaos.faults import corrupt_index_file
 from tests.index.saved_layouts import name_slice, pack_spans, read_spans, write_json_index
 
 #: Every (part, mode) fault and the strict-policy error it must raise.

@@ -10,11 +10,8 @@ import pytest
 
 from repro.core.engine import FileQueryEngine
 from repro.errors import CandidateParseError, ParseError
-from repro.resilience import (
-    MALFORMED_REGION,
-    DegradationPolicy,
-    FlakySchema,
-)
+from repro.resilience import MALFORMED_REGION, DegradationPolicy
+from tests.chaos.faults import FlakySchema
 
 
 def flaky_engine(corpus_schema, corpus_text, policy=None) -> FileQueryEngine:

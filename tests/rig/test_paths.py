@@ -10,7 +10,6 @@ from repro.rig.paths import (
     has_intermediate,
     reach_plus,
     simple_paths,
-    walks_of_length,
 )
 
 
@@ -148,9 +147,3 @@ class TestEnumeration:
     def test_simple_paths_same_node(self):
         graph = RegionInclusionGraph.from_adjacency({"A": ["B"]})
         assert list(simple_paths(graph, "A", "A")) == [("A",)]
-
-    def test_walks_of_length(self):
-        graph = RegionInclusionGraph.from_adjacency({"S": ["S", "P"]})
-        assert list(walks_of_length(graph, "S", "P", 1)) == [("S", "P")]
-        assert list(walks_of_length(graph, "S", "P", 2)) == [("S", "S", "P")]
-        assert list(walks_of_length(graph, "S", "P", 0)) == []

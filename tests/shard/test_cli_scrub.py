@@ -28,7 +28,7 @@ def cli_replicated(tmp_path, corpus_text, capsys):
     code, _, err = run(
         capsys,
         [
-            "shard", "build", "--workload", "bibtex",
+            "index", "--workload", "bibtex",
             "--file", str(source), "--shards", "4",
             "--replicas", "2", "--out", str(directory),
         ],
@@ -52,7 +52,7 @@ def test_build_rejects_single_replica(tmp_path, corpus_text, capsys) -> None:
     with pytest.raises(SystemExit, match="at least 2"):
         main(
             [
-                "shard", "build", "--workload", "bibtex",
+                "index", "--workload", "bibtex",
                 "--file", str(source), "--shards", "2",
                 "--replicas", "1", "--out", str(tmp_path / "sidx"),
             ]
@@ -132,7 +132,7 @@ def test_query_with_one_corrupt_replica_is_byte_identical(
     code, healthy_out, _ = run(
         capsys,
         [
-            "shard", "query", "--workload", "bibtex",
+            "query", "--workload", "bibtex",
             "--index", str(cli_replicated), QUERY,
         ],
     )
@@ -142,7 +142,7 @@ def test_query_with_one_corrupt_replica_is_byte_identical(
     code, out, err = run(
         capsys,
         [
-            "shard", "query", "--workload", "bibtex",
+            "query", "--workload", "bibtex",
             "--index", str(cli_replicated), QUERY,
         ],
     )

@@ -1,6 +1,7 @@
-"""The `shard build` / `shard query` / `shard explain` / `shard analyze`
-CLI surface, including the `--fail-fast` exit-code contract and the
-`--json` payload with per-shard stats."""
+"""The sharded CLI surface: `repro index --files|--shards` builds a sharded
+index, and `repro query|explain|analyze --index` detect one — including
+the `--fail-fast` exit-code contract and the `--json` payload with
+per-shard stats."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def cli_sharded(tmp_path, corpus_text, capsys):
     code, _, err = run(
         capsys,
         [
-            "shard", "build", "--workload", "bibtex",
+            "index", "--workload", "bibtex",
             "--file", str(source), "--shards", "8", "--out", str(directory),
         ],
     )
@@ -53,14 +54,14 @@ def test_build_from_multiple_files(tmp_path, schema, corpus_text, capsys) -> Non
     directory = tmp_path / "sidx"
     code, _, err = run(
         capsys,
-        ["shard", "build", "--workload", "bibtex", "--files", *paths,
+        ["index", "--workload", "bibtex", "--files", *paths,
          "--out", str(directory)],
     )
     assert code == 0
     assert "3 shard(s)" in err
     code, out, err = run(
         capsys,
-        ["shard", "query", "--workload", "bibtex", "--index", str(directory), QUERY],
+        ["query", "--workload", "bibtex", "--index", str(directory), QUERY],
     )
     assert code == 0
     assert "3/3 shard(s)" in err
@@ -68,14 +69,14 @@ def test_build_from_multiple_files(tmp_path, schema, corpus_text, capsys) -> Non
 
 
 def test_build_requires_a_corpus_argument(tmp_path, capsys) -> None:
-    with pytest.raises(SystemExit):
-        main(["shard", "build", "--workload", "bibtex", "--out", str(tmp_path / "x")])
+    with pytest.raises(SystemExit, match="--shards N needs --file F"):
+        main(["index", "--workload", "bibtex", "--shards", "2", "--out", str(tmp_path / "x")])
 
 
 def test_query_healthy_matches_unsharded_cli(cli_sharded, tmp_path, capsys) -> None:
     code, sharded_out, err = run(
         capsys,
-        ["shard", "query", "--workload", "bibtex", "--index", str(cli_sharded), QUERY],
+        ["query", "--workload", "bibtex", "--index", str(cli_sharded), QUERY],
     )
     assert code == 0
     assert "8/8 shard(s)" in err
@@ -91,7 +92,7 @@ def test_partial_result_json_and_warnings(cli_sharded, capsys) -> None:
     corrupt_one_shard(cli_sharded)
     code, out, err = run(
         capsys,
-        ["shard", "query", "--workload", "bibtex", "--index", str(cli_sharded),
+        ["query", "--workload", "bibtex", "--index", str(cli_sharded),
          "--json", QUERY],
     )
     assert code == 0
@@ -110,7 +111,7 @@ def test_fail_fast_exits_nonzero(cli_sharded, capsys) -> None:
     corrupt_one_shard(cli_sharded)
     code, _, err = run(
         capsys,
-        ["shard", "query", "--workload", "bibtex", "--index", str(cli_sharded),
+        ["query", "--workload", "bibtex", "--index", str(cli_sharded),
          "--fail-fast", QUERY],
     )
     assert code == 1
@@ -120,7 +121,7 @@ def test_fail_fast_exits_nonzero(cli_sharded, capsys) -> None:
 def test_max_parallel_flag(cli_sharded, capsys) -> None:
     code, _, err = run(
         capsys,
-        ["shard", "query", "--workload", "bibtex", "--index", str(cli_sharded),
+        ["query", "--workload", "bibtex", "--index", str(cli_sharded),
          "--max-parallel", "2", QUERY],
     )
     assert code == 0
@@ -130,7 +131,7 @@ def test_max_parallel_flag(cli_sharded, capsys) -> None:
 def test_explain_shows_roster(cli_sharded, capsys) -> None:
     code, out, _ = run(
         capsys,
-        ["shard", "explain", "--workload", "bibtex", "--index", str(cli_sharded), QUERY],
+        ["explain", "--workload", "bibtex", "--index", str(cli_sharded), QUERY],
     )
     assert code == 0
     assert "shards:    8" in out
@@ -139,7 +140,7 @@ def test_explain_shows_roster(cli_sharded, capsys) -> None:
 def test_analyze_json_carries_shard_records(cli_sharded, capsys) -> None:
     code, out, _ = run(
         capsys,
-        ["shard", "analyze", "--workload", "bibtex", "--index", str(cli_sharded),
+        ["analyze", "--workload", "bibtex", "--index", str(cli_sharded),
          "--json", QUERY],
     )
     assert code == 0
@@ -148,30 +149,36 @@ def test_analyze_json_carries_shard_records(cli_sharded, capsys) -> None:
     assert len(payload["stats"]["shards"]) == 8
 
 
+#: What each command prints only when it answers from all 8 shards.
+SHARDED_MARK = {"query": "8/8 shard(s)", "explain": "shards:    8", "analyze": "8/8 healthy"}
+
+
 @pytest.mark.parametrize("command", ["query", "explain", "analyze"])
 def test_top_level_commands_detect_a_sharded_index(cli_sharded, capsys, command) -> None:
-    # One backend selection: `repro query --index <sharded dir>` is the
-    # same handler as `repro shard query`, so stdout is identical.
-    tail = ["--workload", "bibtex", "--index", str(cli_sharded), QUERY]
-    code, nested, _ = run(capsys, ["shard", command, *tail])
+    code, out, err = run(
+        capsys, [command, "--workload", "bibtex", "--index", str(cli_sharded), QUERY]
+    )
     assert code == 0
-    code, top_level, _ = run(capsys, [command, *tail])
-    assert code == 0
-    if command == "analyze":  # measured times differ run to run
-        nested, top_level = (text.split("\n")[1:6] for text in (nested, top_level))
-    assert top_level == nested
+    assert SHARDED_MARK[command] in out + err
 
 
-def test_query_on_single_index_directory_errors_cleanly(
-    tmp_path, schema, corpus_text, capsys
+def test_shard_command_is_a_usage_error(cli_sharded, capsys) -> None:
+    # `repro shard build|query|explain|analyze` were aliases of the
+    # top-level commands; the spelling is gone.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shard", "query", "--workload", "bibtex", "--index", str(cli_sharded), QUERY])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'shard'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["live", "status"], ["scrub"]], ids=["live-status", "scrub"])
+def test_sharded_only_commands_refuse_a_single_index_directory(
+    tmp_path, schema, corpus_text, capsys, argv
 ) -> None:
     from repro.core.engine import FileQueryEngine
 
     directory = tmp_path / "idx"
     FileQueryEngine(schema, corpus_text).save(str(directory))
-    code, _, err = run(
-        capsys,
-        ["shard", "query", "--workload", "bibtex", "--index", str(directory), QUERY],
-    )
+    code, _, err = run(capsys, [*argv, "--workload", "bibtex", "--index", str(directory)])
     assert code == 1
     assert "not a sharded-index manifest" in err

@@ -10,14 +10,10 @@ import time
 import pytest
 
 from repro.errors import BudgetExceededError, ShardFailedError
-from repro.resilience import (
-    PARTIAL_RESULT,
-    SHARD_TIMEOUT,
-    HungShard,
-    ResourceBudget,
-)
+from repro.resilience import PARTIAL_RESULT, SHARD_TIMEOUT, ResourceBudget
 from repro.shard import ShardedEngine
 
+from tests.chaos.faults import HungShard, injected
 from tests.shard.conftest import N_SHARDS
 
 
@@ -32,11 +28,10 @@ def test_hung_shard_returns_partial_result_within_twice_the_deadline(
     # request.  The gather abandons it at deadline + grace and flags the
     # loss; total wall clock stays under 2x the 250ms deadline.
     fault = HungShard(hang_s=30.0, shard="shard3")
-    engine = ShardedEngine.split(
-        schema, corpus_text, N_SHARDS, fault_injector=fault
-    )
+    engine = ShardedEngine.split(schema, corpus_text, N_SHARDS)
     started = time.perf_counter()
-    result = engine.query(query_text, budget=ResourceBudget(deadline_s=0.25))
+    with injected(fault):
+        result = engine.query(query_text, budget=ResourceBudget(deadline_s=0.25))
     elapsed = time.perf_counter() - started
     assert elapsed < 0.5, f"hung shard stalled the request for {elapsed:.3f}s"
     codes = {warning.code for warning in result.warnings}
@@ -52,11 +47,9 @@ def test_hung_shard_returns_partial_result_within_twice_the_deadline(
 def test_abandoned_shard_is_failed_in_stats(
     schema, corpus_text, query_text
 ) -> None:
-    fault = HungShard(hang_s=30.0, shard="shard0")
-    engine = ShardedEngine.split(
-        schema, corpus_text, N_SHARDS, fault_injector=fault
-    )
-    result = engine.query(query_text, budget=ResourceBudget(deadline_s=0.2))
+    engine = ShardedEngine.split(schema, corpus_text, N_SHARDS)
+    with injected(HungShard(hang_s=30.0, shard="shard0")):
+        result = engine.query(query_text, budget=ResourceBudget(deadline_s=0.2))
     record = next(
         r for r in result.stats.to_dict()["shards"] if r["shard"] == "shard0"
     )

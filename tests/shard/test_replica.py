@@ -28,6 +28,7 @@ from repro.shard.manifest import load_shard_manifest
 from repro.shard.scrub import MANIFEST_DAMAGED, MANIFEST_REWRITTEN
 from repro.shard.split import split_corpus
 from repro.workloads.bibtex import generate_bibtex
+from tests.chaos.faults import injected
 
 
 @pytest.fixture
@@ -307,11 +308,11 @@ def test_live_open_and_scrub_finish_an_interrupted_fold_alike(
         if point == f"compact:replica-saved:{replica_dir_name(1)}":
             raise RuntimeError(point)
 
-    live = LiveEngine.open(schema, directory, crash_hook=crash)
+    live = LiveEngine.open(schema, directory)
     try:
         for record in records:
             live.append(record)
-        with pytest.raises(RuntimeError):
+        with injected(crash), pytest.raises(RuntimeError):
             live.compact()
     finally:
         live.close()

@@ -221,6 +221,13 @@ class TestScrubDaemon:
         with pytest.raises(ValueError):
             ScrubDaemon(lambda: None, interval_s=0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_rejects_a_nonfinite_interval(self, interval) -> None:
+        # NaN passed the old `<= 0` check, and _delay() turned NaN (or
+        # inf plus inf-wide jitter) into 0.0: a back-to-back scrub loop.
+        with pytest.raises(ValueError, match="finite"):
+            ScrubDaemon(lambda: None, interval_s=interval)
+
     def test_repairs_heal_between_runs(self, schema, replicated_index) -> None:
         daemon = ScrubDaemon(
             lambda: scrub_index(schema, replicated_index, repair=True),

@@ -20,17 +20,10 @@ import pytest
 
 from repro.api import render_rows
 from repro.errors import QueryError, QuerySyntaxError, ShardFailedError
-from repro.resilience import (
-    BreakerConfig,
-    DegradationPolicy,
-    HungShard,
-    ResourceBudget,
-    RetryPolicy,
-    SlowShard,
-    TransientIOFault,
-)
+from repro.resilience import BreakerConfig, DegradationPolicy, ResourceBudget, RetryPolicy
 from repro.shard import OK, ShardedEngine, scrub_index, split_corpus
 from repro.workloads.bibtex import generate_bibtex
+from tests.chaos.faults import HungShard, SlowShard, TransientIOFault, injected
 
 NO_SLEEP = {"retry_sleep": lambda s: None}
 
@@ -178,18 +171,18 @@ def test_query_error_inside_a_shard_task_ends_the_wait(
     # scatter raises that error at once instead of waiting for the rest.
     hung = HungShard(hang_s=30.0, shard="shard0")
 
-    def injector(name: str) -> None:
-        if name == "shard5":
+    def hook(point: str) -> None:
+        if point == "shard:attempt:shard5":
             raise QueryError("defect found inside shard5's task")
-        hung(name)
+        hung(point)
 
-    engine = ShardedEngine.split(schema, corpus_text, 8, fault_injector=injector)
+    engine = ShardedEngine.split(schema, corpus_text, 8)
     started = time.perf_counter()
     try:
-        with pytest.raises(QueryError, match="shard5"):
+        with injected(hook), pytest.raises(QueryError, match="shard5"):
             engine.query(query_text)
     finally:
-        hung.release()
+        hung.released.set()
     assert time.perf_counter() - started < 5.0
     assert engine.breaker_snapshot("shard5")["consecutive_failures"] == 0
 
@@ -300,12 +293,10 @@ def test_transient_fault_recovers_with_identical_rows(
 ) -> None:
     fault = TransientIOFault(k=2, shard="shard1")
     engine = ShardedEngine.split(
-        schema, corpus_text, 8,
-        fault_injector=fault,
-        retry=RetryPolicy(max_attempts=3),
-        **NO_SLEEP,
+        schema, corpus_text, 8, retry=RetryPolicy(max_attempts=3), **NO_SLEEP
     )
-    result = engine.query(query_text)
+    with injected(fault):
+        result = engine.query(query_text)
     assert result.canonical_rows() == reference_rows  # no row differences
     codes = [warning.code for warning in result.warnings]
     assert codes == ["shard-retried"]
@@ -321,14 +312,11 @@ def test_transient_fault_recovers_with_identical_rows(
 def test_transient_fault_beyond_retry_budget_fails_the_shard(
     schema, corpus_text, query_text
 ) -> None:
-    fault = TransientIOFault(k=5, shard="shard1")
     engine = ShardedEngine.split(
-        schema, corpus_text, 4,
-        fault_injector=fault,
-        retry=RetryPolicy(max_attempts=3),
-        **NO_SLEEP,
+        schema, corpus_text, 4, retry=RetryPolicy(max_attempts=3), **NO_SLEEP
     )
-    result = engine.query(query_text)
+    with injected(TransientIOFault(k=5, shard="shard1")):
+        result = engine.query(query_text)
     codes = [warning.code for warning in result.warnings]
     assert "shard-failed" in codes and "partial-result" in codes
     record = [
@@ -342,8 +330,9 @@ def test_slow_shard_does_not_block_other_results(
     schema, corpus_text, query_text, reference_rows
 ) -> None:
     slow = SlowShard(delay_s=0.05, shard="shard0")
-    engine = ShardedEngine.split(schema, corpus_text, 4, fault_injector=slow)
-    result = engine.query(query_text)
+    engine = ShardedEngine.split(schema, corpus_text, 4)
+    with injected(slow):
+        result = engine.query(query_text)
     assert result.canonical_rows() == reference_rows
     assert slow.calls == 1
 
@@ -357,21 +346,21 @@ def test_breaker_trips_after_repeated_failures_then_skips(
     fault = TransientIOFault(k=10**9, shard="shard2")  # never recovers
     engine = ShardedEngine.split(
         schema, corpus_text, 4,
-        fault_injector=fault,
         retry=RetryPolicy(max_attempts=2),
         breaker_config=BreakerConfig(failure_threshold=2, reset_timeout_s=3600),
         **NO_SLEEP,
     )
-    first = engine.query(query_text)
-    assert [w.code for w in first.warnings] == ["shard-failed", "partial-result"]
-    assert engine.breaker_snapshot("shard2")["state"] == "closed"
+    with injected(fault):
+        first = engine.query(query_text)
+        assert [w.code for w in first.warnings] == ["shard-failed", "partial-result"]
+        assert engine.breaker_snapshot("shard2")["state"] == "closed"
 
-    second = engine.query(query_text)  # second failure trips the breaker
-    assert "shard-failed" in [w.code for w in second.warnings]
-    assert engine.breaker_snapshot("shard2")["state"] == "open"
-    calls_when_tripped = fault.calls
+        second = engine.query(query_text)  # second failure trips the breaker
+        assert "shard-failed" in [w.code for w in second.warnings]
+        assert engine.breaker_snapshot("shard2")["state"] == "open"
+        calls_when_tripped = fault.calls
 
-    third = engine.query(query_text)  # skipped without touching the shard
+        third = engine.query(query_text)  # skipped without touching the shard
     codes = [w.code for w in third.warnings]
     assert "shard-skipped-open-breaker" in codes
     assert "partial-result" in codes
@@ -389,17 +378,17 @@ def test_breaker_half_open_probe_recovers_the_shard(
     fault = TransientIOFault(k=4, shard="shard2")
     engine = ShardedEngine.split(
         schema, corpus_text, 4,
-        fault_injector=fault,
         retry=RetryPolicy(max_attempts=2),
         breaker_config=BreakerConfig(failure_threshold=2, reset_timeout_s=0.0),
         **NO_SLEEP,
     )
-    engine.query(query_text)  # 2 failed attempts
-    engine.query(query_text)  # 2 more; breaker trips (threshold 2)
-    assert fault.failures == 4
-    # Cooldown is zero: the next query is the half-open probe, and the
-    # fault is exhausted, so it succeeds and closes the breaker.
-    recovered = engine.query(query_text)
+    with injected(fault):
+        engine.query(query_text)  # 2 failed attempts
+        engine.query(query_text)  # 2 more; breaker trips (threshold 2)
+        assert fault.failures == 4
+        # Cooldown is zero: the next query is the half-open probe, and the
+        # fault is exhausted, so it succeeds and closes the breaker.
+        recovered = engine.query(query_text)
     assert recovered.canonical_rows() == reference_rows
     assert engine.breaker_snapshot("shard2")["state"] == "closed"
 

@@ -208,7 +208,7 @@ class TestLive:
         directory = tmp_path / "lidx"
         assert main(
             [
-                "shard", "build", "--workload", "bibtex",
+                "index", "--workload", "bibtex",
                 "--file", corpus_file, "--shards", "3",
                 "--out", str(directory),
             ]
@@ -265,7 +265,7 @@ class TestLive:
         # key projection is (like solo over base + record) 12 distinct rows.
         assert main(
             [
-                "shard", "query", "--workload", "bibtex",
+                "query", "--workload", "bibtex",
                 "--index", live_index, "SELECT r FROM Reference r",
             ]
         ) == 0
@@ -273,7 +273,7 @@ class TestLive:
         # The key projection, narrowed to the appended entry's own title.
         assert main(
             [
-                "shard", "query", "--workload", "bibtex", "--index", live_index,
+                "query", "--workload", "bibtex", "--index", live_index,
                 'SELECT r.Key FROM Reference r WHERE '
                 'r.Title = "Automatic Using Databases Parsing Grammars"',
             ]
@@ -318,6 +318,8 @@ class TestNumericOptions:
             ("serve", "--max-page-size", "0"),
             ("serve", "--drain-s", "-1"),
             ("serve", "--budget-ms", "-1"),
+            ("serve", "--ack-quorum", "0"),
+            ("serve", "--max-shard-bytes", "-5"),
         ],
     )
     def test_out_of_range_value_is_a_usage_error(
@@ -329,3 +331,35 @@ class TestNumericOptions:
             main(argv)
         assert excinfo.value.code == 2
         assert f"argument {option}: must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_scrub_interval_must_be_finite_and_positive(
+        self, sharded_index, capsys, value
+    ):
+        argv = ["serve", "--workload", "bibtex", "--index", sharded_index, "--port", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [f"--scrub-interval-s={value}"])
+        assert excinfo.value.code == 2
+        assert "argument --scrub-interval-s: must be finite and > 0" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["live", "append", "--ack-quorum", "0", "--record", "x"], "--ack-quorum"),
+            (["live", "append", "--ack-quorum", "-1", "--record", "x"], "--ack-quorum"),
+            (["live", "compact", "--max-shard-bytes", "-5"], "--max-shard-bytes"),
+            (["live", "compact", "--max-shard-bytes", "0"], "--max-shard-bytes"),
+            (["index", "--shards", "0", "--out", "never"], "--shards"),
+            (["index", "--shards", "-3", "--out", "never"], "--shards"),
+        ],
+    )
+    def test_live_and_index_counts_must_be_positive(
+        self, sharded_index, corpus_file, capsys, argv, option
+    ):
+        source = ["--file", corpus_file] if argv[0] == "index" else ["--index", sharded_index]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workload", "bibtex", *source])
+        assert excinfo.value.code == 2
+        assert f"argument {option}: must be >= 1" in capsys.readouterr().err
