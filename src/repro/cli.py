@@ -76,7 +76,6 @@ from repro.cache import CacheConfig, CacheStats
 from repro.core.engine import FileQueryEngine
 from repro.errors import ReproError
 from repro.index.config import IndexConfig
-from repro.index.persist import check_replicas
 from repro.resilience import DegradationPolicy, ResourceBudget
 
 WORKLOADS: dict[str, tuple[Callable, Callable]] = {}
@@ -104,15 +103,19 @@ def _schema_for(name: str):
         )
 
 
-def _at_least(kind: Callable[[str], float], minimum: int) -> Callable[[str], float]:
+def _at_least(
+    kind: Callable[[str], float], minimum: int, maximum: int | None = None
+) -> Callable[[str], float]:
     """An argparse ``type=`` that parses with ``kind`` and refuses a value
-    below ``minimum`` (or NaN) as a usage error, before any engine or
-    server sees it."""
+    below ``minimum`` (or NaN), or above ``maximum`` when one is given, as
+    a usage error, before any engine or server sees it."""
 
     def parse(text: str) -> float:
         value = kind(text)
         if not value >= minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -122,6 +125,9 @@ def _at_least(kind: Callable[[str], float], minimum: int) -> Callable[[str], flo
 POSITIVE_INT = _at_least(int, 1)
 NON_NEGATIVE_INT = _at_least(int, 0)
 NON_NEGATIVE_FLOAT = _at_least(float, 0)
+#: ``check_replicas``'s rule: a replicated layout holds two copies or more.
+REPLICA_COUNT = _at_least(int, 2)
+PORT = _at_least(int, 0, 65535)
 
 
 def _finite_above(minimum: float) -> Callable[[str], float]:
@@ -280,7 +286,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     """Build and save an index: a sharded one from ``--files F...`` or
     ``--file F --shards N``, a plain one otherwise."""
-    replicas = _replicas_from_args(args)
+    replicas = args.replicas
     if not (args.files or args.shards is not None):
         engine = _backend_from_args(args)
         engine.save(args.out, source_path=args.file or None, replicas=replicas)
@@ -394,15 +400,6 @@ def _cmd_live_status(args: argparse.Namespace) -> int:
         return 0
     finally:
         engine.close()
-
-
-def _replicas_from_args(args: argparse.Namespace) -> int | None:
-    replicas = getattr(args, "replicas", None)
-    try:
-        check_replicas(replicas)  # refuse before anything is built
-    except ValueError as error:
-        raise SystemExit(f"--{error}") from None
-    return replicas
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -614,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = commands.add_parser("generate", help="emit a synthetic corpus")
     generate.add_argument("--workload", required=True)
-    generate.add_argument("--entries", type=int, default=100)
+    generate.add_argument("--entries", type=NON_NEGATIVE_INT, default=100)
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(handler=_cmd_generate)
 
@@ -661,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--out", required=True, help="output directory")
     index.add_argument(
         "--replicas",
-        type=int,
+        type=REPLICA_COUNT,
         help="persist N complete copies of the index (of every shard, "
         "when sharded) under replica-{i}/ dirs; reads fail over between "
         "them and scrub heals damage",
@@ -688,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_live_options(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8080, help="bind port (0 picks a free one)"
+        "--port", type=PORT, default=8080, help="bind port (0 picks a free one)"
     )
     serve.add_argument(
         "--workers",

@@ -21,6 +21,8 @@ def explain_plan(plan: Plan, cache: str | None = None) -> str:
         lines.append(
             f"            (static cost {static_cost(plan.optimized_expression)})"
         )
+    if plan.projection is not None:
+        lines.append(f"projection: {plan.projection}")
     if plan.trace.rewrite_count:
         for line in plan.trace.describe().splitlines():
             lines.append(f"  rewrite: {line}")

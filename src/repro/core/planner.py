@@ -4,6 +4,11 @@ Strategies, in order of preference:
 
 - ``empty``            — the translated expression is trivially empty
                          (Proposition 3.3) or statically unsatisfiable;
+- ``index-project``    — an exact selection projected to one atomic
+                         attribute ``r.p`` whose endpoint chain is exact
+                         (Section 5: ``p ⊂d ... ⊂d r``): the values are read
+                         off the endpoint regions inside the selected ones,
+                         and nothing is parsed;
 - ``index-exact``      — the optimized expression computes exactly the
                          qualifying source regions (full indexing, or partial
                          indexing meeting Section 6.3's condition); only the
@@ -56,6 +61,9 @@ class Plan:
     #: Multi-variable plans: one structural narrowing expression per range
     #: variable (``None`` entry = no narrowing, take the whole extent).
     per_variable: dict[str, RegionExpr | None] = field(default_factory=dict)
+    #: ``index-project`` plans: the (optimized) chain locating the output
+    #: attribute's endpoint regions, rooted at the source class.
+    projection: RegionExpr | None = None
     notes: list[str] = field(default_factory=list)
 
 
@@ -191,7 +199,7 @@ class Planner:
                 join_condition=join,
                 notes=list(translated.notes),
             )
-        return Plan(
+        plan = Plan(
             strategy="index-exact" if translated.exact else "index-candidates",
             query=query,
             translated=translated,
@@ -201,6 +209,14 @@ class Planner:
             exact=translated.exact,
             notes=list(translated.notes),
         )
+        chain = self._translator.projection_chain(query) if translated.exact else None
+        if chain is not None:
+            if self._optimize:
+                with tracer.span("optimize", projection=True):
+                    chain = optimize(chain, self._rig, tracer=tracer)
+            plan.projection = chain
+            plan.strategy = "index-project"
+        return plan
 
     def _plan_multi(
         self, query: Query, tracer: "Tracer | NullTracer" = NULL_TRACER

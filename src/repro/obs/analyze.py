@@ -165,6 +165,8 @@ class Analysis:
                 f"optimized:  {plan.optimized_expression}"
                 f"  (est. cost {static_cost(plan.optimized_expression)})"
             )
+        if plan.projection is not None:
+            lines.append(f"projection: {plan.projection}")
         if plan.trace.rewrite_count:
             for line in plan.trace.describe().splitlines():
                 lines.append(f"  rewrite: {line}")

@@ -28,7 +28,7 @@ at any parse node.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.algebra.counters import OperationCounters
 from repro.errors import GrammarError, ParseError
@@ -222,6 +222,34 @@ class Parser:
         if counters is not None:
             counters.scan(node.end - start)
         return node
+
+
+def terminal_region_reader(symbol: Symbol) -> Callable[[str], str] | None:
+    """How to read a terminal's value back from the region of a
+    non-terminal whose one rule derives that terminal alone (``Key ->
+    word``), or ``None`` for a literal or a non-terminal.
+
+    Such a region starts where the terminal does (whitespace is skipped
+    before both) and ends where the rule does: after a quoted string's
+    closing quote, and at an until-terminal's stop string, the whitespace
+    its value drops included.  An until-terminal that may be empty gets
+    ``None``: its empty region can touch the next object's region.
+    """
+    if isinstance(symbol, (TWord, TNumber)):
+        return str
+    if isinstance(symbol, TUntil):
+        return None if symbol.allow_empty else _rstrip_whitespace
+    if isinstance(symbol, TQuoted):
+        return _unquote
+    return None
+
+
+def _rstrip_whitespace(text: str) -> str:
+    return text.rstrip(_WHITESPACE)
+
+
+def _unquote(text: str) -> str:
+    return text[1:-1]
 
 
 def _optional_literal(text: str):

@@ -15,14 +15,14 @@ A structuring schema bundles a grammar with its database annotations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.algebra.counters import OperationCounters
 from repro.db.values import AtomicValue, ObjectValue, Value
 from repro.errors import GrammarError
 from repro.schema.actions import CustomAction, natural_value, terminal_value
-from repro.schema.grammar import Grammar, NonTerminal, StarRule
-from repro.schema.parser import ParseNode, Parser
+from repro.schema.grammar import Grammar, NonTerminal, SeqRule, StarRule
+from repro.schema.parser import ParseNode, Parser, terminal_region_reader
 from repro.schema.pushdown import InstantiationStats, PathTrie
 from repro.schema.types import (
     AtomicTypeDesc,
@@ -236,6 +236,18 @@ class StructuringSchema:
                 break
             seen.add(current)
         return current
+
+    def region_reader(self, nonterminal: str) -> Callable[[str], str] | None:
+        """How to read ``nonterminal``'s atomic value straight from the text
+        of one of its regions, parsing nothing; ``None`` unless it has one
+        rule, deriving one terminal and no literal, and the natural action
+        (the value is that terminal's text, tagged ``nonterminal``)."""
+        if nonterminal in self._opaque:
+            return None
+        rules = self.grammar.rules_for(nonterminal)
+        if len(rules) != 1 or not isinstance(rules[0], SeqRule) or len(rules[0].items) != 1:
+            return None
+        return terminal_region_reader(rules[0].items[0])
 
     def transparent_nonterminals(self) -> frozenset[str]:
         return frozenset(

@@ -16,13 +16,13 @@ seed, same fault, same verdict — a failing case id replays exactly.
 Every fault point in ``src``, and the scenarios that fault it (the
 solo backend has no shard points; ``pool:task`` runs on both):
 
-================================  ===========================================  =============================
+================================  ===========================================  ==================================================
 fault point                       where                                        scenarios
-================================  ===========================================  =============================
+================================  ===========================================  ==================================================
 ``shard:attempt:{shard}``         start of every shard attempt, retries too    hang, slow, transient-io
 ``shard:abandoned:{shard}``       scatter gives up on a shard at the deadline  hang (wakes the hang)
 ``pool:task``                     a worker takes a task off the server queue   worker-stall, overload, drain
-``append:written``                journal frame written, not yet fsynced       (none)
+``append:written``                journal frame written, not yet fsynced       ``test_crash_between_journal_write_and_fsync`` (*)
 ``append:journal-acked:{i}``      replica journal ``i`` fsynced the frame      kill-mid-quorum-append
 ``compact:replica-saved:{name}``  one copy of a folded shard saved             (unit tests)
 ``compact:shard-saved``           every copy of a folded shard saved           crash-mid-compaction
@@ -32,7 +32,9 @@ fault point                       where                                        s
 ``scrub:quarantined``             damaged replica renamed aside                kill-mid-repair
 ``scrub:peer-copied``             peer copy staged, not yet promoted           kill-mid-repair
 ``scrub:repaired``                replacement renamed into place               kill-mid-repair
-================================  ===========================================  =============================
+================================  ===========================================  ==================================================
+
+(*) a tier-1 test in ``tests/live/test_live_engine.py``, not a scenario.
 
 :data:`SCENARIOS` maps scenario name → (backends, runner).  The
 scenarios that fault no named point:

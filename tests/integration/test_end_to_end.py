@@ -79,6 +79,7 @@ def test_exact_plans_really_are_exact(engines, query):
     for config_name, engine in engines.items():
         result = engine.query(query)
         if result.plan.exact and result.stats.strategy in (
+            "index-project",
             "index-exact",
             "index-candidates",
         ):
@@ -92,7 +93,7 @@ def test_candidates_are_supersets(engines):
     for config_name, engine in engines.items():
         for query in BIBTEX_QUERIES:
             result = engine.query(query)
-            if result.stats.strategy in ("index-exact", "index-candidates"):
+            if result.stats.strategy in ("index-project", "index-exact", "index-candidates"):
                 assert result.stats.candidate_regions >= len(result.regions), (
                     f"[{config_name}] {query}"
                 )

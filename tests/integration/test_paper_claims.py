@@ -21,12 +21,13 @@ is ``python -m bench``'s job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
 
 import pytest
 
+from repro.api import render_rows
 from repro.cache import CacheConfig
 from repro.core.advisor import IndexAdvisor
 from repro.core.engine import FileQueryEngine
@@ -44,6 +45,9 @@ from repro.workloads.bibtex import (
 from repro.workloads.sgml import generate_sgml, sgml_schema
 
 ENTRIES = 200
+#: E2-project's corpus: the served benchmark's cold-read size.
+PROJECT_ENTRIES = 1500
+CHANG_KEY_QUERY = CHANG_AUTHOR_QUERY.replace("SELECT r FROM", "SELECT r.Key FROM")
 # Caches off: a claim is about the paper's algorithms, not memoization.
 NO_CACHE = CacheConfig.disabled()
 #: Section 5.2's two-variable join: the references citing one by Chang.
@@ -87,6 +91,24 @@ def e2_index_vs_scan() -> tuple[int, int]:
     assert indexed.stats.strategy == "index-exact"
     assert indexed.canonical_rows() == scanned.canonical_rows()
     return indexed.stats.bytes_parsed, scanned.stats.bytes_parsed
+
+
+def e2_project_from_index() -> tuple[int, int]:
+    """Bytes a projection reads from the endpoint regions (Section 5's
+    ``⊂d``), against the bytes the same selection's whole objects parse;
+    the rows are the parse path's."""
+    engine = _bibtex(entries=PROJECT_ENTRIES)
+    projected = engine.query(CHANG_KEY_QUERY)
+    assert projected.stats.strategy == "index-project"
+    assert projected.stats.bytes_parsed == 0
+    parsed = engine.execute_plan(replace(projected.plan, strategy="index-exact"))
+    assert render_rows(projected.rows) == render_rows(parsed.rows)
+    assert projected.row_hashes == parsed.row_hashes
+    whole = engine.query(CHANG_AUTHOR_QUERY)
+    assert whole.stats.strategy == "index-exact"
+    return projected.trace.find("index-project").metrics["bytes_read"], (
+        whole.stats.bytes_parsed
+    )
 
 
 def e3_direct_inclusion() -> tuple[int, int]:
@@ -213,6 +235,8 @@ CLAIMS = [
           1 / 1.5, e1_optimized_expression),
     Claim("E2", "§1", "index bytes parsed", "scan bytes parsed",
           0.15, e2_index_vs_scan),
+    Claim("E2-project", "§5", "projection bytes read", "whole-object bytes parsed",
+          0.05, e2_project_from_index),
     Claim("E3", "§3.1", "⊃ comparisons", "⊃d comparisons",
           1 / 1.5, e3_direct_inclusion),
     Claim("E4", "§6", "partial index entries", "full index entries",

@@ -42,7 +42,7 @@ class TestEngineAnalyze:
     def test_analyze_accepts_string(self, bibtex_engine):
         analysis = bibtex_engine.analyze(SELECT)
         assert isinstance(analysis, Analysis)
-        assert analysis.strategy in ("index-exact", "index-candidates")
+        assert analysis.strategy in ("index-project", "index-exact", "index-candidates")
 
     def test_analyze_accepts_query(self, bibtex_engine):
         analysis = bibtex_engine.analyze(parse_query(SELECT))

@@ -49,7 +49,7 @@ def corrupt_replica(directory, shard_index: int = 0, replica: int = 0) -> None:
 def test_build_rejects_single_replica(tmp_path, corpus_text, capsys) -> None:
     source = tmp_path / "refs.bib"
     source.write_text(corpus_text, encoding="utf-8")
-    with pytest.raises(SystemExit, match="at least 2"):
+    with pytest.raises(SystemExit) as excinfo:
         main(
             [
                 "index", "--workload", "bibtex",
@@ -57,6 +57,9 @@ def test_build_rejects_single_replica(tmp_path, corpus_text, capsys) -> None:
                 "--replicas", "1", "--out", str(tmp_path / "sidx"),
             ]
         )
+    assert excinfo.value.code == 2  # a usage error, like every out-of-range count
+    assert "argument --replicas: must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "sidx").exists()
 
 
 def test_scrub_clean_exits_zero(cli_replicated, capsys) -> None:

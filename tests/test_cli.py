@@ -332,6 +332,35 @@ class TestNumericOptions:
         assert excinfo.value.code == 2
         assert f"argument {option}: must be >= " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value, message", [("-5", "must be >= 0"), ("65536", "must be <= 65535")]
+    )
+    def test_port_must_be_a_port_number(self, sharded_index, capsys, value, message):
+        argv = ["serve", "--workload", "bibtex", "--index", sharded_index]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--port", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --port: {message}" in err
+        assert "Traceback" not in err
+
+    def test_generated_entries_must_be_non_negative(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--workload", "bibtex", "--entries", "-5"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --entries: must be >= 0" in captured.err
+        assert captured.out == ""
+
+    def test_replicas_must_be_at_least_two(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "never"
+        argv = ["index", "--workload", "bibtex", "--file", corpus_file, "--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--replicas", "1"])
+        assert excinfo.value.code == 2
+        assert "argument --replicas: must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_scrub_interval_must_be_finite_and_positive(
         self, sharded_index, capsys, value
