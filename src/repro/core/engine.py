@@ -265,7 +265,6 @@ class FileQueryEngine(EngineBase):
         schema: StructuringSchema,
         corpus: Corpus | str | IndexEngine,
         config: IndexConfig | None = None,
-        optimize_expressions: bool = True,
         cache_config: CacheConfig | None = None,
         tracing: bool = True,
         policy: DegradationPolicy | None = None,
@@ -312,14 +311,12 @@ class FileQueryEngine(EngineBase):
         )
         self.planner = Planner(
             self.translator,
-            optimize_expressions=optimize_expressions,
             plan_cache_size=PLAN_CACHE_SIZE if self.cache_config.enabled else 0,
             cache_stats=self.cache_stats,
         )
         self._executor = PlanExecutor(
             self.schema,
             self.index,
-            self.translator,
             cache_config=self.cache_config,
             cache_stats=self.cache_stats,
         )
@@ -360,7 +357,6 @@ class FileQueryEngine(EngineBase):
         cls,
         schema: StructuringSchema,
         directory: str,
-        optimize_expressions: bool = True,
         cache_config: CacheConfig | None = None,
         tracing: bool = True,
         policy: DegradationPolicy | None = None,
@@ -392,7 +388,6 @@ class FileQueryEngine(EngineBase):
         from repro.shard.replica import ReplicaSet
 
         options = dict(
-            optimize_expressions=optimize_expressions,
             cache_config=cache_config,
             tracing=tracing,
             budget=budget,

@@ -32,8 +32,9 @@ def explain_plan(plan: Plan, cache: str | None = None) -> str:
         else:
             lines.append(f"narrow {var}: {expression}")
     lines.append(f"exact:     {plan.exact}")
-    if plan.join_condition is not None:
-        lines.append("join:      index-located attribute contents compared")
+    if plan.join_chains is not None:
+        left, right = plan.join_chains
+        lines.append(f"join:      contents of {left} = contents of {right}")
     for note in plan.notes:
         lines.append(f"note:      {note}")
     if cache is not None:

@@ -14,7 +14,6 @@ built.  Benchmarks read these next to wall-clock numbers.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -30,10 +29,10 @@ from repro.cache import (
 )
 from repro.cache.config import PARSE_MEMO_SIZE
 from repro.core.planner import Plan
-from repro.core.translate import Translator
+from repro.core.translate import needed_paths
 from repro.db.evaluator import NaiveEvaluator, Rows
 from repro.db.model import Database
-from repro.db.query import PathComparison, Query, TrueCondition
+from repro.db.query import Query, TrueCondition
 from repro.db.values import AtomicValue, ObjectValue, Value, canonical_row, first_distinct
 from repro.errors import CandidateParseError, ParseError, PlanningError
 from repro.index.engine import IndexEngine
@@ -136,13 +135,11 @@ class PlanExecutor:
         self,
         schema: StructuringSchema,
         index_engine: IndexEngine,
-        translator: Translator,
         cache_config: CacheConfig | None = None,
         cache_stats: CacheStats | None = None,
     ) -> None:
         self._schema = schema
         self._engine = index_engine
-        self._translator = translator
         self._cache_config = cache_config if cache_config is not None else CacheConfig.disabled()
         self._cache_stats = cache_stats if cache_stats is not None else CacheStats()
         self._parse_memo: CandidateParseMemo | None = (
@@ -327,7 +324,7 @@ class PlanExecutor:
     ) -> Execution:
         """Parse candidate regions, filter if needed, and produce rows."""
         query = plan.query
-        trie = self._translator.needed_paths(query)
+        trie = needed_paths(query)
         parsed = self._parse_candidates(
             query.source_class, candidates, trie, stats, use_cache=use_cache,
             tracer=tracer, meter=meter, skip_malformed=skip_malformed,
@@ -540,7 +537,7 @@ class PlanExecutor:
                 stats.algebra.merge(evaluation.counters)
                 candidates = evaluation.result
             stats.candidate_regions += len(candidates)
-            trie = self._translator.needed_paths(query, var=source.var)
+            trie = needed_paths(query, var=source.var)
             parsed = self._parse_candidates(
                 source.class_name, candidates, trie, stats, use_cache=use_cache,
                 tracer=tracer, meter=meter, skip_malformed=skip_malformed,
@@ -578,91 +575,42 @@ class PlanExecutor:
         meter: "BudgetMeter | None" = None,
         skip_malformed: bool = True,
     ) -> Execution:
+        """Inside each source region of the structural narrowing, follow
+        both endpoint chains down (as ``index-project`` does) and keep the
+        regions whose sides share a text — "the content of the regions is
+        then loaded into the database" — then parse and, unless both
+        chains are exact, filter them."""
         stats = ExecutionStats(strategy="index-join")
-        query = plan.query
-        join = plan.join_condition
-        assert join is not None
-        source = query.source_class
-        left = self._endpoint_regions(
-            source, join, side="left", stats=stats, tracer=tracer, meter=meter
-        )
-        right = self._endpoint_regions(
-            source, join, side="right", stats=stats, tracer=tracer, meter=meter
-        )
-        if left is None or right is None:
-            # The endpoints cannot be located exactly through the index;
-            # fall back to candidate filtering over the structural narrowing.
-            assert plan.optimized_expression is not None
-            evaluation = self._run_indexed(plan.optimized_expression, tracer, meter=meter)
-            stats.algebra.merge(evaluation.counters)
-            stats.candidate_regions = len(evaluation.result)
-            stats.strategy = "index-join(fallback)"
-            return self._parse_filter_output(
-                plan, evaluation.result, stats, exact=False, use_cache=use_cache,
-                tracer=tracer, meter=meter, skip_malformed=skip_malformed,
-            )
-        left_regions, left_exact = left
-        right_regions, right_exact = right
-        sources = self._engine.instance.get(source)
+        assert plan.optimized_expression is not None and plan.join_chains is not None
+        narrowing = self._run_indexed(plan.optimized_expression, tracer, meter=meter)
+        stats.algebra = narrowing.counters
+        instance = self._engine.instance
+
+        def texts(chain: RegionExpr, owner: Region) -> set[str]:
+            endpoints = _regions_within(chain, owner, instance, stats.algebra)
+            stats.join_bytes_compared += sum(len(endpoint) for endpoint in endpoints)
+            return {self._engine.region_text(endpoint).strip() for endpoint in endpoints}
+
+        left_chain, right_chain = plan.join_chains
         with tracer.span("join-compare") as span:
-            left_texts = self._texts_by_source(sources, left_regions, stats)
-            right_texts = self._texts_by_source(sources, right_regions, stats)
-            qualifying = [
-                region
-                for region in sources
-                if left_texts.get(region) and right_texts.get(region)
-                and left_texts[region] & right_texts[region]
-            ]
+            qualifying = []
+            for owner in narrowing.result:
+                if meter is not None:
+                    meter.check_deadline()
+                left = texts(left_chain, owner)
+                if left and left & texts(right_chain, owner):
+                    qualifying.append(owner)
             span.annotate(
-                sources=len(sources),
+                sources=len(narrowing.result),
                 qualifying=len(qualifying),
                 bytes_compared=stats.join_bytes_compared,
             )
         candidates = RegionSet(qualifying)
         stats.candidate_regions = len(candidates)
-        exact = left_exact and right_exact
         return self._parse_filter_output(
-            plan, candidates, stats, exact=exact, use_cache=use_cache,
+            plan, candidates, stats, exact=plan.exact, use_cache=use_cache,
             tracer=tracer, meter=meter, skip_malformed=skip_malformed,
         )
-
-    def _endpoint_regions(
-        self,
-        source: str,
-        join: PathComparison,
-        side: str,
-        stats: ExecutionStats,
-        tracer: "Tracer | NullTracer" = NULL_TRACER,
-        meter: "BudgetMeter | None" = None,
-    ) -> tuple[RegionSet, bool] | None:
-        """Locate the regions of one join side's endpoint attribute.
-
-        Returns ``(regions, exact)`` where ``exact`` means "region text
-        equals the attribute value and the path context is unambiguous"."""
-        path = join.left if side == "left" else join.right
-        resolved = self._translator.translate_path(source, path, word=None)
-        if resolved.expression is None:
-            return None
-        endpoint = self._translator.endpoint_chain(source, path)
-        if endpoint is None:
-            return None
-        expression, exact = endpoint
-        evaluation = self._run_indexed(expression, tracer, side=side, meter=meter)
-        stats.algebra.merge(evaluation.counters)
-        return evaluation.result, exact
-
-    def _texts_by_source(
-        self, sources: RegionSet, endpoints: RegionSet, stats: ExecutionStats
-    ) -> dict[Region, set[str]]:
-        """Group endpoint-region texts by their enclosing source region —
-        "the content of the regions is then loaded into the database"."""
-        texts: dict[Region, set[str]] = defaultdict(set)
-        for source_region in sources:
-            for endpoint in endpoints.iter_included_in(source_region):
-                content = self._engine.region_text(endpoint).strip()
-                stats.join_bytes_compared += len(endpoint)
-                texts[source_region].add(content)
-        return dict(texts)
 
     # -- the baseline ----------------------------------------------------------------------
 
@@ -688,7 +636,7 @@ class PlanExecutor:
             # The query trie is rooted at the source class; instantiation
             # starts at the grammar root, so anchor it (outer structure kept).
             trie = AnchoredTrie(
-                anchor=query.source_class, inner=self._translator.needed_paths(query)
+                anchor=query.source_class, inner=needed_paths(query)
             )
         else:
             # Multi-variable scans build the full image (each class would
@@ -765,14 +713,18 @@ class PlanExecutor:
 def _regions_within(
     chain: RegionExpr, owner: Region, instance: Instance, counters: OperationCounters
 ) -> list[Region]:
-    """The regions of a projection chain (names under ``⊂``/``⊂d``, and
+    """The regions of an endpoint chain (names under ``⊂``/``⊂d``, and
     unions of such chains) that lie inside ``owner``, in document order,
     found from ``owner`` down: only the regions inside it are touched.
+    ``index-project`` and ``index-join`` both read their endpoints here.
 
     The chain's last name is the source class, which cannot nest in
     itself where the chain is exact (:meth:`Translator.endpoint_chain`), so
     ``owner`` is the one source region this keeps and the result is the
-    chain's over the whole instance, restricted to ``owner``."""
+    chain's over the whole instance, restricted to ``owner``.  An inexact
+    chain (a nesting source, or a ``⊂`` where ``⊂d`` would not hold on
+    every instance) yields a superset of ``owner``'s own endpoints, which
+    is all a join that filters its candidates needs."""
     if isinstance(chain, Name):
         return list(instance.get(chain.region_name).iter_included_in(owner))
     if isinstance(chain, SetOp) and chain.kind == "union":

@@ -13,14 +13,24 @@ Strategies, in order of preference:
                          qualifying source regions (full indexing, or partial
                          indexing meeting Section 6.3's condition); only the
                          answer regions are parsed;
-- ``index-join``       — a path-to-path comparison evaluated by locating
-                         both attribute-region sets through the index and
-                         joining their *contents* (Section 5.2);
+- ``index-join``       — a path-to-path comparison: inside each source
+                         region of the structural narrowing, both sides'
+                         endpoint chains (planned once, optimized like the
+                         projection's) locate the attribute regions whose
+                         *contents* are joined (Section 5.2); a join whose
+                         endpoints the index cannot locate plans
+                         ``index-candidates`` over the same narrowing;
 - ``index-candidates`` — the expression computes a candidate superset; the
                          candidates are parsed with the query pushed into
                          instantiation, then filtered (Section 6.2);
 - ``full-scan``        — the baseline: parse the whole corpus and evaluate
                          in the database.
+
+Selections and endpoint chains come from one translator rule
+(:meth:`~repro.core.translate.Translator._index_chain`): a gap without a
+star is direct inclusion only where it finds the path's regions on every
+instance, and simple inclusion, a superset, elsewhere; so ``exact`` on a
+plan is never a guess.
 """
 
 from __future__ import annotations
@@ -57,18 +67,24 @@ class Plan:
     optimized_expression: RegionExpr | None = None
     trace: OptimizationTrace = field(default_factory=OptimizationTrace)
     exact: bool = False
-    join_condition: PathComparison | None = None
     #: Multi-variable plans: one structural narrowing expression per range
     #: variable (``None`` entry = no narrowing, take the whole extent).
     per_variable: dict[str, RegionExpr | None] = field(default_factory=dict)
     #: ``index-project`` plans: the (optimized) chain locating the output
     #: attribute's endpoint regions, rooted at the source class.
     projection: RegionExpr | None = None
+    #: ``index-join`` plans: the (optimized) endpoint chains of the join's
+    #: left and right paths, rooted at the source class.
+    join_chains: tuple[RegionExpr, RegionExpr] | None = None
     notes: list[str] = field(default_factory=list)
 
 
 class Planner:
     """Turns queries into plans for one translator + RIG.
+
+    Everything a plan's execution needs from the translator is computed
+    here, once per plan: the selection, a projection's endpoint chain and
+    both endpoint chains of a join, each optimized.
 
     ``optimize_expressions=False`` disables the Section 3.2 rewriting —
     translated expressions run as-is.  This exists purely for ablation
@@ -187,18 +203,29 @@ class Planner:
                 + ["expression is trivially empty on every instance (Prop. 3.3)"],
             )
         join = self._join_condition(query)
+        notes = list(translated.notes)
         if join is not None:
-            return Plan(
-                strategy="index-join",
-                query=query,
-                translated=translated,
-                raw_expression=translated.expression,
-                optimized_expression=optimized,
-                trace=trace,
-                exact=False,  # the executor refines this
-                join_condition=join,
-                notes=list(translated.notes),
-            )
+            sides = {"left": join.left, "right": join.right}
+            chains = {
+                side: self._translator.endpoint_chain(query.source_class, path)
+                for side, path in sides.items()
+            }
+            if None not in chains.values():
+                return Plan(
+                    strategy="index-join",
+                    query=query,
+                    translated=translated,
+                    raw_expression=translated.expression,
+                    optimized_expression=optimized,
+                    trace=trace,
+                    exact=all(exact for _, exact in chains.values()),
+                    join_chains=tuple(
+                        self._optimize_chain(chain, tracer, join=side)
+                        for side, (chain, _) in chains.items()
+                    ),
+                    notes=notes,
+                )
+            notes.append("join endpoints not located through the index: candidates filtered")
         plan = Plan(
             strategy="index-exact" if translated.exact else "index-candidates",
             query=query,
@@ -207,16 +234,20 @@ class Planner:
             optimized_expression=optimized,
             trace=trace,
             exact=translated.exact,
-            notes=list(translated.notes),
+            notes=notes,
         )
         chain = self._translator.projection_chain(query) if translated.exact else None
         if chain is not None:
-            if self._optimize:
-                with tracer.span("optimize", projection=True):
-                    chain = optimize(chain, self._rig, tracer=tracer)
-            plan.projection = chain
+            plan.projection = self._optimize_chain(chain, tracer, projection=True)
             plan.strategy = "index-project"
         return plan
+
+    def _optimize_chain(self, chain: RegionExpr, tracer, **span_metrics) -> RegionExpr:
+        """Optimize an endpoint chain under its own ``optimize`` span."""
+        if not self._optimize:
+            return chain
+        with tracer.span("optimize", **span_metrics):
+            return optimize(chain, self._rig, tracer=tracer)
 
     def _plan_multi(
         self, query: Query, tracer: "Tracer | NullTracer" = NULL_TRACER

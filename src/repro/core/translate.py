@@ -16,13 +16,18 @@ The translator works in three stages:
    branches (consistently per variable name).
 2. **Project** each resolved node path onto the indexed non-terminals,
    preferring a scoped index (``Name@Authors``) when its scope appears
-   earlier in the path.  Tight gaps become ``⊃d``, gaps crossing a loose
-   joint become ``⊃`` (Section 5.3: "simple inclusion may be applicable
-   instead of direct inclusion").
+   earlier in the path.  One rule decides each gap, for selections
+   (``⊃``/``⊃d``) and for the endpoint chains of projections and joins
+   (``⊂``/``⊂d``) alike (:meth:`Translator._index_chain`): a gap without a
+   star is direct only where direct inclusion finds the path's regions on
+   every instance (:meth:`Translator._direct_gap_is_exact`); every other
+   gap is simple inclusion (Section 5.3: "simple inclusion may be
+   applicable instead of direct inclusion"), a superset.
 3. **Assess exactness** per gap: the gap is exact iff every alternative
    full-RIG path between its endpoints (through unindexed interiors, and
    realisable under the scoped index in use) matches the queried attribute
-   pattern, and no unindexed cycle makes further alternatives possible.
+   pattern, no unindexed cycle makes further alternatives possible, and a
+   gap without a star is direct.
 
 Conditions combine structurally: ``AND -> ∩``, ``OR -> ∪``, ``NOT`` of an
 exact translation -> set difference from the source extent; ``NOT`` of an
@@ -58,6 +63,7 @@ from repro.db.query import (
     SeqVars,
     StarVar,
     TrueCondition,
+    iter_condition_paths,
 )
 from repro.errors import TranslationError
 from repro.index.config import IndexConfig, ScopedRegionSpec
@@ -82,6 +88,40 @@ class ResolvedPath:
     loose_after: tuple[bool, ...]
     bindings: tuple[tuple[str, str], ...] = ()
     trailing_star: bool = False
+
+
+def needed_paths(query: Query, var: str | None = None) -> PathTrie:
+    """The push-down trie of attributes the query touches.
+
+    ``var`` restricts to one range variable's paths (multi-variable
+    execution builds one trie per variable).
+    """
+    paths: list[list[str | None]] = []
+    for path in list(query.outputs) + list(iter_condition_paths(query.where)):
+        if var is not None and path.var != var:
+            continue
+        steps: list[str | None] = []
+        for step in path.steps:
+            if isinstance(step, Attr):
+                steps.append(step.name)
+            else:
+                steps.append(None)
+                break
+        paths.append(steps)
+    return PathTrie.from_paths(paths)
+
+
+@dataclass(frozen=True)
+class IndexChain:
+    """A resolved path projected onto the index: the names it keeps, from
+    the source down, as ``(position in nodes, index name)``, whether each
+    gap between two kept names is direct (``⊃d``/``⊂d``) or simple
+    inclusion, and whether the chain finds exactly the path's regions."""
+
+    kept: tuple[tuple[int, str], ...]
+    direct: tuple[bool, ...]
+    exact: bool
+    notes: tuple[str, ...]
 
 
 @dataclass
@@ -195,26 +235,6 @@ class Translator:
                 notes=[f"class {class_name!r} is not indexed"],
             )
         return self._translate_condition(condition, class_name)
-
-    def needed_paths(self, query: Query, var: str | None = None) -> PathTrie:
-        """The push-down trie of attributes the query touches.
-
-        ``var`` restricts to one range variable's paths (multi-variable
-        execution builds one trie per variable).
-        """
-        paths: list[list[str | None]] = []
-        for path in list(query.outputs) + _condition_paths(query.where):
-            if var is not None and path.var != var:
-                continue
-            steps: list[str | None] = []
-            for step in path.steps:
-                if isinstance(step, Attr):
-                    steps.append(step.name)
-                else:
-                    steps.append(None)
-                    break
-            paths.append(steps)
-        return PathTrie.from_paths(paths)
 
     # -- condition translation -----------------------------------------------------
 
@@ -342,7 +362,7 @@ class Translator:
             expression=expression,
             exact=False,
             variables=variables,
-            notes=left.notes + right.notes + ["join comparison requires value filtering"],
+            notes=left.notes + right.notes + ["join values are compared inside the narrowed regions"],
         )
 
     # -- path translation --------------------------------------------------------------
@@ -421,47 +441,34 @@ class Translator:
         Returns ``(expression, exact)``; ``exact`` means each located region
         is precisely one attribute value's span and the path context is
         unambiguous, so region text can stand in for the value in a join.
-        ``None`` when the index cannot anchor the chain.
+        Its gaps follow a selection's rule (:meth:`_index_chain`): ``⊂d``
+        only where it holds on every instance, else ``⊂`` and inexact.
+        ``None`` when the index cannot anchor the chain.  The planner
+        builds a join's two chains once (``Plan.join_chains``).
         """
         try:
             resolved_paths = self._resolve(source, path)
         except TranslationError:
             return None
-        if not resolved_paths:
-            return None
         expression: RegionExpr | None = None
         # A source region inside another would hold that one's endpoints too.
         exact = source not in reach_plus(self._full_rig, source)
         for resolved in resolved_paths:
-            kept: list[tuple[int, str]] = []
-            for position in range(len(resolved.nodes)):
-                index_name = self._index_name_for(resolved, position)
-                if index_name is not None:
-                    kept.append((position, index_name))
-            if not kept or kept[0][0] != 0:
+            chain = self._index_chain(resolved)
+            if (
+                chain is None
+                or len(chain.kept) < 2
+                or chain.kept[-1][0] != len(resolved.nodes) - 1
+                or resolved.trailing_star
+            ):
+                # No region below the source, or the endpoint attribute is
+                # not indexed: other regions would hold the wrong text.
                 return None
-            last_position = kept[-1][0]
-            if last_position != len(resolved.nodes) - 1 or resolved.trailing_star:
-                # The endpoint attribute itself is not indexed: the located
-                # regions would hold the wrong text for a value join.
-                return None
-            if len(kept) < 2:
-                return None  # no region below the source to locate
-            if resolved.nodes[-1] not in self._atomic:
-                exact = False
-            branch: RegionExpr = Name(kept[0][1])
-            for index in range(1, len(kept)):
-                upper_position, _ = kept[index - 1]
-                lower_position, lower_name = kept[index]
-                loose = any(resolved.loose_after[upper_position:lower_position])
-                op = INCLUDED if loose else DIRECTLY_INCLUDED
-                if not self._gap_is_exact(resolved, upper_position, lower_position):
-                    exact = False
-                elif not loose and not self._direct_gap_is_exact(
-                    resolved.nodes[upper_position], resolved.nodes[lower_position]
-                ):
-                    exact = False
-                branch = Inclusion(op=op, left=Name(lower_name), right=branch)
+            exact = exact and chain.exact and resolved.nodes[-1] in self._atomic
+            branch: RegionExpr = Name(chain.kept[0][1])
+            for (_, name), direct in zip(chain.kept[1:], chain.direct):
+                op = DIRECTLY_INCLUDED if direct else INCLUDED
+                branch = Inclusion(op=op, left=Name(name), right=branch)
             expression = (
                 branch if expression is None else SetOp("union", expression, branch)
             )
@@ -506,7 +513,9 @@ class Translator:
         is wrong only if it is one the path asks for (every indexed region
         on it a transparent wrapper, such as an indexed ``Title -> "<t>"
         TitleText "</t>"``).  A walk that can reach ``lower`` round a cycle
-        (nested structure) fails the test.
+        (nested structure) fails the test.  A starless gap that fails is
+        simple inclusion and inexact, in selections and endpoint chains
+        alike (:meth:`_index_chain`).
         """
         rig = self._full_rig
         coincident_edges = rig.coincident_edges
@@ -636,15 +645,40 @@ class Translator:
 
     # -- stage 2+3: projection to indexed names with exactness --------------------------------
 
+    def _index_chain(self, resolved: ResolvedPath) -> IndexChain | None:
+        """The one path-to-chain rule, for selections and endpoint chains
+        alike: the indexed names a resolved path keeps; each gap direct
+        where it has no star and :meth:`_direct_gap_is_exact` holds, simple
+        inclusion (a superset) elsewhere; exact iff every gap passes
+        :meth:`_gap_is_exact` and every starless one is direct.  ``None``
+        when the source itself is not kept."""
+        kept = tuple(
+            (position, name)
+            for position in range(len(resolved.nodes))
+            if (name := self._index_name_for(resolved, position)) is not None
+        )
+        if not kept or kept[0][0] != 0:
+            return None
+        direct: list[bool] = []
+        notes: list[str] = []
+        for (upper, _), (lower, _) in zip(kept, kept[1:]):
+            gap = f"gap {resolved.nodes[upper]!r} -> {resolved.nodes[lower]!r}"
+            if not self._gap_is_exact(resolved, upper, lower):
+                notes.append(f"{gap} is ambiguous under this index")
+            loose = any(resolved.loose_after[upper:lower])
+            direct.append(
+                not loose
+                and self._direct_gap_is_exact(resolved.nodes[upper], resolved.nodes[lower])
+            )
+            if not loose and not direct[-1]:
+                notes.append(f"{gap}: direct inclusion may miss or add regions, so simple")
+        return IndexChain(kept, tuple(direct), not notes, tuple(notes))
+
     def _translate_resolved(
         self, source: str, resolved: ResolvedPath, word: str | None, prefix: bool = False
     ) -> TranslatedCondition:
-        kept: list[tuple[int, str]] = []  # (position in nodes, index name)
-        for position, node in enumerate(resolved.nodes):
-            index_name = self._index_name_for(resolved, position)
-            if index_name is not None:
-                kept.append((position, index_name))
-        if not kept or kept[0][0] != 0:
+        chain = self._index_chain(resolved)
+        if chain is None:
             return TranslatedCondition(
                 expression=Name(source), exact=False,
                 notes=[f"source {source!r} not indexed"],
@@ -653,7 +687,7 @@ class Translator:
         exact = True
 
         # Build the chain bottom-up.
-        last_position, last_name = kept[-1]
+        last_position, last_name = chain.kept[-1]
         endpoint_indexed = last_position == len(resolved.nodes) - 1
         select_word = word
         select_mode = "exact"
@@ -709,36 +743,25 @@ class Translator:
             exact = False
 
         expression = tail
-        for pair_index in range(len(kept) - 2, -1, -1):
-            upper_position, upper_name = kept[pair_index]
-            lower_position, lower_name = kept[pair_index + 1]
-            gap_loose = any(
-                resolved.loose_after[upper_position:lower_position]
-            )
-            op = INCLUDING if gap_loose else DIRECTLY_INCLUDING
-            gap_exact = self._gap_is_exact(resolved, upper_position, lower_position)
-            if not gap_exact:
-                exact = False
-                notes.append(
-                    f"gap {resolved.nodes[upper_position]!r} -> "
-                    f"{resolved.nodes[lower_position]!r} is ambiguous under this index"
-                )
+        for (_, upper_name), direct in zip(chain.kept[-2::-1], chain.direct[::-1]):
+            op = DIRECTLY_INCLUDING if direct else INCLUDING
             expression = Inclusion(op=op, left=Name(upper_name), right=expression)
-        return TranslatedCondition(expression=expression, exact=exact, notes=notes)
+        return TranslatedCondition(
+            expression=expression,
+            exact=exact and chain.exact,
+            notes=notes + list(chain.notes),
+        )
 
     def _index_name_for(self, resolved: ResolvedPath, position: int) -> str | None:
         """The index name to use for a path node, or None if unindexed.
 
         Prefers a scoped index whose scope appears earlier in the path (an
         ancestor); otherwise the plain name when indexed."""
+        spec = self._scoped_spec_in_use(resolved, position)
+        if spec is not None:
+            return spec.name
         node = resolved.nodes[position]
-        ancestors = set(resolved.nodes[:position])
-        for spec in self._scoped:
-            if spec.source == node and spec.scope in ancestors:
-                return spec.name
-        if node in self._indexed:
-            return node
-        return None
+        return node if node in self._indexed else None
 
     def _gap_is_exact(
         self, resolved: ResolvedPath, upper_position: int, lower_position: int
@@ -794,7 +817,7 @@ class Translator:
                 if successor == lower:
                     interiors.append(interior)
                     continue
-                if self._is_plain_indexed(successor):
+                if successor in self._indexed:
                     continue
                 if successor in visited:
                     unbounded = True
@@ -817,9 +840,6 @@ class Translator:
                     interior for interior in interiors if scope in interior
                 ]
         return interiors
-
-    def _is_plain_indexed(self, node: str) -> bool:
-        return node in self._indexed
 
 
 def _matches_pattern(interior: tuple[str, ...], tokens: list[str | None]) -> bool:
@@ -850,12 +870,6 @@ def _matches_pattern(interior: tuple[str, ...], tokens: list[str | None]) -> boo
         return result
 
     return match(0, 0)
-
-
-def _condition_paths(condition: Condition):
-    from repro.db.query import iter_condition_paths
-
-    return list(iter_condition_paths(condition))
 
 
 def _repeated_star_variables(path: PathExpr) -> set[str]:

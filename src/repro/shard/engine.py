@@ -136,7 +136,6 @@ class ShardedEngine(EngineBase):
         *,
         config: IndexConfig | None = None,
         cache_config: CacheConfig | None = None,
-        optimize_expressions: bool = True,
         tracing: bool = True,
         policy: DegradationPolicy | None = None,
         budget: ResourceBudget | None = None,
@@ -154,7 +153,6 @@ class ShardedEngine(EngineBase):
         self.schema = schema
         self.config = config if config is not None else IndexConfig.full()
         self.cache_config = cache_config
-        self.optimize_expressions = optimize_expressions
         self.tracing = tracing
         self.policy = policy if policy is not None else DegradationPolicy()
         self.budget = budget
@@ -373,7 +371,6 @@ class ShardedEngine(EngineBase):
 
     def _load_shard_engine(self, shard: _Shard) -> FileQueryEngine:
         options = dict(
-            optimize_expressions=self.optimize_expressions,
             cache_config=self.cache_config,
             tracing=self.tracing,
             budget=self.budget,

@@ -43,7 +43,7 @@ class TestStrategies:
             "SELECT r FROM Reference r WHERE r.Editors.Name = r.Authors.Name"
         )
         assert plan.strategy == "index-join"
-        assert plan.join_condition is not None
+        assert plan.join_chains is not None
 
     def test_join_with_variables_not_special_cased(self, full_planner):
         plan = full_planner.plan(

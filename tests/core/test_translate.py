@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.ast import parse_expression
-from repro.core.translate import Translator
+from repro.core.translate import Translator, needed_paths
 from repro.db.parser import parse_query
 from repro.index.config import IndexConfig
 from repro.workloads.bibtex import bibtex_schema
@@ -231,16 +231,16 @@ class TestEndpointChain:
 
 
 class TestNeededPaths:
-    def test_trie_covers_outputs_and_conditions(self, full):
+    def test_trie_covers_outputs_and_conditions(self):
         query = parse_query(
             'SELECT r.Key FROM Reference r WHERE r.Authors.Name.Last_Name = "x"'
         )
-        trie = full.needed_paths(query)
+        trie = needed_paths(query)
         assert trie.wants("Key")
         assert trie.wants("Authors")
         assert not trie.wants("Abstract")
 
-    def test_identity_select_needs_everything(self, full):
+    def test_identity_select_needs_everything(self):
         query = parse_query("SELECT r FROM Reference r")
-        trie = full.needed_paths(query)
+        trie = needed_paths(query)
         assert trie.all_below

@@ -4,10 +4,14 @@ Generates random (but well-formed) XSQL queries over the BibTeX schema —
 random attribute paths, star/plain variables, constants sampled from the
 corpus so matches actually occur, boolean combinations, joins — and checks
 that every index configuration returns exactly the standard-database
-pipeline's answer.
+pipeline's answer.  A second input, SGML documents whose titles are one
+word from a three-word set, puts equal titles at every nesting depth: the
+selections, joins and projections on it must not trust a direct inclusion
+through an indexed ``Title`` wrapper or round a nested section.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import FileQueryEngine
 from repro.index.config import IndexConfig
 from repro.workloads.bibtex import bibtex_schema, generate_bibtex
+from repro.workloads.sgml import generate_sgml, sgml_schema
 
 CORPUS = generate_bibtex(entries=18, seed=101, self_edited_rate=0.2)
 
@@ -123,3 +128,55 @@ def test_random_multi_variable_queries_match_baseline(engines, seed):
     assert result.canonical_rows() == baseline.canonical_rows(), (
         f"query: {query}"
     )
+
+
+TITLE_WORDS = ["Alpha", "Beta", "Gamma"]
+SGML_CONFIGS = {
+    "full": IndexConfig.full(),
+    # Every title and paragraph wrapper left out of the index.
+    "unwrapped": IndexConfig.partial(
+        {"Document", "Sections", "Section", "Subsections", "Paragraphs", "TitleText", "ParaText"}
+    ),
+}
+SGML_TITLES = [
+    "d.TitleText",
+    "d.Sections.Section.TitleText",
+    "d.Sections.Section.Subsections.Section.TitleText",
+]
+SGML_QUERIES = (
+    [
+        f'SELECT d FROM Document d WHERE {path} = "{word}"'
+        for path in SGML_TITLES + [
+            "d.*X.TitleText",
+            "d.Sections.*X.TitleText",
+            "d.Sections.Section.Paragraphs.ParaText",
+            "d.Sections.Section.Subsections.Section.Paragraphs.ParaText",
+        ]
+        for word in TITLE_WORDS
+    ]
+    + [
+        f"SELECT d FROM Document d WHERE {left} = {right}"
+        for index, left in enumerate(SGML_TITLES)
+        for right in SGML_TITLES[index + 1 :]
+    ]
+    + [f"SELECT {path} FROM Document d" for path in SGML_TITLES]
+    + [f'SELECT {path} FROM Document d WHERE d.TitleText = "Alpha"' for path in SGML_TITLES]
+)
+
+
+def _one_word_titles(seed: int) -> str:
+    rng = random.Random(seed)
+    text = generate_sgml(documents=6, depth=3, seed=seed)
+    return re.sub(r"<t>[^<]*</t>", lambda _: f"<t>{rng.choice(TITLE_WORDS)}</t>", text)
+
+
+@pytest.mark.parametrize("config", SGML_CONFIGS.values(), ids=SGML_CONFIGS.keys())
+def test_sgml_one_word_titles_match_baseline(config):
+    wrong = []
+    for seed in range(8):
+        engine = FileQueryEngine(sgml_schema(), _one_word_titles(seed), config)
+        for query in SGML_QUERIES:
+            result = engine.query(query)
+            if result.canonical_rows() != engine.baseline_query(query).canonical_rows():
+                wrong.append(f"seed {seed}, {result.plan.strategy}: {query}")
+    assert not wrong, f"{len(wrong)} wrong answers:\n" + "\n".join(wrong)
