@@ -553,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-parallel",
             type=POSITIVE_INT,
             dest="max_parallel",
-            help="sharded --index: cap on concurrently evaluating shards "
+            help="sharded --index: workers in the engine's one scatter pool, "
+            "the cap on concurrently evaluating shards across all queries "
             "(default 8)",
         )
         mode = sub.add_mutually_exclusive_group()

@@ -33,7 +33,15 @@ from repro.core.translate import needed_paths
 from repro.db.evaluator import NaiveEvaluator, Rows
 from repro.db.model import Database
 from repro.db.query import Query, TrueCondition
-from repro.db.values import AtomicValue, ObjectValue, Value, canonical_row, first_distinct
+from repro.db.values import (
+    AtomicValue,
+    ObjectValue,
+    Value,
+    canonical,
+    canonical_hash,
+    canonical_row,
+    first_distinct,
+)
 from repro.errors import CandidateParseError, ParseError, PlanningError
 from repro.index.engine import IndexEngine
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -78,10 +86,8 @@ class ExecutionStats:
         """Fold another execution's counters into this one — every integer
         field and the algebra tally (the gather sums its sources this way;
         ``strategy`` and ``warnings`` are the caller's)."""
-        for spec in fields(self):
-            value = getattr(other, spec.name)
-            if isinstance(value, int):
-                setattr(self, spec.name, getattr(self, spec.name) + value)
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.algebra.merge(other.algebra)
 
     @property
@@ -115,6 +121,12 @@ class ExecutionStats:
                 "not reparsed"
             )
         return "\n".join(lines)
+
+
+#: The integer fields :meth:`ExecutionStats.merge` sums, found once.
+_COUNTER_FIELDS = tuple(
+    spec.name for spec in fields(ExecutionStats) if spec.type == "int"
+)
 
 
 @dataclass
@@ -329,8 +341,10 @@ class PlanExecutor:
             query.source_class, candidates, trie, stats, use_cache=use_cache,
             tracer=tracer, meter=meter, skip_malformed=skip_malformed,
         )
+        if exact and query.is_identity_select():
+            return self._identity_output(query.source_class, parsed, stats, tracer)
         database = Database()
-        region_of: dict[int, Region] = {}
+        span_of: dict[int, tuple[int, int]] = {}
         kept_objects: list[ObjectValue] = []
         checker = NaiveEvaluator(Database())  # only used for object_satisfies
         with tracer.span("db-instantiate") as span:
@@ -339,7 +353,7 @@ class PlanExecutor:
                     stats.objects_filtered_out += 1
                     continue
                 kept_objects.append(obj)
-                region_of[obj.oid] = region
+                span_of[obj.oid] = (region.start, region.end)
                 database.insert(obj)
             span.annotate(
                 objects=len(kept_objects),
@@ -357,13 +371,38 @@ class PlanExecutor:
             span.annotate(rows=len(rows))
         stats.rows = len(rows)
         if query.is_identity_select():
-            result_regions = RegionSet(
-                region_of[row[0].oid]
-                for row in rows
-                if isinstance(row[0], ObjectValue) and row[0].oid in region_of
-            )
-        else:
-            result_regions = RegionSet(region_of[obj.oid] for obj in kept_objects)
+            kept_objects = [row[0] for row in rows]
+        result_regions = RegionSet.from_pairs(span_of[obj.oid] for obj in kept_objects)
+        stats.result_regions = len(result_regions)
+        return Execution(rows, result_regions, stats, rows.hashes)
+
+    def _identity_output(
+        self,
+        source_class: str,
+        parsed: list[tuple[Region, ObjectValue]],
+        stats: ExecutionStats,
+        tracer: "Tracer | NullTracer",
+    ) -> Execution:
+        """``SELECT r`` under an exact plan: the parsed candidates are the
+        answer (Section 6 filters in the database only when a plan is
+        inexact).  Each distinct object of the source class once, in
+        candidate order, with the digest :meth:`NaiveEvaluator.evaluate`
+        gives its row; no database is built."""
+        with tracer.span("db-instantiate") as span:
+            digested = [
+                (hash((canonical_hash(obj),)), (region, obj))
+                for region, obj in parsed
+                if obj.class_name == source_class
+            ]
+            span.annotate(objects=len(digested), filtered_out=stats.objects_filtered_out)
+        with tracer.span("db-evaluate") as span:
+            kept, row_hashes = first_distinct(digested, lambda pair: canonical(pair[1]))
+            rows = Rows([(obj,) for _, obj in kept], row_hashes)
+            span.annotate(rows=len(rows))
+        stats.rows = len(rows)
+        result_regions = RegionSet.from_pairs(
+            (region.start, region.end) for region, _ in kept
+        )
         stats.result_regions = len(result_regions)
         return Execution(rows, result_regions, stats, rows.hashes)
 

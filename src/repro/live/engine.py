@@ -843,5 +843,7 @@ class LiveEngine(ShardedEngine):
             }
 
     def close(self) -> None:
+        """Close the journal writers and the scatter pool."""
         with self._lock:
             self._close_writers()
+        super().close()

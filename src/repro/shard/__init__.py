@@ -3,8 +3,8 @@
 One structuring schema, N corpus files, one
 :class:`~repro.core.engine.FileQueryEngine` and persisted index per
 shard.  :class:`ShardedEngine` plans each query once and scatter-gathers
-it over a bounded thread pool; every shard evaluates under the existing
-budget/degradation machinery, wrapped in retry-with-backoff
+it over the engine's one long-lived thread pool; every shard evaluates
+under the existing budget/degradation machinery, wrapped in retry-with-backoff
 (:mod:`repro.resilience.retry`) and a per-shard circuit breaker
 (:mod:`repro.resilience.breaker`).  Unhealthy shards degrade into
 structured warnings on a partial result — or, under ``fail_fast``, into

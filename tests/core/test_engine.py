@@ -1,9 +1,15 @@
 """The FileQueryEngine facade."""
 
+import re
+
 import pytest
 
+from repro.cache import CacheConfig
 from repro.core.engine import FileQueryEngine
-from repro.db.values import ObjectValue, canonical
+from repro.db.evaluator import NaiveEvaluator
+from repro.db.loader import load_database
+from repro.db.parser import parse_query
+from repro.db.values import ObjectValue, canonical, canonical_row
 from repro.index.config import IndexConfig
 from repro.text.document import Corpus
 from repro.workloads.bibtex import (
@@ -22,6 +28,36 @@ class TestQuerying:
         assert result.canonical_rows() == baseline.canonical_rows()
         assert result.stats.strategy == "index-exact"
         assert len(result.regions) == len(result.rows)
+
+    @pytest.mark.parametrize("caching", [True, False], ids=["cached", "uncached"])
+    def test_exact_select_r_agrees_with_the_evaluator_on_duplicate_records(
+        self, caching
+    ):
+        # An exact SELECT r is answered from the parsed candidates without
+        # a database.  Two byte-identical records are one answer: the rows
+        # and row digests are NaiveEvaluator's over the whole corpus.
+        schema = bibtex_schema()
+        text = generate_bibtex(entries=30, seed=7)
+        records = [text[c.start : c.end] for c in schema.parse(text).children]
+        corpus = "\n\n".join(records + [records[3]]) + "\n"
+        key = re.match(r"@\w+\{\s*(\w+),", records[3]).group(1)
+        query = parse_query(f'SELECT r FROM Reference r WHERE r.Key = "{key}"')
+        engine = FileQueryEngine(
+            schema,
+            corpus,
+            cache_config=CacheConfig() if caching else CacheConfig.disabled(),
+        )
+        expected = NaiveEvaluator(load_database(schema, corpus).database).evaluate(query)
+        assert len(expected) == 1
+        for _ in range(2):  # the second pass hits the parse memo when caching
+            result = engine.query(query)
+            assert result.stats.strategy == "index-exact"
+            assert result.stats.candidate_regions == 2
+            assert [canonical_row(row) for row in result.rows] == [
+                canonical_row(row) for row in expected
+            ]
+            assert result.row_hashes == expected.hashes
+            assert len(result.regions) == 1
 
     def test_rows_are_reference_objects(self, bibtex_engine):
         result = bibtex_engine.query(CHANG_AUTHOR_QUERY)

@@ -13,7 +13,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
+import threading
 import time
 
 import pytest
@@ -24,6 +27,7 @@ from repro.resilience import BreakerConfig, DegradationPolicy, ResourceBudget, R
 from repro.shard import OK, ShardedEngine, scrub_index, split_corpus
 from repro.workloads.bibtex import generate_bibtex
 from tests.chaos.faults import HungShard, SlowShard, TransientIOFault, injected
+from tests.shard.conftest import N_SHARDS
 
 NO_SLEEP = {"retry_sleep": lambda s: None}
 
@@ -47,6 +51,28 @@ def test_sharded_rows_match_the_unsharded_engine(
     assert result.warnings == []
     assert result.stats.healthy_shards == 8
     assert result.plan is not None  # planned once, shared
+
+
+def test_merged_execution_sums_every_source_counter(
+    sharded_engine, query_text
+) -> None:
+    # The gather folds each source's ExecutionStats into one: every
+    # integer counter is the sum over the sources (rows excepted: the
+    # merge dedupes them) and so is the algebra tally.
+    result = sharded_engine.query(query_text)
+    merged = result.stats.execution
+    sources = [record.result.stats.execution for record in result.stats.shards]
+    counters = [
+        spec.name
+        for spec in dataclasses.fields(merged)
+        if isinstance(getattr(merged, spec.name), int) and spec.name != "rows"
+    ]
+    assert "candidate_regions" in counters and merged.candidate_regions > 0
+    for name in counters:
+        assert getattr(merged, name) == sum(getattr(s, name) for s in sources), name
+    assert merged.algebra.total_operations == sum(
+        s.algebra.total_operations for s in sources
+    )
 
 
 def test_repeated_query_text_reaches_the_plan_cache(
@@ -195,6 +221,43 @@ def test_unknown_class_falls_back_to_empty_full_scan(sharded_engine) -> None:
     assert result.stats.healthy_shards == 8
 
 
+def test_warm_queries_start_no_thread(
+    schema, corpus_text, monkeypatch
+) -> None:
+    # The scatter runs on the engine's one pool.  Once the first query has
+    # started all max_parallel workers (a barrier holds every attempt
+    # until eight run at once), a second pass over warm texts starts no
+    # thread; a pool per query started two or three threads per query.
+    engine = ShardedEngine.split(schema, corpus_text, N_SHARDS)
+    texts = [
+        f'SELECT r FROM Reference r WHERE r.Authors.Name.Last_Name = "{name}"'
+        for name in ("Chang", "Smith", "Jones", "Lee", "Garcia", "Brown")
+    ]
+    barrier = threading.Barrier(N_SHARDS, timeout=10.0)
+
+    def hold_until_all_run(point: str) -> None:
+        if point.startswith("shard:attempt:"):
+            barrier.wait()
+
+    with injected(hold_until_all_run):
+        engine.query(texts[0])
+    for text in texts:
+        engine.query(text)
+
+    started: list[str] = []
+    thread_start = threading.Thread.start
+
+    def counting_start(thread: threading.Thread) -> None:
+        started.append(thread.name)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for text in texts:
+        engine.query(text)
+    assert [name for name in started if name.startswith("repro-shard")] == []
+    engine.close()
+
+
 def test_max_parallel_one_still_covers_all_shards(
     schema, corpus_text, query_text, reference_rows
 ) -> None:
@@ -307,6 +370,54 @@ def test_transient_fault_recovers_with_identical_rows(
     assert record["attempts"] == 3
     assert record["retries"] == 2
     assert fault.failures == 2
+
+
+def _first_backoffs(engine, query_text) -> dict[str, float]:
+    """Each shard's backoff before its one retry, with every shard's first
+    attempt failing once."""
+    failed: set[str] = set()
+    lock = threading.Lock()
+
+    def hook(point: str) -> None:
+        name = point.removeprefix("shard:attempt:")
+        if name != point:
+            with lock:
+                first = name not in failed
+                failed.add(name)
+            if first:
+                raise OSError(f"injected first-attempt fault on {name!r}")
+
+    with injected(hook):
+        result = engine.query(query_text)
+    return {
+        warning.detail["shard"]: warning.detail["retries"][0]["backoff_s"]
+        for warning in result.warnings
+        if warning.code == "shard-retried"
+    }
+
+
+def test_retry_jitter_is_seeded_by_the_shard_name(
+    schema, corpus_text, query_text
+) -> None:
+    # shard0 and shard1 have names of equal length; seeding by length
+    # made them back off in lockstep.  A str seed is the name itself, so
+    # the delays differ between shards and repeat from run to run (and
+    # process to process: Random's str seeding does not use hash()).
+    policy = RetryPolicy(max_attempts=2)
+
+    def delays() -> dict[str, float]:
+        engine = ShardedEngine.split(
+            schema, corpus_text, 2, retry=policy, **NO_SLEEP
+        )
+        return _first_backoffs(engine, query_text)
+
+    first = delays()
+    assert set(first) == {"shard0", "shard1"}
+    assert first["shard0"] != first["shard1"]
+    assert delays() == first
+    assert first == {
+        name: policy.delay_s(1, random.Random(name)) for name in first
+    }
 
 
 def test_transient_fault_beyond_retry_budget_fails_the_shard(
