@@ -3,7 +3,7 @@
 Every engine — :class:`~repro.core.engine.FileQueryEngine`,
 :class:`~repro.shard.ShardedEngine`, :class:`~repro.live.LiveEngine` —
 satisfies the :class:`QueryBackend` protocol with one signature per
-method: ``query(query, budget=None)`` returns a
+method: ``query(query, budget=None, *, trace=True)`` returns a
 :class:`~repro.core.engine.QueryResult`, ``explain(query)`` text,
 ``analyze(query, budget=None)`` an :class:`~repro.obs.analyze.Analysis`
 and ``stats()`` a :class:`StatsResponse`.  The wire side is **one
@@ -57,17 +57,22 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids cycles)
 def render_value(value: Any) -> str:
     """One result value as a stable display string (the shape the CLI has
     always printed; now shared with the server so both emit identical
-    rows)."""
+    rows).  An object's string is rendered once and kept in its
+    ``display``, for the next page that serves the same cached object."""
     if isinstance(value, AtomicValue):
         return value.text
     if isinstance(value, ObjectValue):
-        scalars = {
-            key: child.text
-            for key, child in value.attributes.items()
-            if isinstance(child, AtomicValue)
-        }
-        inner = ", ".join(f"{key}={text!r}" for key, text in sorted(scalars.items()))
-        return f"{value.class_name}({inner})"
+        if value.display is None:
+            scalars = {
+                key: child.text
+                for key, child in value.attributes.items()
+                if isinstance(child, AtomicValue)
+            }
+            inner = ", ".join(
+                f"{key}={text!r}" for key, text in sorted(scalars.items())
+            )
+            object.__setattr__(value, "display", f"{value.class_name}({inner})")
+        return value.display
     return _display(canonical(value))
 
 
@@ -316,9 +321,14 @@ class QueryBackend(Protocol):
     """
 
     def query(
-        self, query: "Query | str", budget: ResourceBudget | None = None
+        self,
+        query: "Query | str",
+        budget: ResourceBudget | None = None,
+        *,
+        trace: bool = True,
     ) -> "QueryResult":
-        """Execute one query under ``budget``."""
+        """Execute one query under ``budget``; ``trace=False`` builds no
+        span tree (``result.trace`` is ``None``)."""
         ...  # pragma: no cover - protocol
 
     def explain(self, query: "QueryResult | Query | str") -> str:

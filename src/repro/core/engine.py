@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 from repro.algebra.counters import OperationCounters
 from repro.algebra.region import Instance, RegionSet
@@ -548,11 +549,17 @@ class FileQueryEngine(EngineBase):
         """
         return self._span_hooks.register(hook)
 
-    def _tracer(self) -> Tracer | NullTracer:
-        return Tracer("query", hooks=self._span_hooks) if self.tracing else NULL_TRACER
+    def _tracer(self, trace: bool = True) -> Tracer | NullTracer:
+        if self.tracing and trace:
+            return Tracer("query", hooks=self._span_hooks)
+        return NULL_TRACER
 
     def _package_result(
-        self, plan: Plan, execution: Execution, tracer: Tracer | NullTracer
+        self,
+        plan: Plan,
+        execution: Execution,
+        tracer: Tracer | NullTracer,
+        started: float,
     ) -> QueryResult:
         if self._load_warnings:
             # Load-time degradation decisions surface on every query result.
@@ -570,7 +577,9 @@ class FileQueryEngine(EngineBase):
             rows=execution.rows,
             regions=execution.regions,
             plan=plan,
-            stats=QueryStats(execution.stats, trace=trace),
+            stats=QueryStats(
+                execution.stats, trace=trace, duration_s=perf_counter() - started
+            ),
             trace=trace,
             row_hashes=execution.row_hashes,
         )
@@ -578,16 +587,24 @@ class FileQueryEngine(EngineBase):
     # -- querying -----------------------------------------------------------------
 
     def query(
-        self, query: Query | str, budget: ResourceBudget | None = None
+        self,
+        query: Query | str,
+        budget: ResourceBudget | None = None,
+        *,
+        trace: bool = True,
     ) -> QueryResult:
         """Plan and execute a query (text or a parsed
         :class:`~repro.db.query.Query`).
 
-        When tracing is enabled (the default) the result carries a
-        hierarchical :class:`~repro.obs.trace.Trace` of the pipeline —
-        parse → translate → optimize → plan → index evaluation → candidate
-        parsing → database instantiation — as ``result.trace`` (also
-        reachable as ``result.stats.trace``).
+        When the engine traces (``tracing``, the default) and the call asks
+        for it (``trace``, the default) the result carries a hierarchical
+        :class:`~repro.obs.trace.Trace` of the pipeline — parse → translate
+        → optimize → plan → index evaluation → candidate parsing → database
+        instantiation — as ``result.trace`` (also reachable as
+        ``result.stats.trace``).  ``trace=False`` builds no span and fires
+        no span hook: the server's ``/query`` serves rows, and ``/analyze``
+        is where a client asks for the span tree.  ``stats.duration_s`` is
+        measured either way.
 
         ``budget`` (or the engine-wide default) guards the execution; on a
         breach the engine either raises
@@ -596,11 +613,17 @@ class FileQueryEngine(EngineBase):
         policy, retries once through the unguarded full-scan pipeline under
         a ``degraded`` span.
         """
-        tracer = self._tracer()
-        return self._run_plan(self.planner.plan(query, tracer=tracer), budget, tracer)
+        started = perf_counter()
+        tracer = self._tracer(trace)
+        plan = self.planner.plan(query, tracer=tracer)
+        return self._run_plan(plan, budget, tracer, started)
 
     def execute_plan(
-        self, plan: Plan, budget: ResourceBudget | None = None
+        self,
+        plan: Plan,
+        budget: ResourceBudget | None = None,
+        *,
+        trace: bool = True,
     ) -> QueryResult:
         """Execute an already-built plan against this engine's corpus.
 
@@ -610,13 +633,20 @@ class FileQueryEngine(EngineBase):
         configuration, which all shards share, so re-planning per shard
         would be pure waste.  The plan must come from an engine with the
         same schema and index configuration — region names in its
-        expressions bind against this engine's instance.
+        expressions bind against this engine's instance.  ``trace`` is
+        :meth:`query`'s.
         """
-        return self._run_plan(plan, budget, self._tracer())
+        return self._run_plan(plan, budget, self._tracer(trace), perf_counter())
 
     def _run_plan(
-        self, plan: Plan, budget: ResourceBudget | None, tracer: Tracer | NullTracer
+        self,
+        plan: Plan,
+        budget: ResourceBudget | None,
+        tracer: Tracer | NullTracer,
+        started: float,
     ) -> QueryResult:
+        """Execute ``plan`` and package the answer; its ``duration_s`` is
+        the wall time since ``started``, with or without a trace."""
         budget = budget if budget is not None else self.budget
         meter = (
             budget.meter() if budget is not None and not budget.unlimited else None
@@ -633,7 +663,7 @@ class FileQueryEngine(EngineBase):
             plan, execution = self._budget_fallback(
                 plan, error, tracer, skip_malformed
             )
-        return self._package_result(plan, execution, tracer)
+        return self._package_result(plan, execution, tracer, started)
 
     def _budget_fallback(
         self,
@@ -681,10 +711,11 @@ class FileQueryEngine(EngineBase):
         """
         if isinstance(query, str):
             query = parse_query(query)
+        started = perf_counter()
         plan = Plan(strategy="full-scan", query=query, notes=["forced baseline"])
         tracer = self._tracer()
         execution = self._executor.execute(plan, use_cache=False, tracer=tracer)
-        return self._package_result(plan, execution, tracer)
+        return self._package_result(plan, execution, tracer, started)
 
     def load_baseline_database(self) -> Database:
         """Parse the whole corpus once and load its full database image —

@@ -120,15 +120,18 @@ class ObjectValue:
     """An object: identity (``oid``) plus named attributes.
 
     ``key_hash`` is ``hash(canonical(self))``, filled in by
-    :func:`canonical_hash` on first use: an object is immutable, and the
-    parse memo hands the same one to every query that reads its region.
-    Two threads racing to fill it write the same value.
+    :func:`canonical_hash` on first use, and ``display`` is the object's
+    display string, filled in by :func:`repro.api.render_value` on first
+    use: an object is immutable, and the parse memo hands the same one to
+    every query that reads its region.  Two threads racing to fill either
+    write the same value.
     """
 
     class_name: str
     attributes: Mapping[str, "Value"]
     oid: int = field(default_factory=lambda: next(_OID_COUNTER))
     key_hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    display: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", dict(self.attributes))

@@ -599,12 +599,16 @@ class LiveEngine(ShardedEngine):
     # -- querying ---------------------------------------------------------------
 
     def query(
-        self, query: Query | str, budget: ResourceBudget | None = None
+        self,
+        query: Query | str,
+        budget: ResourceBudget | None = None,
+        *,
+        trace: bool = True,
     ) -> QueryResult:
         """The sharded scatter-gather over the base shards and every dirty
         shard's delta segments — the merged rows are those of a full rebuild
         of the logical corpus."""
-        return super().query(query, budget=budget)
+        return super().query(query, budget=budget, trace=trace)
 
     def _sources(self) -> list[_Shard]:
         """The base shards, each dirty one followed by its delta segments:

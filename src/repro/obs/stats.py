@@ -95,25 +95,28 @@ class QueryStats:
         gather's warning stream.
     trace:
         The hierarchical pipeline :class:`Trace`, or ``None`` when the
-        engine ran with tracing disabled.
+        engine or the call ran untraced (the server's ``/query``).
     shards:
         One :class:`ShardExecution` per source of a merged answer, in
         source order (empty for a single corpus's answer).
+    duration_seconds:
+        End-to-end wall time, traced or not: the gather's for a merged
+        answer, the engine's query call for a single corpus's.
     """
 
-    __slots__ = ("execution", "trace", "shards", "_duration_s")
+    __slots__ = ("execution", "trace", "shards", "duration_seconds")
 
     def __init__(
         self,
         execution: "ExecutionStats",
         trace: Trace | None = None,
         shards: list[ShardExecution] | None = None,
-        duration_s: float | None = None,
+        duration_s: float = 0.0,
     ) -> None:
         self.execution = execution
         self.trace = trace
         self.shards = shards if shards is not None else []
-        self._duration_s = duration_s
+        self.duration_seconds = duration_s
 
     def __getattr__(self, name: str) -> Any:
         # Only called when normal lookup fails: delegate to the execution
@@ -136,14 +139,6 @@ class QueryStats:
             "parse_misses": execution.cache_parse_misses,
             "bytes_parse_avoided": execution.bytes_parse_avoided,
         }
-
-    @property
-    def duration_seconds(self) -> float:
-        """End-to-end wall time: the gather's for a merged answer, else the
-        trace's (0.0 when untraced)."""
-        if self._duration_s is not None:
-            return self._duration_s
-        return self.trace.duration if self.trace is not None else 0.0
 
     def _count(self, status: str) -> int:
         return sum(1 for record in self.shards if record.status == status)
@@ -179,9 +174,12 @@ class QueryStats:
         - ``warnings``: structured non-fatal incidents, each a
           ``{code, message, detail}`` dict (degradations, skipped
           malformed regions)
-        - ``duration_s``: end-to-end seconds (0.0 for an untraced single
-          corpus's answer)
-        - ``trace``: the span tree (``None`` when untraced)
+        - ``duration_s``: end-to-end seconds, measured with or without a
+          trace
+        - ``trace``: the span tree, or ``None`` when untraced.  The
+          server's ``/query`` envelope always carries ``None`` here (it
+          serves rows, not span trees); ``/analyze``, the CLI's
+          ``--json`` and library calls carry the tree
         - ``shards``: the per-source records, on merged answers only
         """
         execution = self.execution

@@ -4,14 +4,18 @@ A :class:`Tracer` records one tree of :class:`Span` objects per query —
 parse → translate → optimize → plan → index evaluation → candidate parsing
 → database instantiation — each span carrying wall-time plus a flat metric
 dict (bytes scanned, regions produced, cache hits, ...).  The finished tree
-is a :class:`Trace`, attached to every :class:`~repro.core.engine.QueryResult`
-and exportable as JSON for the benchmark harness.
+is a :class:`Trace`, attached to every traced
+:class:`~repro.core.engine.QueryResult` and exportable as JSON for the
+benchmark harness.
 
 Design constraints, in order:
 
-1. *Cheap when on.*  Tracing is enabled by default on every query, so a
-   span costs two ``perf_counter`` calls, one small object, and one list
-   append.  Hook callbacks run only when registered.
+1. *Cheap when on, absent when not asked for.*  Tracing is enabled by
+   default on library and CLI queries, so a span costs two
+   ``perf_counter`` calls, one small object, and one list append; hook
+   callbacks run only when registered.  The server's ``/query`` asks for
+   no trace (``query(..., trace=False)``) and builds no span at all: it
+   serves rows, and ``/analyze`` is where a client asks for the tree.
 2. *Invisible when off.*  Pipeline code receives :data:`NULL_TRACER` when
    tracing is disabled and never branches on it — the null tracer's spans
    are shared no-op singletons.

@@ -409,8 +409,10 @@ class QueryServerApp:
         answer packaged by the shared response builders."""
         backend = self.backend
         if endpoint == "/query":
+            # Rows, not span trees: /analyze is where a trace is asked for.
             response = query_response(
-                backend.query(request.query, budget=request.budget), request
+                backend.query(request.query, budget=request.budget, trace=False),
+                request,
             )
             return {"ok": True, "kind": "query", **response.to_dict()}
         if endpoint == "/explain":

@@ -19,7 +19,9 @@ machinery, with three extra layers of isolation:
   returns.  While one does, the shard's next attempts fail at once
   instead of taking another worker, and each such failure counts on the
   breaker; so a shard whose attempts never return holds only the workers
-  of the queries that reached it before its first abandonment;
+  of the queries that reached it before its first abandonment.  An
+  attempt whose turn on the pool comes after the deadline is not run
+  and not held against its shard;
 - a failed or skipped shard never takes the query down (unless
   ``fail_fast`` asks for exactly that): the merged result carries rows
   from the healthy shards plus structured ``shard-failed`` /
@@ -453,7 +455,11 @@ class ShardedEngine(EngineBase):
     # -- querying --------------------------------------------------------------
 
     def query(
-        self, query: Query | str, budget: ResourceBudget | None = None
+        self,
+        query: Query | str,
+        budget: ResourceBudget | None = None,
+        *,
+        trace: bool = True,
     ) -> QueryResult:
         """Scatter the query over all sources, gather their set union.
 
@@ -470,7 +476,10 @@ class ShardedEngine(EngineBase):
         ``shard-timeout`` warning instead of hanging the request.  With
         the engine's ``fail_fast`` any unhealthy shard raises
         :class:`~repro.errors.ShardFailedError` instead of degrading to a
-        partial result.
+        partial result.  ``trace=False`` (see
+        :meth:`FileQueryEngine.query <repro.core.engine.FileQueryEngine.query>`)
+        reaches every source's execution, and the gather then builds no
+        ``shard-query`` tree; ``stats.shards`` is kept either way.
         """
         holder: dict[str, Any] = {"lock": threading.Lock()}
         started = perf_counter()
@@ -495,8 +504,8 @@ class ShardedEngine(EngineBase):
         effective = budget if budget is not None else self.budget
         if effective is not None:
             effective = effective.started()  # mint the deadline once, here
-        outcomes = self._scatter(sources, query, effective, holder)
-        return self._gather(sources, outcomes, holder, started)
+        outcomes = self._scatter(sources, query, effective, holder, trace)
+        return self._gather(sources, outcomes, holder, started, trace)
 
     def _sources(self) -> list[_Shard]:
         """This query's snapshot of what to scatter to, in document order."""
@@ -508,6 +517,7 @@ class ShardedEngine(EngineBase):
         query: Query | str,
         budget: ResourceBudget | None,
         holder: dict[str, Any],
+        trace: bool,
     ) -> list[ShardExecution]:
         """Submit one attempt per source to the engine's pool and wait for
         them once: until all finish, one raises a query-wide error, or the
@@ -522,7 +532,9 @@ class ShardedEngine(EngineBase):
         dispatched_at = perf_counter()
         claims = [_Claim() for _ in sources]
         futures = [
-            self._pool.submit(self._run_shard, shard, query, budget, holder, claim)
+            self._pool.submit(
+                self._run_shard, shard, query, budget, holder, claim, trace
+            )
             for shard, claim in zip(sources, claims)
         ]
         timeout: float | None = None
@@ -585,24 +597,36 @@ class ShardedEngine(EngineBase):
         fault_point(f"shard:abandoned:{shard.name}")
         if charged:
             shard.breaker.record_failure()
-        described = budget.describe() if budget is not None else "deadline"
-        warning = QueryWarning(
-            SHARD_TIMEOUT,
-            f"shard {shard.name!r} abandoned: no result within the "
-            f"request deadline ({described})",
-            detail={"shard": shard.name, "budget": described},
+        return self._timed_out(
+            shard, budget, dispatched_at, "abandoned: no result within", attempts=1
         )
+
+    @staticmethod
+    def _timed_out(
+        shard: _Shard,
+        budget: ResourceBudget | None,
+        started: float,
+        why: str,
+        attempts: int,
+    ) -> ShardExecution:
+        """A ``shard-timeout`` failure: the shard has no answer for this
+        request because its deadline ran out."""
+        described = budget.describe() if budget is not None else "deadline"
+        message = f"shard {shard.name!r} {why} the request deadline"
         return ShardExecution(
             shard=shard.name,
             status=FAILED,
-            error=TimeoutError(
-                f"shard {shard.name!r} abandoned: no result within the "
-                f"request deadline"
-            ),
-            attempts=1,
-            started_at=dispatched_at,
+            error=TimeoutError(message),
+            attempts=attempts,
+            started_at=started,
             ended_at=perf_counter(),
-            warnings=[warning],
+            warnings=[
+                QueryWarning(
+                    SHARD_TIMEOUT,
+                    f"{message} ({described})",
+                    detail={"shard": shard.name, "budget": described},
+                )
+            ],
             breaker=shard.breaker.snapshot(),
         )
 
@@ -613,18 +637,21 @@ class ShardedEngine(EngineBase):
         budget: ResourceBudget | None,
         holder: dict[str, Any],
         claim: _Claim,
+        trace: bool,
     ) -> ShardExecution | None:
         """One attempt on one source, settled: its outcome, recorded on the
-        shard's breaker, or ``None`` when the scatter abandoned the attempt
-        first (see :meth:`_scatter`)."""
+        shard's breaker when the shard was tried at all, or ``None`` when
+        the scatter abandoned the attempt first (see :meth:`_scatter`)."""
         claim.started_at = perf_counter()
         try:
-            outcome = self._attempt(shard, query, budget, holder, claim.settled)
+            outcome = self._attempt(
+                shard, query, budget, holder, claim.settled, trace
+            )
         finally:
             mine = shard.settle(claim)
         if not mine:
             return None
-        if outcome.status != SKIPPED:
+        if outcome.attempts:  # not skipped, not started past the deadline
             if outcome.status == OK:
                 shard.breaker.record_success()
             else:
@@ -639,9 +666,15 @@ class ShardedEngine(EngineBase):
         budget: ResourceBudget | None,
         holder: dict[str, Any],
         abandoned: threading.Lock,
+        trace: bool,
     ) -> ShardExecution:
         """The source's outcome under retry, or a skip when its breaker
         refuses the call; :meth:`_run_shard` records it on the breaker.
+
+        An attempt that a worker picks up only after the request's deadline
+        has passed (it waited behind other attempts) is a ``shard-timeout``
+        failure of no attempt: it asks the breaker nothing, so it neither
+        takes a half-open probe slot nor is recorded against the shard.
 
         While an earlier abandoned attempt on the shard still holds a
         worker, the attempt fails at once rather than run beside it.  Once
@@ -649,6 +682,11 @@ class ShardedEngine(EngineBase):
         retry ladder ends at the next failure: nothing waits for it."""
         started = perf_counter()
         if budget is not None:
+            if budget.remaining_s(started) == 0.0:
+                return self._timed_out(
+                    shard, budget, started, "not started: its turn came after",
+                    attempts=0,
+                )
             # A shard dispatched late gets only the request's remaining
             # time — visibly: its own stats report the clamped window, not
             # the original full deadline.
@@ -689,9 +727,9 @@ class ShardedEngine(EngineBase):
             if engine.degraded:
                 # A degraded engine has no indexed names; the shared
                 # (index-strategy) plan does not apply — plan locally.
-                return engine.query(query, budget=budget)
+                return engine.query(query, budget=budget, trace=trace)
             plan = self._shared_plan(holder, engine, query)
-            return engine.execute_plan(plan, budget=budget)
+            return engine.execute_plan(plan, budget=budget, trace=trace)
 
         try:
             result, attempts = call_with_retry(
@@ -765,6 +803,7 @@ class ShardedEngine(EngineBase):
         outcomes: list[ShardExecution],
         holder: dict[str, Any],
         started: float,
+        trace: bool,
     ) -> QueryResult:
         if self.fail_fast:
             for outcome in outcomes:
@@ -835,15 +874,19 @@ class ShardedEngine(EngineBase):
             rows = list(answered[0].rows) if answered else []
             row_hashes = answered[0].row_hashes if answered else []
         execution.rows = len(rows)
-        trace = self._build_trace(sources, outcomes, started) if self.tracing else None
+        tree = (
+            self._build_trace(sources, outcomes, started)
+            if self.tracing and trace
+            else None
+        )
         stats = QueryStats(
-            execution, trace=trace, shards=outcomes, duration_s=perf_counter() - started
+            execution, trace=tree, shards=outcomes, duration_s=perf_counter() - started
         )
         return QueryResult(
             rows=rows,
             plan=holder.get("plan"),
             stats=stats,
-            trace=trace,
+            trace=tree,
             row_hashes=row_hashes,
         )
 

@@ -51,18 +51,17 @@ class TestFacade:
             "bytes_parse_avoided",
         }
 
-    def test_duration_comes_from_trace(self, bibtex_engine):
+    def test_duration_covers_the_trace(self, bibtex_engine):
         stats = bibtex_engine.query(SELECT).stats
-        assert stats.duration_seconds == stats.trace.duration
-        assert stats.duration_seconds > 0.0
+        assert stats.duration_seconds >= stats.trace.duration > 0.0
 
-    def test_duration_zero_when_untraced(self):
+    def test_duration_measured_when_untraced(self):
         engine = FileQueryEngine(
             bibtex_schema(), generate_bibtex(entries=5, seed=1), tracing=False
         )
         stats = engine.query("SELECT r.Key FROM Reference r").stats
         assert stats.trace is None
-        assert stats.duration_seconds == 0.0
+        assert stats.duration_seconds > 0.0
 
 
 class TestToDict:
@@ -82,7 +81,7 @@ class TestToDict:
         )
         data = untraced.query("SELECT r.Key FROM Reference r").stats.to_dict()
         assert data["trace"] is None
-        assert data["duration_s"] == 0.0
+        assert data["duration_s"] > 0.0
 
     def test_values_match_execution(self, bibtex_engine):
         result = bibtex_engine.query(SELECT)

@@ -40,7 +40,7 @@ class _BlockingBackend:
         self.release = threading.Event()
         self.started = threading.Event()
 
-    def query(self, query, budget=None) -> QueryResult:
+    def query(self, query, budget=None, *, trace=True) -> QueryResult:
         self.started.set()
         self.release.wait(timeout=60)
         return QueryResult(rows=[], plan=None, stats=QueryStats(ExecutionStats("done")))

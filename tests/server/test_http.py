@@ -210,7 +210,7 @@ class _SlowBackend:
         self.release = release
         self.started = threading.Event()
 
-    def query(self, query, budget=None) -> QueryResult:
+    def query(self, query, budget=None, *, trace=True) -> QueryResult:
         self.started.set()
         self.release.wait(timeout=60)
         return QueryResult(rows=[], plan=None, stats=QueryStats(ExecutionStats("slow")))

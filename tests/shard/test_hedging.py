@@ -220,11 +220,11 @@ def test_concurrent_queries_behind_a_straggler_keep_the_pool(
 def test_an_attempt_that_started_late_is_not_charged(
     schema, corpus_text, query_text
 ) -> None:
-    # One worker, three shards: shard0 answers, shard1 sleeps past the 1s
-    # deadline, and shard2 waits behind it, starts 0.2s before the gather
-    # gives up and is abandoned mid-run.  Waiting for a worker is no
-    # evidence against shard2, so its breaker is not charged.
-    delays = {"shard:attempt:shard1": 1.05, "shard:attempt:shard2": 0.5}
+    # One worker, three shards: shard0 answers, shard1 stalls most of the
+    # 1s deadline and then answers, and shard2 waits behind it, starts
+    # 0.15s before the deadline and is abandoned mid-run.  Waiting for a
+    # worker is no evidence against shard2, so its breaker is not charged.
+    delays = {"shard:attempt:shard1": 0.85, "shard:attempt:shard2": 0.5}
     started: list[str] = []
 
     def hook(point: str) -> None:
@@ -239,7 +239,7 @@ def test_an_attempt_that_started_late_is_not_charged(
     late = [w for w in result.warnings if w.detail.get("shard") == "shard2"]
     assert [w.code for w in late] == [SHARD_TIMEOUT]
     assert engine.breaker_snapshot("shard2")["consecutive_failures"] == 0
-    assert engine.breaker_snapshot("shard1")["consecutive_failures"] == 1
+    assert result.stats.healthy_shards == 2
     engine.close()
 
 
@@ -247,10 +247,10 @@ def test_a_late_probe_that_is_abandoned_frees_the_probe_slot(
     schema, corpus_text, query_text
 ) -> None:
     # shard2's breaker is half-open (no cooldown), so its next attempt is
-    # the one probe.  That attempt waits behind shard1's stall and is
-    # abandoned mid-run: it is charged all the same, since its outcome
-    # will never be recorded, and the next query's probe closes the
-    # breaker instead of finding the slot still taken.
+    # the one probe.  That attempt waits behind shard1's stall, starts
+    # before the deadline and is abandoned mid-run: it is charged all the
+    # same, since its outcome will never be recorded, and the next query's
+    # probe closes the breaker instead of finding the slot still taken.
     engine = ShardedEngine.split(
         schema,
         corpus_text,
@@ -268,7 +268,7 @@ def test_a_late_probe_that_is_abandoned_frees_the_probe_slot(
         for _ in range(3):
             engine.query(query_text)
     assert engine.breaker_snapshot("shard2")["trips"] == 1
-    delays = {"shard:attempt:shard1": 1.05, "shard:attempt:shard2": 0.5}
+    delays = {"shard:attempt:shard1": 0.85, "shard:attempt:shard2": 0.5}
     with injected(lambda point: time.sleep(delays.get(point, 0.0))):
         engine.query(query_text, budget=ResourceBudget(deadline_s=1.0))
     assert engine.breaker_snapshot("shard2")["trips"] == 2
@@ -276,6 +276,58 @@ def test_a_late_probe_that_is_abandoned_frees_the_probe_slot(
     result = engine.query(query_text)
     assert result.stats.healthy_shards == 3
     assert engine.breaker_snapshot("shard2")["state"] == "closed"
+    engine.close()
+
+
+def _stall_shard0(point: str) -> None:
+    if point == "shard:attempt:shard0":
+        time.sleep(1.02)
+
+
+def test_an_attempt_whose_turn_comes_after_the_deadline_is_not_charged(
+    schema, corpus_text, query_text
+) -> None:
+    # One worker, three shards: shard0 stalls 1.02s, past the 1s deadline,
+    # so shard1 and shard2 get the worker only after the deadline.  They
+    # were never tried, which is no evidence against them: neither
+    # breaker is charged.
+    engine = ShardedEngine.split(schema, corpus_text, 3, max_parallel=1)
+    with injected(_stall_shard0), pytest.raises(ShardFailedError):
+        engine.query(query_text, budget=ResourceBudget(deadline_s=1.0))
+    for name in ("shard1", "shard2"):
+        assert engine.breaker_snapshot(name)["consecutive_failures"] == 0
+    engine.close()
+
+
+def test_a_turn_after_the_deadline_takes_no_half_open_probe_slot(
+    schema, corpus_text, query_text
+) -> None:
+    # shard1's breaker is half-open (no cooldown).  Its attempt gets the
+    # one worker only after the deadline: it must neither re-open the
+    # breaker nor hold the probe slot, so the next query's probe closes it.
+    engine = ShardedEngine.split(
+        schema,
+        corpus_text,
+        3,
+        max_parallel=1,
+        breaker_config=BreakerConfig(reset_timeout_s=0.0),
+        retry=RetryPolicy(max_attempts=1),
+    )
+
+    def fail_shard1(point: str) -> None:
+        if point == "shard:attempt:shard1":
+            raise OSError("injected fault on 'shard1'")
+
+    with injected(fail_shard1):
+        for _ in range(3):
+            engine.query(query_text)
+    assert engine.breaker_snapshot("shard1")["trips"] == 1
+    with injected(_stall_shard0), pytest.raises(ShardFailedError):
+        engine.query(query_text, budget=ResourceBudget(deadline_s=1.0))
+    assert engine.breaker_snapshot("shard1")["trips"] == 1
+    result = engine.query(query_text)
+    assert result.stats.healthy_shards == 3
+    assert engine.breaker_snapshot("shard1")["state"] == "closed"
     engine.close()
 
 
@@ -312,15 +364,15 @@ def test_an_abandoned_attempt_ends_its_retry_ladder(
 def test_shard_budget_is_clamped_to_remaining_time(
     sharded_engine, query_text
 ) -> None:
-    # A budget whose absolute deadline was minted long ago: at dispatch,
-    # every shard's deadline_s is rewritten to the remaining time (zero),
-    # so the shards trip immediately — the generous 5s *relative* window
-    # must never re-arm at the dispatch boundary.
+    # A budget whose absolute deadline was minted 4.5s ago: at dispatch,
+    # every shard's deadline_s is rewritten to the remaining 0.5s, so each
+    # shard, stalled 0.8s, trips on the clamped window — the generous 5s
+    # *relative* window must never re-arm at the dispatch boundary.
     stamped = ResourceBudget(deadline_s=5.0).started(
-        now=time.perf_counter() - 10.0
+        now=time.perf_counter() - 4.5
     )
     started = time.perf_counter()
-    with pytest.raises(ShardFailedError) as excinfo:
+    with injected(SlowShard(delay_s=0.8)), pytest.raises(ShardFailedError) as excinfo:
         sharded_engine.query(query_text, budget=stamped)
     elapsed = time.perf_counter() - started
     assert elapsed < 2.0, "an expired budget must fail fast, not run to 5s"
